@@ -11,10 +11,11 @@
 //! apply vs full re-harvest → `BENCH_live.json`) and
 //! `benches/dist_load.rs` (multi-process harvest → `BENCH_dist.json`).
 //!
-//! The stages themselves live in [`mlpeer::pipeline`] (shared with the
-//! multi-process coordinator); this crate composes them — serially in
-//! [`run_pipeline`], or with the passive stage swapped out via
-//! [`run_pipeline_with`] / [`run_pipeline_dist`]. Every variant is
+//! The serving pipeline lives in [`mlpeer::pipeline`] (shared with
+//! `mlpeer-serve` and the multi-process coordinator); this crate wraps
+//! it with the figure-only substrates (traceroute, PeeringDB, geo) —
+//! serially in [`run_pipeline`], or with the passive stage swapped out
+//! via [`run_pipeline_with`] / [`run_pipeline_dist`]. Every variant is
 //! byte-identical by construction: only the passive harvest's
 //! execution strategy differs, never its fold.
 
@@ -22,8 +23,8 @@ use mlpeer::active::ActiveStats;
 use mlpeer::connectivity::ConnectivityData;
 use mlpeer::dict::CommunityDictionary;
 use mlpeer::infer::{MlpLinkSet, Observation};
-use mlpeer::passive::{harvest_passive_sharded, PassiveConfig, PassiveStats};
-use mlpeer::pipeline::{prepare, run_active_stage, PipelinePrep, TeeSink};
+use mlpeer::passive::PassiveStats;
+use mlpeer::pipeline::{harvest_sharded, PipelinePrep, PipelineRun, TeeSink};
 use mlpeer_data::collector::PassiveDataset;
 use mlpeer_data::geo::GeoDb;
 use mlpeer_data::irr::{IrrDatabase, Source};
@@ -33,60 +34,10 @@ use mlpeer_data::traceroute::{build_traceroute, TracerouteDataset};
 use mlpeer_data::Sim;
 use mlpeer_dist::{harvest_passive_dist, DistConfig, DistStats};
 use mlpeer_ixp::ixp::IxpId;
-use mlpeer_ixp::{Ecosystem, EcosystemConfig};
+use mlpeer_ixp::Ecosystem;
 use mlpeer_topo::infer::InferredRelationships;
 
-/// Scale presets for the experiment and serving binaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// ~8 % of Table 2 (seconds).
-    Tiny,
-    /// ~25 % of Table 2 (tens of seconds).
-    Small,
-    /// ~50 % of Table 2 — the serving/indexing bench scale.
-    Medium,
-    /// ~75 % of Table 2 — the second point of the benchmark scale
-    /// axis (`BENCH_*.json` records at Medium *and* Large).
-    Large,
-    /// Table 2 scale (minutes).
-    Paper,
-}
-
-impl Scale {
-    /// Ecosystem config for this scale.
-    pub fn config(self, seed: u64) -> EcosystemConfig {
-        match self {
-            Scale::Tiny => EcosystemConfig::tiny(seed),
-            Scale::Small => EcosystemConfig::small(seed),
-            Scale::Medium => EcosystemConfig::medium(seed),
-            Scale::Large => EcosystemConfig::large(seed),
-            Scale::Paper => EcosystemConfig::paper_scale(seed),
-        }
-    }
-
-    /// Parse from a CLI word.
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "tiny" => Some(Scale::Tiny),
-            "small" => Some(Scale::Small),
-            "medium" => Some(Scale::Medium),
-            "large" => Some(Scale::Large),
-            "paper" | "full" => Some(Scale::Paper),
-            _ => None,
-        }
-    }
-
-    /// The lowercase word used in CLI flags and BENCH records.
-    pub fn word(self) -> &'static str {
-        match self {
-            Scale::Tiny => "tiny",
-            Scale::Small => "small",
-            Scale::Medium => "medium",
-            Scale::Large => "large",
-            Scale::Paper => "paper",
-        }
-    }
-}
+pub use mlpeer::pipeline::Scale;
 
 /// Everything the analyses need, produced by one pipeline run.
 pub struct Pipeline<'e> {
@@ -121,25 +72,24 @@ pub struct Pipeline<'e> {
 }
 
 /// Run the complete inference pipeline over an ecosystem, with the
-/// passive stage supplied by `passive`: a closure given the prepared
-/// substrates that returns the filled tee and the harvest stats. Every
-/// stage around it is identical across callers, which is what makes
-/// the serial, thread-sharded, and multi-process variants
+/// passive stage supplied by `passive`: the serving pipeline
+/// ([`mlpeer::pipeline::run`]) plus the substrates only the paper's
+/// figures read — traceroute, PeeringDB and geolocation. Every stage
+/// around the passive one is identical across callers, which is what
+/// makes the serial, thread-sharded, and multi-process variants
 /// byte-identical end to end.
 pub fn run_pipeline_with<'e>(
     eco: &'e Ecosystem,
     seed: u64,
     passive: impl FnOnce(&PipelinePrep<'e>) -> (TeeSink, PassiveStats),
 ) -> Pipeline<'e> {
-    let prep = prepare(eco, seed);
-
-    // Passive first (it reduces active cost, Eq. 2), then active per
-    // IXP, streaming into the same tee.
-    let (mut sink, passive_stats) = passive(&prep);
-    let active_stats = run_active_stage(eco, &prep, &mut sink);
-
-    let (observations, inferencer) = sink;
-    let links = inferencer.finalize(&prep.conn);
+    let PipelineRun {
+        prep,
+        observations,
+        passive_stats,
+        active_stats,
+        links,
+    } = mlpeer::pipeline::run(eco, seed, passive);
     let traceroute = build_traceroute(&prep.sim, seed ^ 0x44, 60);
     let pdb = PeeringDb::build(
         eco,
@@ -180,15 +130,7 @@ pub fn run_pipeline_with<'e>(
 /// Run the complete inference pipeline over an ecosystem (the serial /
 /// thread-sharded passive stage).
 pub fn run_pipeline(eco: &Ecosystem, seed: u64) -> Pipeline<'_> {
-    run_pipeline_with(eco, seed, |prep| {
-        harvest_passive_sharded::<TeeSink>(
-            &prep.passive,
-            &prep.dict,
-            &prep.conn,
-            &prep.rels,
-            &PassiveConfig::default(),
-        )
-    })
+    run_pipeline_with(eco, seed, harvest_sharded)
 }
 
 /// Run the pipeline with the passive stage distributed across worker
@@ -213,7 +155,7 @@ mod tests {
 
     #[test]
     fn pipeline_runs_end_to_end_on_tiny() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny(2024));
+        let eco = Ecosystem::generate(Scale::Tiny.config(2024));
         let p = run_pipeline(&eco, 2024);
         assert!(!p.observations.is_empty());
         assert!(!p.links.unique_links().is_empty());
@@ -227,7 +169,7 @@ mod tests {
 
     #[test]
     fn inference_recovers_most_mutual_links_at_lg_ixps() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny(2025));
+        let eco = Ecosystem::generate(Scale::Tiny.config(2025));
         let p = run_pipeline(&eco, 2025);
         for ixp in &eco.ixps {
             if !ixp.has_lg || ixp.filter_portal {
@@ -252,7 +194,7 @@ mod tests {
     /// real worker processes.
     #[test]
     fn dist_pipeline_with_one_worker_matches_serial() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny(2024));
+        let eco = Ecosystem::generate(Scale::Tiny.config(2024));
         let serial = run_pipeline(&eco, 2024);
         let cfg = DistConfig {
             workers: 1,

@@ -1,14 +1,19 @@
-//! The deterministic pipeline stages shared by the in-process harness
-//! (`mlpeer-bench`) and the multi-process coordinator (`mlpeer-dist`).
+//! The serving pipeline and the deterministic stages it is made of.
 //!
-//! `mlpeer_bench::run_pipeline` used to own the whole §4.1 sequence
-//! inline. Splitting it into [`prepare`] (every input substrate, seeded
-//! deterministically from `(ecosystem, seed)`) and [`run_active_stage`]
-//! (the Eq. 2 active queries that run *after* the passive harvest) lets
-//! a distributed harvest swap only the passive stage while keeping the
-//! surrounding stages — and therefore the end result — byte-identical:
-//! a worker process given the same `(scale, seed)` regenerates exactly
-//! this prep and harvests its assigned slice of it.
+//! [`run`] is the one §4.1 sequence every caller shares: [`prepare`]
+//! every input substrate (seeded deterministically from `(ecosystem,
+//! seed)`), fold the passive harvest, run the Eq. 2 active queries
+//! ([`run_active_stage`]) into the same tee, and finalize the link set.
+//! That is everything a served snapshot reads. The passive harvest is
+//! the one stage callers swap — thread-sharded in-process
+//! ([`harvest_sharded`]) or across worker processes (`mlpeer-dist`) —
+//! while the stages around it stay byte-identical: a worker process
+//! given the same `(scale, seed)` regenerates exactly this prep and
+//! harvests its assigned slice of it.
+//!
+//! The paper's figures need more than serving does (traceroute,
+//! PeeringDB, geolocation); `mlpeer_bench::run_pipeline_with` wraps
+//! [`run`] and builds those on top.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -18,13 +23,70 @@ use mlpeer_data::irr::{build_irr, IrrConfig, IrrDatabase, Source};
 use mlpeer_data::lg::{build_lg_roster, LgTarget, LookingGlassHost};
 use mlpeer_data::Sim;
 use mlpeer_ixp::ixp::IxpId;
-use mlpeer_ixp::Ecosystem;
+use mlpeer_ixp::{Ecosystem, EcosystemConfig};
 use mlpeer_topo::infer::{infer_relationships, InferConfig, InferredRelationships};
 
 use crate::active::{query_member_lgs, query_rs_lg, ActiveConfig, ActiveStats};
 use crate::connectivity::{gather_connectivity, ConnectivityData};
 use crate::dict::{dictionary_from_connectivity, CommunityDictionary};
-use crate::infer::{LinkInferencer, Observation, ObservationSource};
+use crate::infer::{LinkInferencer, MlpLinkSet, Observation, ObservationSource};
+use crate::passive::{harvest_passive_sharded, PassiveConfig, PassiveStats};
+
+/// Ecosystem scale presets, shared by the serving and experiment
+/// binaries. Boot times are for one cold `mlpeer-serve` boot (release
+/// build, 2 vCPUs): the serving pipeline plus validation and the
+/// snapshot build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// ~8 % of Table 2 (~0.1 s).
+    Tiny,
+    /// ~25 % of Table 2 (~0.5 s) — the `mlpeer-serve` default.
+    Small,
+    /// ~50 % of Table 2 (~1.6 s) — the serving/indexing bench scale.
+    Medium,
+    /// ~75 % of Table 2 — the second point of the benchmark scale
+    /// axis (`BENCH_*.json` records at Medium *and* Large).
+    Large,
+    /// Table 2 scale.
+    Paper,
+}
+
+impl Scale {
+    /// Ecosystem config for this scale.
+    pub fn config(self, seed: u64) -> EcosystemConfig {
+        match self {
+            Scale::Tiny => EcosystemConfig::tiny(seed),
+            Scale::Small => EcosystemConfig::small(seed),
+            Scale::Medium => EcosystemConfig::medium(seed),
+            Scale::Large => EcosystemConfig::large(seed),
+            Scale::Paper => EcosystemConfig::paper_scale(seed),
+        }
+    }
+
+    /// Parse from a CLI word.
+    pub fn parse(s: &str) -> Option<Scale> {
+        match s {
+            "tiny" => Some(Scale::Tiny),
+            "small" => Some(Scale::Small),
+            "medium" => Some(Scale::Medium),
+            "large" => Some(Scale::Large),
+            "paper" | "full" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
+
+    /// The lowercase word used in CLI flags, snapshots and BENCH
+    /// records.
+    pub fn word(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Medium => "medium",
+            Scale::Large => "large",
+            Scale::Paper => "paper",
+        }
+    }
+}
 
 /// The tee every pipeline variant folds into: the retained observation
 /// list (the per-figure analyses read it) plus the incremental link
@@ -167,30 +229,86 @@ pub fn run_active_stage(
     active_stats
 }
 
+/// What one serving pipeline run produced: the prepared substrates and
+/// the harvest folded over them.
+pub struct PipelineRun<'e> {
+    /// Every input substrate the run was prepared from.
+    pub prep: PipelinePrep<'e>,
+    /// All observations (passive + active), in fold order.
+    pub observations: Vec<Observation>,
+    /// Passive-harvest statistics.
+    pub passive_stats: PassiveStats,
+    /// Active statistics per IXP.
+    pub active_stats: Vec<(IxpId, ActiveStats)>,
+    /// The inferred links.
+    pub links: MlpLinkSet,
+}
+
+/// The serving pipeline: [`prepare`], the passive harvest supplied by
+/// `passive` (given the prepared substrates, it returns the filled tee
+/// and its stats), the active stage into the same tee, then finalize.
+/// Passive runs first because it reduces the active cost (Eq. 2).
+pub fn run<'e>(
+    eco: &'e Ecosystem,
+    seed: u64,
+    passive: impl FnOnce(&PipelinePrep<'e>) -> (TeeSink, PassiveStats),
+) -> PipelineRun<'e> {
+    let prep = prepare(eco, seed);
+    let (mut sink, passive_stats) = passive(&prep);
+    let active_stats = run_active_stage(eco, &prep, &mut sink);
+    let (observations, inferencer) = sink;
+    let links = inferencer.finalize(&prep.conn);
+    PipelineRun {
+        prep,
+        observations,
+        passive_stats,
+        active_stats,
+        links,
+    }
+}
+
+/// The in-process passive stage for [`run`]: the thread-sharded
+/// harvest with the default config.
+pub fn harvest_sharded(prep: &PipelinePrep<'_>) -> (TeeSink, PassiveStats) {
+    harvest_passive_sharded::<TeeSink>(
+        &prep.passive,
+        &prep.dict,
+        &prep.conn,
+        &prep.rels,
+        &PassiveConfig::default(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passive::{harvest_passive_sharded, PassiveConfig};
-    use mlpeer_ixp::EcosystemConfig;
 
     /// The split stages compose to a working end-to-end run (the
-    /// byte-identity against the monolithic `run_pipeline` is asserted
-    /// in `mlpeer-bench`, which wraps these stages).
+    /// byte-identity of its variants is asserted in `mlpeer-bench` and
+    /// the serving tests).
     #[test]
     fn prep_plus_active_stage_compose() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny(2024));
-        let prep = prepare(&eco, 2024);
-        let (mut sink, stats) = harvest_passive_sharded::<TeeSink>(
-            &prep.passive,
-            &prep.dict,
-            &prep.conn,
-            &prep.rels,
-            &PassiveConfig::default(),
-        );
-        assert!(stats.observations > 0);
-        let active = run_active_stage(&eco, &prep, &mut sink);
-        assert_eq!(active.len(), eco.ixps.len());
-        let links = sink.1.finalize(&prep.conn);
-        assert!(!links.unique_links().is_empty());
+        let eco = Ecosystem::generate(Scale::Tiny.config(2024));
+        let run = run(&eco, 2024, harvest_sharded);
+        assert!(run.passive_stats.observations > 0);
+        assert!(run.observations.len() > run.passive_stats.observations);
+        assert_eq!(run.active_stats.len(), eco.ixps.len());
+        assert!(!run.links.unique_links().is_empty());
+    }
+
+    #[test]
+    fn scale_words_round_trip() {
+        for s in [
+            Scale::Tiny,
+            Scale::Small,
+            Scale::Medium,
+            Scale::Large,
+            Scale::Paper,
+        ] {
+            assert_eq!(Scale::parse(s.word()), Some(s));
+            assert_eq!(s.word(), format!("{s:?}").to_lowercase());
+        }
+        assert_eq!(Scale::parse("full"), Some(Scale::Paper));
+        assert_eq!(Scale::parse("huge"), None);
     }
 }

@@ -22,6 +22,7 @@ use mlpeer_bgp::route::RouteAttrs;
 use mlpeer_bgp::update::UpdateMessage;
 use mlpeer_bgp::view::MrtBytes;
 use mlpeer_bgp::{AsPath, Asn, Community, CommunitySet};
+use mlpeer_topo::propagate::BestRoute;
 use mlpeer_topo::relationship::LearnedFrom;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -274,12 +275,14 @@ pub fn build_passive(sim: &Sim, cfg: &CollectorConfig) -> PassiveDataset {
 
     // ---- The sweep. ----
     let origins: Vec<Asn> = sim.eco.internet.prefixes.keys().copied().collect();
+    let mut sweep = sim.sweeper();
+    let mut route = BestRoute::default();
     for origin in origins {
-        let state = sim.routes_to(origin);
+        let state = sweep.routes_to(origin);
         for (vp, to_rv, idx) in &vp_index {
-            let Some(route) = state.best(vp.asn) else {
+            if !state.best_into(vp.asn, &mut route) {
                 continue;
-            };
+            }
             if vp.feed == FeedKind::CustomerOnly
                 && !matches!(
                     route.class,
@@ -293,7 +296,7 @@ pub fn build_passive(sim: &Sim, cfg: &CollectorConfig) -> PassiveDataset {
                     AsPath::from_seq(route.path.iter().copied()),
                     std::net::Ipv4Addr::new(10, 0, 0, 1),
                 )
-                .with_communities(sim.communities_on(route, prefix));
+                .with_communities(sim.communities_on(&route, prefix));
                 let entry = MrtRibEntry {
                     peer_index: *idx,
                     originated: 86_400,

@@ -122,8 +122,7 @@ impl LookingGlassHost {
                 }
             }
             (LgTarget::RouteServer(id), LgCommand::Prefix(p)) => {
-                let ixp = sim.eco.ixp(*id);
-                let rib = ixp.rs_rib();
+                let rib = sim.eco.ixp(*id).rs_rib_for(p, sim.announcers_at(*id, p));
                 render_prefix(*p, &rib, self.display)
             }
             (LgTarget::Member(asn), LgCommand::Prefix(p)) => {

@@ -28,7 +28,7 @@ use mlpeer_ixp::ixp::{Ixp, IxpId};
 use mlpeer_ixp::route_server::RouteServer;
 use mlpeer_ixp::Ecosystem;
 use mlpeer_topo::graph::Region;
-use mlpeer_topo::propagate::{BestRoute, EdgeKind, Propagator, RouteState};
+use mlpeer_topo::propagate::{BestRoute, EdgeKind, Propagator, RouteState, Sweeper};
 use mlpeer_topo::relationship::{LearnedFrom, Relationship};
 
 /// Local-preference conventions applied by simulated routers: customers
@@ -108,6 +108,9 @@ impl<'e> Sim<'e> {
     }
 
     /// The propagation state toward `origin` (memoized; cloneable Rc).
+    /// The memo pays for ad-hoc queries that revisit an origin (one
+    /// looking-glass query per neighbor session); a sweep over every
+    /// origin goes through [`Sim::sweeper`] instead.
     pub fn routes_to(&self, origin: Asn) -> Rc<RouteState> {
         if let Some(s) = self.memo.borrow().get(&origin) {
             return Rc::clone(s);
@@ -121,6 +124,12 @@ impl<'e> Sim<'e> {
         }
         memo.insert(origin, Rc::clone(&state));
         state
+    }
+
+    /// One reusable propagation workspace for a sweep over many
+    /// origins: each origin is computed in place, bypassing the memo.
+    pub fn sweeper(&self) -> Sweeper<'_, 'e> {
+        self.prop.sweeper()
     }
 
     /// The origin AS that owns `prefix`.
@@ -258,7 +267,7 @@ impl<'e> Sim<'e> {
                 AsPath::from_seq(route.path.iter().copied()),
                 std::net::Ipv4Addr::from(0x0A00_0000 | (n.value() & 0xFFFF)),
             )
-            .with_communities(self.communities_on(route, prefix))
+            .with_communities(self.communities_on(&route, prefix))
             .with_local_pref(lp);
             out.push(RibEntry {
                 peer: n,
@@ -370,7 +379,7 @@ impl<'e> Sim<'e> {
     /// The classification of `observer`'s best route toward `origin`
     /// (None if unreachable).
     pub fn route_class(&self, observer: Asn, origin: Asn) -> Option<LearnedFrom> {
-        self.routes_to(origin).best(observer).map(|r| r.class)
+        self.routes_to(origin).class(observer)
     }
 }
 
@@ -405,7 +414,7 @@ mod tests {
                     let (ixp_id, bilateral) = Ixp::decode_tag(tag);
                     if !bilateral {
                         let ixp = eco.ixp(ixp_id);
-                        let cs = sim.communities_on(route, &own_prefix);
+                        let cs = sim.communities_on(&route, &own_prefix);
                         let member = ixp.member(a).unwrap();
                         let expected =
                             RouteServer::communities_for(member, &own_prefix, &ixp.scheme);

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 
 use mlpeer_bgp::Asn;
 use mlpeer_ixp::ixp::Ixp;
-use mlpeer_topo::propagate::EdgeKind;
+use mlpeer_topo::propagate::{BestRoute, EdgeKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -68,12 +68,14 @@ pub fn build_traceroute(sim: &Sim, seed: u64, n_monitors: usize) -> TracerouteDa
         }
     };
     let origins: Vec<Asn> = sim.eco.internet.prefixes.keys().copied().collect();
+    let mut sweep = sim.sweeper();
+    let mut route = BestRoute::default();
     for origin in origins {
-        let state = sim.routes_to(origin);
+        let state = sweep.routes_to(origin);
         for &mon in &monitors {
-            let Some(route) = state.best(mon) else {
+            if !state.best_into(mon, &mut route) {
                 continue;
-            };
+            }
             for (i, kind) in route.via.iter().enumerate() {
                 let (a, b) = (route.path[i], route.path[i + 1]);
                 match kind {

@@ -36,19 +36,12 @@ pub use stats::{DistStats, DistStatsSnapshot};
 pub use wire::{Fault, PassiveJob, PassiveResult, WireError};
 pub use worker::run_worker;
 
-use mlpeer_ixp::{Ecosystem, EcosystemConfig};
+use mlpeer::pipeline::Scale;
+use mlpeer_ixp::Ecosystem;
 
 /// Resolve a scale word to a generated ecosystem — the shared
-/// vocabulary of coordinator and workers ("tiny", "small", "medium",
-/// "large", "paper"/"full"). `None` for unknown words.
+/// vocabulary of coordinator and workers ([`Scale::parse`]). `None`
+/// for unknown words.
 pub fn eco_for(scale: &str, seed: u64) -> Option<Ecosystem> {
-    let cfg = match scale {
-        "tiny" => EcosystemConfig::tiny(seed),
-        "small" => EcosystemConfig::small(seed),
-        "medium" => EcosystemConfig::medium(seed),
-        "large" => EcosystemConfig::large(seed),
-        "paper" | "full" => EcosystemConfig::paper_scale(seed),
-        _ => return None,
-    };
-    Some(Ecosystem::generate(cfg))
+    Scale::parse(scale).map(|s| Ecosystem::generate(s.config(seed)))
 }

@@ -112,6 +112,27 @@ impl Ixp {
         rib
     }
 
+    /// The entries of [`rs_rib`](Ixp::rs_rib) for `prefix` alone, built
+    /// from `announcers` (the members announcing it, in ASN order) —
+    /// what the IXP looking glass answers `show ip bgp <prefix>` from,
+    /// without building the whole table.
+    pub fn rs_rib_for(&self, prefix: &Prefix, announcers: &[Asn]) -> Rib {
+        let mut rib = Rib::new();
+        for m in announcers.iter().filter_map(|a| self.members.get(a)) {
+            if !m.rs_member {
+                continue;
+            }
+            for ann in m.announcements.iter().filter(|a| a.prefix == *prefix) {
+                let mut entry = RouteServer::rib_entry(m, ann, &self.scheme);
+                if self.filter_portal {
+                    entry.attrs.communities.clear();
+                }
+                rib.insert(*prefix, entry);
+            }
+        }
+        rib
+    }
+
     /// What `member` receives from the route server.
     pub fn rs_export_to(&self, member: Asn) -> Vec<Announcement> {
         let mut out = match self.members.get(&member) {
@@ -296,6 +317,28 @@ mod tests {
             .collect();
         assert_eq!(from, vec![Asn(1002)], "only 1002's route reaches 1003");
         assert!(ixp.rs_export_to(Asn(4040)).is_empty(), "unknown member");
+    }
+
+    #[test]
+    fn rs_rib_for_one_prefix_matches_the_whole_table() {
+        let mut ixp = small_ixp();
+        // 1002 also announces 1001's prefix: two entries for one prefix.
+        let shared = ixp.members[&Asn(1001)].announcements[0].clone();
+        ixp.member_mut(Asn(1002))
+            .unwrap()
+            .announcements
+            .push(shared);
+        for filter_portal in [false, true] {
+            ixp.filter_portal = filter_portal;
+            let whole = ixp.rs_rib();
+            let mut members: Vec<Asn> = ixp.members.keys().copied().collect();
+            members.push(Asn(4040)); // not a member: ignored
+            for (prefix, entries) in whole.iter() {
+                let one = ixp.rs_rib_for(prefix, &members);
+                assert_eq!(one.prefix_count(), 1);
+                assert_eq!(one.paths(prefix), entries, "{prefix}");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use mlpeer_bgp::route::RouteAttrs;
 use mlpeer_bgp::{Announcement, Asn, CommunitySet};
 use serde::{Deserialize, Serialize};
 
-use crate::member::IxpMember;
+use crate::member::{IxpMember, MemberAnnouncement};
 use crate::scheme::CommunityScheme;
 
 /// A route server (one logical instance; IXPs usually run a redundant
@@ -80,20 +80,27 @@ impl RouteServer {
                 continue;
             }
             for ann in &m.announcements {
-                let attrs = RouteAttrs::new(ann.as_path.clone(), m.lan_addr)
-                    .with_communities(Self::communities_for(m, &ann.prefix, scheme));
-                rib.insert(
-                    ann.prefix,
-                    RibEntry {
-                        peer: m.asn,
-                        peer_addr: m.lan_addr,
-                        attrs,
-                        learned_at: 0,
-                    },
-                );
+                rib.insert(ann.prefix, Self::rib_entry(m, ann, scheme));
             }
         }
         rib
+    }
+
+    /// The Adj-RIB-In entry for RS member `m`'s announcement `ann`,
+    /// tagged with the communities `m` attaches.
+    pub fn rib_entry(
+        m: &IxpMember,
+        ann: &MemberAnnouncement,
+        scheme: &CommunityScheme,
+    ) -> RibEntry {
+        let attrs = RouteAttrs::new(ann.as_path.clone(), m.lan_addr)
+            .with_communities(Self::communities_for(m, &ann.prefix, scheme));
+        RibEntry {
+            peer: m.asn,
+            peer_addr: m.lan_addr,
+            attrs,
+            learned_at: 0,
+        }
     }
 
     /// Would announcer `a`'s route for `prefix` be delivered to receiver

@@ -68,7 +68,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mlpeer_bench::Scale;
+use mlpeer::pipeline::Scale;
 use mlpeer_data::churn::ChurnConfig;
 use mlpeer_ixp::Ecosystem;
 use mlpeer_serve::refresher::spawn_refresher;
@@ -196,9 +196,11 @@ fn main() {
         }
     };
 
-    eprintln!("# generating ecosystem ({scale:?}, seed {seed})…");
-    let eco = Ecosystem::generate(scale.config(seed));
-    let scale_word = format!("{scale:?}").to_lowercase();
+    let generate = || {
+        eprintln!("# generating ecosystem ({scale:?}, seed {seed})…");
+        Ecosystem::generate(scale.config(seed))
+    };
+    let scale_word = scale.word().to_string();
     let shutdown = Arc::new(AtomicBool::new(false));
     let mut refresher = None;
 
@@ -218,7 +220,41 @@ fn main() {
         (cfg, Arc::new(mlpeer_dist::DistStats::new(workers as u64)))
     });
 
+    // Publish a freshly computed snapshot over whatever the log held:
+    // resume the epoch counter where the log left off, then bridge to
+    // the new snapshot with one published delta, so `/v1/changes`
+    // composes across the restart.
+    let start_store = |snapshot: Snapshot, prev: Option<Snapshot>| {
+        let Some(prev) = prev else {
+            let store = SnapshotStore::with_change_capacity(snapshot, delta_ring);
+            attach(&store);
+            return store;
+        };
+        let store = SnapshotStore::resume(prev, delta_ring);
+        attach(&store);
+        let prev = store.load();
+        if (prev.etag.as_str(), prev.scale.as_str(), prev.seed)
+            == (
+                snapshot.etag.as_str(),
+                snapshot.scale.as_str(),
+                snapshot.seed,
+            )
+        {
+            eprintln!(
+                "# snapshot matches recovered epoch {}; no bridge needed",
+                prev.epoch
+            );
+        } else {
+            let bridge = mlpeer::live::LinkDelta::between(&prev.links, &snapshot.links);
+            let (plus, minus) = (bridge.added.len(), bridge.removed.len());
+            let epoch = store.publish_with_delta(snapshot, bridge);
+            eprintln!("# bridge epoch {epoch}: +{plus} -{minus} links vs recovered state");
+        }
+        store
+    };
+
     let store = if live {
+        let eco = generate();
         eprintln!("# live mode: harvesting route-server state…");
         let (inferencer, snapshot) = bootstrap(&eco, &scale_word, seed);
         eprintln!(
@@ -227,30 +263,7 @@ fn main() {
             snapshot.unique_link_count,
             snapshot.etag
         );
-        let store = if let Some(prev) = recovered {
-            // Resume the epoch counter where the log left off, then
-            // bridge to the fresh bootstrap: one published delta makes
-            // `/v1/changes` compose across the restart.
-            let store = SnapshotStore::resume(prev, delta_ring);
-            attach(&store);
-            let prev = store.load();
-            if prev.etag == snapshot.etag {
-                eprintln!(
-                    "# live bootstrap matches recovered epoch {}; no bridge needed",
-                    prev.epoch
-                );
-            } else {
-                let bridge = mlpeer::live::LinkDelta::between(&prev.links, &snapshot.links);
-                let (plus, minus) = (bridge.added.len(), bridge.removed.len());
-                let epoch = store.publish_with_delta(snapshot, bridge);
-                eprintln!("# bridge epoch {epoch}: +{plus} -{minus} links vs recovered state");
-            }
-            store
-        } else {
-            let store = SnapshotStore::with_change_capacity(snapshot, delta_ring);
-            attach(&store);
-            store
-        };
+        let store = start_store(snapshot, recovered);
         let stats = Arc::new(LiveStats::default());
         let live_cfg = LiveConfig {
             interval: Duration::from_millis(live_tick_ms),
@@ -290,29 +303,45 @@ fn main() {
         );
         store
     } else {
-        let eco = Arc::new(eco);
+        // The pipeline is deterministic in (scale, seed), so a
+        // recovered epoch from the same pair is exactly what a re-run
+        // would publish; one from another pair is only history.
+        let (resume, stale) = match recovered {
+            Some(prev) if (prev.scale.as_str(), prev.seed) == (scale.word(), seed) => {
+                (Some(prev), None)
+            }
+            other => (None, other),
+        };
         // One pipeline runner for the boot and the refresher: serial,
-        // or fanned out across worker processes — byte-identical.
-        let build = {
-            let eco = Arc::clone(&eco);
+        // or fanned out across worker processes — byte-identical. With
+        // a matching recovered epoch and no refresher nothing reads the
+        // ecosystem, so it is not generated.
+        let build = (resume.is_none() || refresh_secs > 0).then(|| {
+            let eco = generate();
             let dist = dist.clone();
             move || match &dist {
                 Some((cfg, stats)) => Snapshot::of_pipeline_dist(&eco, scale, seed, cfg, stats),
                 None => Snapshot::of_pipeline(&eco, scale, seed),
             }
-        };
-        let store = if let Some(prev) = recovered {
-            // The pipeline is deterministic in (scale, seed), so the
-            // recovered snapshot is exactly what a re-run would
-            // publish — serve it directly and skip the pipeline.
+        });
+        let store = if let Some(prev) = resume {
             eprintln!(
                 "# serving recovered snapshot (epoch {}, {} unique links)",
                 prev.epoch, prev.unique_link_count
             );
-            SnapshotStore::resume(prev, delta_ring)
+            let store = SnapshotStore::resume(prev, delta_ring);
+            attach(&store);
+            store
         } else {
+            if let Some(prev) = &stale {
+                eprintln!(
+                    "# recovered epoch is from {} seed {}, not {scale_word} seed {seed}; \
+                     re-running the pipeline",
+                    prev.scale, prev.seed
+                );
+            }
             eprintln!("# running inference pipeline…");
-            let snapshot = build();
+            let snapshot = build.as_ref().expect("generated for the pipeline")();
             eprintln!(
                 "# snapshot ready: {} IXPs, {} unique links, {} indexed prefixes, etag {}",
                 snapshot.names.len(),
@@ -320,13 +349,12 @@ fn main() {
                 snapshot.index.prefix_count(),
                 snapshot.etag
             );
-            SnapshotStore::with_change_capacity(snapshot, delta_ring)
+            start_store(snapshot, stale)
         };
-        attach(&store);
         if let Some((_, dist_stats)) = &dist {
             store.set_dist_stats(Arc::clone(dist_stats));
         }
-        if refresh_secs > 0 {
+        if let Some(build) = build.filter(|_| refresh_secs > 0) {
             let store = Arc::clone(&store);
             refresher = Some(spawn_refresher(
                 store,
@@ -339,6 +367,11 @@ fn main() {
         store
     };
 
+    // Latch SIGTERM/SIGINT before any listener exists: once `/readyz`
+    // can answer, a SIGTERM must drain rather than kill.
+    if let Err(e) = polling::signal::install_term_handler() {
+        eprintln!("# warning: no signal handlers ({e}); drain on request only");
+    }
     let mut server = if engine == "reactor" {
         let shards = reactor_cfg.shards.max(1);
         let server = spawn_reactor(store, &addr, reactor_cfg).expect("bind address");
@@ -357,9 +390,6 @@ fn main() {
         server
     };
     eprintln!("#   try: curl http://{}/healthz", server.addr);
-    if let Err(e) = polling::signal::install_term_handler() {
-        eprintln!("# warning: no signal handlers ({e}); drain on request only");
-    }
     // Wait for SIGTERM/SIGINT (or the serve threads exiting on their
     // own), then drain: stop accepting, finish in-flight work under
     // the --drain-ms grace, stop refreshers, flush + fsync the active

@@ -44,7 +44,7 @@
 //!   410 is reserved for epochs genuinely compacted away.
 //!
 //! The `mlpeer-serve` binary boots the whole stack at any
-//! [`mlpeer_bench::Scale`]; `--live` switches the refresher to the
+//! [`mlpeer::pipeline::Scale`]; `--live` switches the refresher to the
 //! incremental loop.
 
 #![forbid(unsafe_code)]

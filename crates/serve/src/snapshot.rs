@@ -20,6 +20,7 @@ use mlpeer::hash::FxHasher;
 use mlpeer::index::{Announcement, LinkIndex};
 use mlpeer::infer::{MlpLinkSet, Observation};
 use mlpeer::passive::PassiveStats;
+use mlpeer::pipeline::{self, PipelineRun, Scale};
 use mlpeer::report;
 use mlpeer::validate::cross::{validate_harvest, CorpusConfig, ValidationReport};
 use mlpeer_bgp::Asn;
@@ -232,21 +233,15 @@ impl Snapshot {
         eco.ixps.iter().map(|x| (x.id, x.name.clone())).collect()
     }
 
-    /// Run the full inference pipeline over `eco` and snapshot the
-    /// result — the one-call path the binary, the refresher, and the
-    /// end-to-end tests share.
-    pub fn of_pipeline(eco: &Ecosystem, scale: mlpeer_bench::Scale, seed: u64) -> Snapshot {
-        let p = mlpeer_bench::run_pipeline(eco, seed);
-        let validation =
-            validate_harvest(eco, &p.links, &p.observations, &CorpusConfig::seeded(seed));
-        Snapshot::build_validated(
-            &format!("{scale:?}").to_lowercase(),
+    /// Run the serving pipeline over `eco` and snapshot the result —
+    /// the one-call path the binary, the refresher, and the end-to-end
+    /// tests share.
+    pub fn of_pipeline(eco: &Ecosystem, scale: Scale, seed: u64) -> Snapshot {
+        Snapshot::of_run(
+            eco,
+            scale,
             seed,
-            Snapshot::names_of(eco),
-            p.links,
-            &p.observations,
-            p.passive_stats,
-            validation,
+            pipeline::run(eco, seed, pipeline::harvest_sharded),
         )
     }
 
@@ -257,21 +252,37 @@ impl Snapshot {
     /// differs, never its fold (see `mlpeer_dist`).
     pub fn of_pipeline_dist(
         eco: &Ecosystem,
-        scale: mlpeer_bench::Scale,
+        scale: Scale,
         seed: u64,
         cfg: &mlpeer_dist::DistConfig,
         stats: &mlpeer_dist::DistStats,
     ) -> Snapshot {
-        let p = mlpeer_bench::run_pipeline_dist(eco, scale.word(), seed, cfg, stats);
-        let validation =
-            validate_harvest(eco, &p.links, &p.observations, &CorpusConfig::seeded(seed));
+        let run = pipeline::run(eco, seed, |prep| {
+            mlpeer_dist::harvest_passive_dist(scale.word(), seed, prep, cfg, stats)
+        });
+        Snapshot::of_run(eco, scale, seed, run)
+    }
+
+    /// Validate one pipeline run and snapshot it. The run's substrates
+    /// are dropped first: the snapshot keeps only the links and what it
+    /// derives from the observations.
+    fn of_run(eco: &Ecosystem, scale: Scale, seed: u64, run: PipelineRun<'_>) -> Snapshot {
+        let PipelineRun {
+            prep,
+            observations,
+            passive_stats,
+            links,
+            ..
+        } = run;
+        drop(prep);
+        let validation = validate_harvest(eco, &links, &observations, &CorpusConfig::seeded(seed));
         Snapshot::build_validated(
             scale.word(),
             seed,
             Snapshot::names_of(eco),
-            p.links,
-            &p.observations,
-            p.passive_stats,
+            links,
+            &observations,
+            passive_stats,
             validation,
         )
     }

@@ -18,14 +18,28 @@
 //! The three-phase algorithm is the standard one for policy routing:
 //!
 //! 1. **uphill** — customer routes climb provider (and sibling) edges
-//!    from the origin, breadth-first;
-//! 2. **peer** — one peer edge may follow: an AS with a customer route
-//!    exports it to its peers;
+//!    from the origin, level by level; a new AS takes the smallest-ASN
+//!    parent of the previous level;
+//! 2. **peer** — one peer edge may follow: every AS with an uphill
+//!    route exports it over its graph p2p edges and its IXP edges; a
+//!    receiver without an uphill route keeps the smallest
+//!    `(path length, exporter ASN)`, and for one exporter a graph peer
+//!    before an IXP edge, the lower tag first;
 //! 3. **downhill** — routes descend provider→customer (and sibling)
-//!    edges in best-first (Dijkstra) order.
+//!    edges in `(path length, ASN)` order; the first offer an AS gets is
+//!    final.
+//!
+//! ASes are numbered densely in ASN order, so comparing ids is
+//! comparing ASNs in every tie-break. A route is stored as one parent
+//! pointer and one edge kind per AS; paths are materialized only when a
+//! caller asks for one ([`RouteState::best`]). Downhill runs over
+//! per-length buckets instead of a heap: an offer at length `L + 1`
+//! comes only from bucket `L`, so the smallest parent of the bucket
+//! wins whatever order the bucket is walked in. Every rule is a strict
+//! minimum, so each AS's route — and through the parent pointers its
+//! whole path — is the one the textbook heap formulation selects.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use mlpeer_bgp::Asn;
 
@@ -48,7 +62,7 @@ pub enum EdgeKind {
 }
 
 /// The route one AS selected toward the origin.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BestRoute {
     /// Preference class the route was learned in.
     pub class: LearnedFrom,
@@ -88,6 +102,37 @@ pub struct ExtraPeerEdge {
     pub tag: u32,
 }
 
+/// Compressed adjacency: the items of node `u` are
+/// `items[start[u]..start[u + 1]]`.
+#[derive(Debug)]
+struct Adjacency<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Adjacency<T> {
+    /// Build from `(node, item)` pairs over `n` nodes; items keep their
+    /// input order within a node.
+    fn build(n: usize, mut pairs: Vec<(u32, T)>) -> Self {
+        pairs.sort_by_key(|&(u, _)| u);
+        let mut start = vec![0u32; n + 1];
+        for &(u, _) in &pairs {
+            start[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        Adjacency {
+            start,
+            items: pairs.into_iter().map(|(_, item)| item).collect(),
+        }
+    }
+
+    fn of(&self, u: u32) -> &[T] {
+        &self.items[self.start[u as usize] as usize..self.start[u as usize + 1] as usize]
+    }
+}
+
 /// Route propagation engine over a graph plus extra peer edges.
 ///
 /// Immutable once built; safe to share across threads for parallel
@@ -95,17 +140,22 @@ pub struct ExtraPeerEdge {
 #[derive(Debug)]
 pub struct Propagator<'g> {
     graph: &'g AsGraph,
-    /// receiver → [(exporter, tag)], sorted for determinism.
-    extra_in: HashMap<Asn, Vec<(Asn, u32)>>,
+    /// Dense id → ASN, ascending: graph nodes plus extra-edge endpoints.
+    asns: Arc<[Asn]>,
+    /// Providers (`Transit`) and siblings of each AS: the uphill edges.
+    up: Adjacency<(u32, EdgeKind)>,
+    /// Customers (`Transit`) and siblings of each AS: the downhill edges.
+    down: Adjacency<(u32, EdgeKind)>,
+    /// Graph p2p neighbors of each AS.
+    peers: Adjacency<u32>,
+    /// IXP edges out of each exporter as `(receiver, tag)`, deduplicated.
+    extra_out: Adjacency<(u32, u32)>,
 }
 
 impl<'g> Propagator<'g> {
     /// Engine over the bare relationship graph.
     pub fn new(graph: &'g AsGraph) -> Self {
-        Propagator {
-            graph,
-            extra_in: HashMap::new(),
-        }
+        Self::with_extra_peers(graph, [])
     }
 
     /// Engine with IXP-layer peer edges grafted on.
@@ -113,245 +163,325 @@ impl<'g> Propagator<'g> {
     where
         I: IntoIterator<Item = ExtraPeerEdge>,
     {
-        let mut extra_in: HashMap<Asn, Vec<(Asn, u32)>> = HashMap::new();
-        for e in edges {
-            extra_in
-                .entry(e.receiver)
-                .or_default()
-                .push((e.exporter, e.tag));
+        let mut extra: Vec<ExtraPeerEdge> = edges.into_iter().collect();
+        let mut asns: Vec<Asn> = graph.nodes().map(|n| n.asn).collect();
+        asns.extend(extra.iter().flat_map(|e| [e.exporter, e.receiver]));
+        asns.sort_unstable();
+        asns.dedup();
+        let id = |a: Asn| asns.binary_search(&a).expect("numbered") as u32;
+
+        let (mut up, mut down, mut peers) = (Vec::new(), Vec::new(), Vec::new());
+        for (u, &a) in asns.iter().enumerate() {
+            let u = u as u32;
+            for &(b, rel) in graph.neighbors(a) {
+                let v = id(b);
+                match rel {
+                    Relationship::C2p => up.push((u, (v, EdgeKind::Transit))),
+                    Relationship::P2c => down.push((u, (v, EdgeKind::Transit))),
+                    Relationship::Sibling => {
+                        up.push((u, (v, EdgeKind::Sibling)));
+                        down.push((u, (v, EdgeKind::Sibling)));
+                    }
+                    Relationship::P2p => peers.push((u, v)),
+                }
+            }
         }
-        for v in extra_in.values_mut() {
-            v.sort_unstable();
-            v.dedup();
+        extra.sort_unstable_by_key(|e| (e.exporter, e.receiver, e.tag));
+        extra.dedup();
+        let extra_out: Vec<(u32, (u32, u32))> = extra
+            .iter()
+            .map(|e| (id(e.exporter), (id(e.receiver), e.tag)))
+            .collect();
+        let n = asns.len();
+        Propagator {
+            graph,
+            up: Adjacency::build(n, up),
+            down: Adjacency::build(n, down),
+            peers: Adjacency::build(n, peers),
+            extra_out: Adjacency::build(n, extra_out),
+            asns: asns.into(),
         }
-        Propagator { graph, extra_in }
     }
 
     /// Number of directed extra edges.
     pub fn extra_edge_count(&self) -> usize {
-        self.extra_in.values().map(Vec::len).sum()
+        self.extra_out.items.len()
     }
 
     /// Compute every AS's best route toward `origin`.
     pub fn routes_to(&self, origin: Asn) -> RouteState {
-        let mut best: HashMap<Asn, BestRoute> = HashMap::new();
-        if !self.graph.contains(origin) {
-            return RouteState {
-                origin,
-                routes: best,
-            };
-        }
-        best.insert(
-            origin,
-            BestRoute {
-                class: LearnedFrom::Origin,
-                path: vec![origin],
-                via: Vec::new(),
+        self.sweeper().routes_to(origin).clone()
+    }
+
+    /// A reusable per-origin workspace: a sweep over many origins
+    /// computes each one in place, allocating nothing per origin or per
+    /// AS once the first origin has sized the buffers.
+    pub fn sweeper(&self) -> Sweeper<'_, 'g> {
+        Sweeper {
+            prop: self,
+            state: RouteState {
+                origin: Asn(0),
+                asns: Arc::clone(&self.asns),
+                hops: Vec::new(),
+                reached: 0,
             },
-        );
-
-        // ---- Phase 1: uphill (customer/sibling routes). ----
-        // Level-synchronized BFS; per level each new AS picks the parent
-        // with the smallest ASN for determinism.
-        let mut frontier: Vec<Asn> = vec![origin];
-        while !frontier.is_empty() {
-            // candidate receiver -> (parent, kind), smallest parent wins.
-            let mut next: BTreeMap<Asn, (Asn, EdgeKind)> = BTreeMap::new();
-            for &u in &frontier {
-                for &(v, rel) in self.graph.neighbors(u) {
-                    let kind = match rel {
-                        Relationship::C2p => EdgeKind::Transit, // v is u's provider
-                        Relationship::Sibling => EdgeKind::Sibling,
-                        _ => continue,
-                    };
-                    if best.contains_key(&v) {
-                        continue;
-                    }
-                    match next.get(&v) {
-                        Some(&(p, _)) if p <= u => {}
-                        _ => {
-                            next.insert(v, (u, kind));
-                        }
-                    }
-                }
-            }
-            frontier = Vec::with_capacity(next.len());
-            for (v, (u, kind)) in next {
-                let parent = &best[&u];
-                let mut path = Vec::with_capacity(parent.path.len() + 1);
-                path.push(v);
-                path.extend_from_slice(&parent.path);
-                let mut via = Vec::with_capacity(parent.via.len() + 1);
-                via.push(kind);
-                via.extend_from_slice(&parent.via);
-                let class = if kind == EdgeKind::Sibling && parent.class == LearnedFrom::Origin {
-                    // Direct sibling of the origin still re-exports freely.
-                    LearnedFrom::Sibling
-                } else if kind == EdgeKind::Sibling {
-                    LearnedFrom::Sibling
-                } else {
-                    LearnedFrom::Customer
-                };
-                best.insert(v, BestRoute { class, path, via });
-                frontier.push(v);
-            }
-        }
-
-        // ---- Phase 2: peer routes. ----
-        // An AS u with a customer-class (or origin/sibling) route exports
-        // it over p2p and extra edges; receivers without a customer route
-        // adopt the best candidate. Candidates are evaluated against the
-        // *phase-1* state only (a peer route never re-exports to peers).
-        let exports_to_peers = |r: &BestRoute| {
-            matches!(
-                r.class,
-                LearnedFrom::Origin | LearnedFrom::Customer | LearnedFrom::Sibling
-            )
-        };
-        let mut peer_candidates: BTreeMap<Asn, (usize, Asn, EdgeKind)> = BTreeMap::new();
-        let consider = |cands: &mut BTreeMap<Asn, (usize, Asn, EdgeKind)>,
-                        v: Asn,
-                        u: Asn,
-                        kind: EdgeKind,
-                        len: usize| {
-            match cands.get(&v) {
-                Some(&(l, p, _)) if (l, p) <= (len, u) => {}
-                _ => {
-                    cands.insert(v, (len, u, kind));
-                }
-            }
-        };
-        for (&u, route) in &best {
-            if !exports_to_peers(route) {
-                continue;
-            }
-            for &(v, rel) in self.graph.neighbors(u) {
-                if rel == Relationship::P2p && !best.contains_key(&v) {
-                    consider(
-                        &mut peer_candidates,
-                        v,
-                        u,
-                        EdgeKind::GraphPeer,
-                        route.path.len(),
-                    );
-                }
-            }
-        }
-        // Extra (IXP) edges are directed exporter → receiver.
-        for (&v, inlist) in &self.extra_in {
-            if best.contains_key(&v) {
-                continue;
-            }
-            for &(u, tag) in inlist {
-                if let Some(route) = best.get(&u) {
-                    if exports_to_peers(route) {
-                        consider(
-                            &mut peer_candidates,
-                            v,
-                            u,
-                            EdgeKind::ExtraPeer(tag),
-                            route.path.len(),
-                        );
-                    }
-                }
-            }
-        }
-        for (v, (_, u, kind)) in peer_candidates {
-            let parent = &best[&u];
-            let mut path = Vec::with_capacity(parent.path.len() + 1);
-            path.push(v);
-            path.extend_from_slice(&parent.path);
-            let mut via = Vec::with_capacity(parent.via.len() + 1);
-            via.push(kind);
-            via.extend_from_slice(&parent.via);
-            best.insert(
-                v,
-                BestRoute {
-                    class: LearnedFrom::Peer,
-                    path,
-                    via,
-                },
-            );
-        }
-
-        // ---- Phase 3: downhill (provider routes), best-first. ----
-        let mut heap: BinaryHeap<Reverse<(usize, u32, u32)>> = BinaryHeap::new();
-        for (&u, r) in &best {
-            heap.push(Reverse((r.path.len(), u.value(), u.value())));
-        }
-        while let Some(Reverse((len, _, u_raw))) = heap.pop() {
-            let u = Asn(u_raw);
-            let Some(route_u) = best.get(&u) else {
-                continue;
-            };
-            if route_u.path.len() != len {
-                continue; // stale heap entry
-            }
-            let (path_u, via_u) = (route_u.path.clone(), route_u.via.clone());
-            for &(v, rel) in self.graph.neighbors(u) {
-                let kind = match rel {
-                    Relationship::P2c => EdgeKind::Transit, // v is u's customer
-                    Relationship::Sibling => EdgeKind::Sibling,
-                    _ => continue,
-                };
-                let cand_len = len + 1;
-                let better = match best.get(&v) {
-                    None => true,
-                    Some(r) => {
-                        r.class == LearnedFrom::Provider
-                            && (r.path.len() > cand_len
-                                || (r.path.len() == cand_len && r.path[1] > u))
-                    }
-                };
-                if better {
-                    let mut path = Vec::with_capacity(path_u.len() + 1);
-                    path.push(v);
-                    path.extend_from_slice(&path_u);
-                    let mut via = Vec::with_capacity(via_u.len() + 1);
-                    via.push(kind);
-                    via.extend_from_slice(&via_u);
-                    best.insert(
-                        v,
-                        BestRoute {
-                            class: LearnedFrom::Provider,
-                            path,
-                            via,
-                        },
-                    );
-                    heap.push(Reverse((cand_len, v.value(), v.value())));
-                }
-            }
-        }
-
-        RouteState {
-            origin,
-            routes: best,
+            len: Vec::new(),
+            frontier: Vec::new(),
+            next: Vec::new(),
+            uphill: Vec::new(),
+            buckets: Vec::new(),
         }
     }
 }
 
-/// The full routing state for one origin: each AS's selected best route.
+/// Parent of the origin (and of unreached ASes).
+const NO_PARENT: u32 = u32::MAX;
+
+/// One AS's selected route: the neighbor it came from, over which kind
+/// of edge, in which preference class (`None`: unreached).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Hop {
+    via: EdgeKind,
+    parent: u32,
+    class: Option<LearnedFrom>,
+}
+
+const UNREACHED: Hop = Hop {
+    via: EdgeKind::Transit,
+    parent: NO_PARENT,
+    class: None,
+};
+
+/// Tie-break among one exporter's peer edges to one receiver: a graph
+/// peer first, then IXP edges by tag.
+fn peer_rank(kind: EdgeKind) -> (u8, u32) {
+    match kind {
+        EdgeKind::ExtraPeer(tag) => (1, tag),
+        _ => (0, 0),
+    }
+}
+
+/// Workspace for per-origin propagation; see [`Propagator::sweeper`].
+#[derive(Debug)]
+pub struct Sweeper<'p, 'g> {
+    prop: &'p Propagator<'g>,
+    state: RouteState,
+    /// Path length in ASes per id (`0`: unreached).
+    len: Vec<u32>,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+    /// Every AS holding an uphill (origin/customer/sibling) route.
+    uphill: Vec<u32>,
+    /// Downhill work lists by path length.
+    buckets: Vec<Vec<u32>>,
+}
+
+impl Sweeper<'_, '_> {
+    /// Compute every AS's best route toward `origin`, replacing the
+    /// previous origin's state.
+    pub fn routes_to(&mut self, origin: Asn) -> &RouteState {
+        let prop = self.prop;
+        let n = prop.asns.len();
+        let hops = &mut self.state.hops;
+        hops.clear();
+        hops.resize(n, UNREACHED);
+        self.state.origin = origin;
+        self.state.reached = 0;
+        let o = match prop.asns.binary_search(&origin) {
+            Ok(o) if prop.graph.contains(origin) => o as u32,
+            _ => return &self.state,
+        };
+        let len = &mut self.len;
+        len.clear();
+        len.resize(n, 0);
+        hops[o as usize].class = Some(LearnedFrom::Origin);
+        len[o as usize] = 1;
+
+        // ---- Phase 1: uphill, level by level. ----
+        self.uphill.clear();
+        self.uphill.push(o);
+        self.frontier.clear();
+        self.frontier.push(o);
+        let mut level = 1;
+        while !self.frontier.is_empty() {
+            self.next.clear();
+            for &u in &self.frontier {
+                for &(v, kind) in prop.up.of(u) {
+                    let (h, l) = (&mut hops[v as usize], &mut len[v as usize]);
+                    if *l == 0 {
+                        *l = level + 1;
+                        *h = Hop {
+                            via: kind,
+                            parent: u,
+                            class: None,
+                        };
+                        self.next.push(v);
+                    } else if *l == level + 1 && u < h.parent {
+                        h.via = kind;
+                        h.parent = u;
+                    }
+                }
+            }
+            for &v in &self.next {
+                let h = &mut hops[v as usize];
+                h.class = Some(if h.via == EdgeKind::Sibling {
+                    LearnedFrom::Sibling
+                } else {
+                    LearnedFrom::Customer
+                });
+            }
+            self.uphill.extend_from_slice(&self.next);
+            std::mem::swap(&mut self.frontier, &mut self.next);
+            level += 1;
+        }
+
+        // ---- Phase 2: one peer edge after the uphill part. ----
+        // Offers come only from uphill routes and a peer route is never
+        // re-exported to peers, so this is one pass over the uphill set.
+        let mut peer_routes = 0;
+        for &u in &self.uphill {
+            let lu = len[u as usize];
+            let graph_peers = prop.peers.of(u).iter().map(|&v| (v, EdgeKind::GraphPeer));
+            let ixp_peers = prop
+                .extra_out
+                .of(u)
+                .iter()
+                .map(|&(v, tag)| (v, EdgeKind::ExtraPeer(tag)));
+            for (v, kind) in graph_peers.chain(ixp_peers) {
+                let (h, l) = (&mut hops[v as usize], &mut len[v as usize]);
+                let take = match h.class {
+                    None => {
+                        peer_routes += 1;
+                        true
+                    }
+                    Some(LearnedFrom::Peer) => {
+                        (lu + 1, u) < (*l, h.parent)
+                            || (u == h.parent && peer_rank(kind) < peer_rank(h.via))
+                    }
+                    Some(_) => false,
+                };
+                if take {
+                    *l = lu + 1;
+                    *h = Hop {
+                        via: kind,
+                        parent: u,
+                        class: Some(LearnedFrom::Peer),
+                    };
+                }
+            }
+        }
+
+        // ---- Phase 3: downhill over per-length buckets. ----
+        for b in &mut self.buckets {
+            b.clear();
+        }
+        let mut reached = 0;
+        for (v, &l) in len.iter().enumerate() {
+            if l > 0 {
+                let l = l as usize;
+                if self.buckets.len() <= l + 1 {
+                    self.buckets.resize_with(l + 2, Vec::new);
+                }
+                self.buckets[l].push(v as u32);
+                reached += 1;
+            }
+        }
+        debug_assert_eq!(reached, self.uphill.len() + peer_routes);
+        let mut l = 1;
+        while l < self.buckets.len() {
+            let bucket = std::mem::take(&mut self.buckets[l]);
+            for &u in &bucket {
+                for &(v, kind) in prop.down.of(u) {
+                    let h = &mut hops[v as usize];
+                    if len[v as usize] == 0 {
+                        len[v as usize] = l as u32 + 1;
+                        *h = Hop {
+                            via: kind,
+                            parent: u,
+                            class: Some(LearnedFrom::Provider),
+                        };
+                        if self.buckets.len() <= l + 1 {
+                            self.buckets.resize_with(l + 2, Vec::new);
+                        }
+                        self.buckets[l + 1].push(v);
+                        reached += 1;
+                    } else if len[v as usize] == l as u32 + 1
+                        && h.class == Some(LearnedFrom::Provider)
+                        && u < h.parent
+                    {
+                        h.via = kind;
+                        h.parent = u;
+                    }
+                }
+            }
+            self.buckets[l] = bucket;
+            l += 1;
+        }
+        self.state.reached = reached;
+        &self.state
+    }
+}
+
+/// The full routing state for one origin: each AS's selected route, as
+/// one parent pointer per AS.
 #[derive(Debug, Clone)]
 pub struct RouteState {
     /// The origin all routes lead to.
     pub origin: Asn,
-    routes: HashMap<Asn, BestRoute>,
+    asns: Arc<[Asn]>,
+    hops: Vec<Hop>,
+    reached: usize,
 }
 
 impl RouteState {
+    fn hop(&self, asn: Asn) -> Option<(u32, &Hop)> {
+        let id = self.asns.binary_search(&asn).ok()?;
+        let hop = self.hops.get(id)?;
+        hop.class.map(|_| (id as u32, hop))
+    }
+
     /// The best route `asn` selected, if it reaches the origin at all.
-    pub fn best(&self, asn: Asn) -> Option<&BestRoute> {
-        self.routes.get(&asn)
+    pub fn best(&self, asn: Asn) -> Option<BestRoute> {
+        let mut route = BestRoute::default();
+        self.best_into(asn, &mut route).then_some(route)
+    }
+
+    /// [`best`](RouteState::best) into a caller-owned route, reusing its
+    /// buffers; returns `false` (leaving `out` unspecified) when `asn`
+    /// does not reach the origin.
+    pub fn best_into(&self, asn: Asn, out: &mut BestRoute) -> bool {
+        let Some((mut id, hop)) = self.hop(asn) else {
+            return false;
+        };
+        out.class = hop.class.expect("reached");
+        out.path.clear();
+        out.via.clear();
+        loop {
+            let h = &self.hops[id as usize];
+            out.path.push(self.asns[id as usize]);
+            if h.parent == NO_PARENT {
+                return true;
+            }
+            out.via.push(h.via);
+            id = h.parent;
+        }
+    }
+
+    /// The preference class of `asn`'s selected route.
+    pub fn class(&self, asn: Asn) -> Option<LearnedFrom> {
+        self.hop(asn).and_then(|(_, h)| h.class)
     }
 
     /// Number of ASes that can reach the origin.
     pub fn reachable_count(&self) -> usize {
-        self.routes.len()
+        self.reached
     }
 
-    /// Iterate `(asn, best)` in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (Asn, &BestRoute)> {
-        self.routes.iter().map(|(a, r)| (*a, r))
+    /// Iterate `(asn, best)` in ASN order, materializing each route.
+    pub fn iter(&self) -> impl Iterator<Item = (Asn, BestRoute)> + '_ {
+        self.asns
+            .iter()
+            .filter_map(|&a| self.best(a).map(|r| (a, r)))
     }
 
     /// Would `asn` export its best route to a neighbor related by `rel`
@@ -359,9 +489,7 @@ impl RouteState {
     /// *selected* route — an AS whose best is peer-learned advertises
     /// nothing for this origin to peers or providers.
     pub fn exports_to(&self, asn: Asn, rel: Relationship) -> bool {
-        self.routes
-            .get(&asn)
-            .is_some_and(|r| r.class.may_export_to(rel))
+        self.class(asn).is_some_and(|c| c.may_export_to(rel))
     }
 }
 

@@ -40,9 +40,12 @@ impl Relationship {
 }
 
 /// Where a route was learned from, for export decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub enum LearnedFrom {
     /// The AS originates the route itself.
+    #[default]
     Origin,
     /// Learned from a customer (exportable to anyone).
     Customer,

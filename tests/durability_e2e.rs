@@ -8,15 +8,22 @@
 //! it). A second test tears the log's tail mid-record and checks
 //! recovery truncates to the last valid epoch and keeps serving —
 //! with the torn epoch drawing the documented 410.
+//!
+//! The real `mlpeer-serve` binary then covers the batch boot: a data
+//! dir written at another `(scale, seed)` is history, not the answer
+//! (the new run publishes a bridge epoch over it), and a SIGTERM that
+//! arrives once `/readyz` answers drains cleanly with exit status 0.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use mlpeer_bench::Scale;
+use mlpeer::live::LinkDelta;
+use mlpeer::pipeline::Scale;
 use mlpeer_data::churn::ChurnConfig;
 use mlpeer_ixp::{Ecosystem, EcosystemConfig};
 use mlpeer_serve::{
@@ -210,5 +217,184 @@ fn torn_log_tail_recovers_to_last_valid_epoch() {
     let (status, _, _) = get(addr, &format!("/v1/ixps?at={epoch}"));
     assert_eq!(status, 200, "the re-published epoch is served from disk");
     server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- The real binary below. ----
+
+/// Locate the `mlpeer-serve` binary cargo built alongside the tests
+/// (`target/<profile>/deps/this_test` → `target/<profile>/mlpeer-serve`).
+fn serve_bin() -> PathBuf {
+    if let Ok(path) = std::env::var("MLPEER_SERVE_BIN") {
+        return PathBuf::from(path);
+    }
+    let exe = std::env::current_exe().expect("test exe path");
+    let mut dir = exe.parent().expect("deps dir").to_path_buf();
+    dir.pop();
+    let candidate = dir.join("mlpeer-serve");
+    assert!(
+        candidate.is_file(),
+        "mlpeer-serve binary built alongside tests (run the whole workspace \
+         test suite, or set MLPEER_SERVE_BIN)"
+    );
+    candidate
+}
+
+/// Boot `mlpeer-serve tiny --seed=<seed>` over `data_dir` and block
+/// until it announces its bound address on stderr; a drain thread keeps
+/// the pipe from backpressuring the server.
+fn spawn_batch(data_dir: &Path, seed: u64) -> (Child, SocketAddr) {
+    let mut child = Command::new(serve_bin())
+        .args([
+            "tiny".to_string(),
+            format!("--seed={seed}"),
+            "--addr=127.0.0.1:0".to_string(),
+            format!("--data-dir={}", data_dir.display()),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn mlpeer-serve");
+    let mut lines = BufReader::new(child.stderr.take().expect("stderr piped"));
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        if lines.read_line(&mut line).expect("read server stderr") == 0 {
+            panic!("mlpeer-serve exited before announcing its address");
+        }
+        if let Some(rest) = line.trim().strip_prefix("# serving on http://") {
+            let host = rest.split_whitespace().next().expect("addr token");
+            break host.parse::<SocketAddr>().expect("bound address");
+        }
+    };
+    std::thread::spawn(move || {
+        let _ = std::io::copy(&mut lines, &mut std::io::sink());
+    });
+    (child, addr)
+}
+
+fn stop(mut child: Child) {
+    child.kill().expect("SIGKILL");
+    child.wait().expect("reap");
+}
+
+/// The value token of the first `"name":` field in a JSON body.
+fn field<'b>(body: &'b str, name: &str) -> &'b str {
+    let key = format!("\"{name}\":");
+    let start = body
+        .find(&key)
+        .unwrap_or_else(|| panic!("{name} in {body}"))
+        + key.len();
+    let rest = &body[start..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().trim_matches('"')
+}
+
+#[test]
+fn batch_boot_over_another_seed_publishes_a_bridge_epoch() {
+    let dir = temp_dir("reseed");
+    let snap = |seed| {
+        Snapshot::of_pipeline(
+            &Ecosystem::generate(Scale::Tiny.config(seed)),
+            Scale::Tiny,
+            seed,
+        )
+    };
+    let (seven, forty_two) = (snap(7), snap(42));
+
+    // ---- First life: seed 7 publishes epoch 0. ----
+    let (child, addr) = spawn_batch(&dir, 7);
+    let (_, _, health) = get(addr, "/healthz");
+    assert_eq!(field(&health, "etag"), seven.etag, "{health}");
+    let (_, _, ixps_seven) = get(addr, "/v1/ixps");
+    stop(child);
+
+    // ---- Second life: seed 42 over the same dir. The seed-7 epoch is
+    //      history: the pipeline runs and bridges to it. ----
+    let (child, addr) = spawn_batch(&dir, 42);
+    let (_, _, health) = get(addr, "/healthz");
+    assert_eq!(field(&health, "etag"), forty_two.etag, "{health}");
+    assert_eq!(field(&health, "epoch"), "1", "{health}");
+    assert_eq!(field(&health, "scale"), "tiny", "{health}");
+    let (status, _, at0) = get(addr, "/v1/ixps?at=0");
+    assert_eq!(status, 200);
+    assert_eq!(at0, ixps_seven, "epoch 0 still serves the seed-7 bodies");
+    let (status, _, changes) = get(addr, "/v1/changes?since=0");
+    assert_eq!(status, 200, "{changes}");
+    let bridge = LinkDelta::between(&seven.links, &forty_two.links);
+    assert!(!bridge.added.is_empty() && !bridge.removed.is_empty());
+    assert_eq!(field(&changes, "epoch"), "1");
+    assert_eq!(
+        changes.matches("\"name\":").count(),
+        bridge.added.len() + bridge.removed.len(),
+        "/v1/changes?since=0 lists the bridge delta"
+    );
+    stop(child);
+
+    // ---- Third life: seed 42 again serves the recovered epoch 1. ----
+    let (child, addr) = spawn_batch(&dir, 42);
+    let (_, _, health) = get(addr, "/healthz");
+    assert_eq!(field(&health, "epoch"), "1", "{health}");
+    assert_eq!(field(&health, "etag"), forty_two.etag);
+    stop(child);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The signal mask a process catches, from `/proc/<pid>/status`.
+#[cfg(target_os = "linux")]
+fn caught_signals(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
+    let mask = status
+        .lines()
+        .find_map(|l| l.strip_prefix("SigCgt:"))
+        .expect("SigCgt line");
+    u64::from_str_radix(mask.trim(), 16).expect("hex mask")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn sigterm_at_first_readyz_drains_with_exit_zero() {
+    const SIGTERM_BIT: u64 = 1 << (15 - 1);
+    let dir = temp_dir("sigterm");
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port")
+        .port();
+    let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
+    let mut child = Command::new(serve_bin())
+        .args([
+            "tiny".to_string(),
+            format!("--addr={addr}"),
+            format!("--data-dir={}", dir.display()),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn mlpeer-serve");
+
+    // Poll /readyz from spawn on; act on the very first 200.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        assert!(Instant::now() < deadline, "/readyz never answered 200");
+        assert!(child.try_wait().unwrap().is_none(), "server died");
+        if TcpStream::connect(addr).is_ok() && get(addr, "/readyz").0 == 200 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_ne!(
+        caught_signals(child.id()) & SIGTERM_BIT,
+        0,
+        "SIGTERM must be caught once /readyz answers"
+    );
+    let sent = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(sent.success());
+    let status = child.wait().expect("reap");
+    assert_eq!(status.code(), Some(0), "drain exits 0: {status}");
+    // The drained log reopens with the boot epoch.
+    assert_eq!(DurableStore::open(&dir).unwrap().latest_epoch(), Some(0));
     let _ = std::fs::remove_dir_all(&dir);
 }

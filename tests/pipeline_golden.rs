@@ -21,10 +21,8 @@
 use std::hash::Hasher;
 
 use mlpeer::hash::FxHasher;
-use mlpeer::passive::{harvest_passive_sharded, PassiveConfig};
-use mlpeer::pipeline::{prepare, run_active_stage, TeeSink};
+use mlpeer::pipeline::{harvest_sharded, run, Scale};
 use mlpeer::validate::cross::{validate_harvest, CorpusConfig};
-use mlpeer_bench::Scale;
 use mlpeer_ixp::Ecosystem;
 use mlpeer_serve::Snapshot;
 
@@ -38,36 +36,31 @@ const GRID: [(Scale, u64); 4] = [
     (Scale::Medium, 20130501),
 ];
 
-/// Compute the fixture line for one `(scale, seed)` cell from the same
+/// Compute the fixture line for one `(scale, seed)` cell from the
 /// stages `Snapshot::of_pipeline` runs.
 fn record_line(scale: Scale, seed: u64) -> String {
     let eco = Ecosystem::generate(scale.config(seed));
-    let prep = prepare(&eco, seed);
-    let rib_entries = prep.passive.rib_len();
+    let run = run(&eco, seed, harvest_sharded);
+    let passive = &run.prep.passive;
     let mut h = FxHasher::default();
-    for (name, arena) in &prep.passive.to_bytes().collectors {
+    for (name, arena) in &passive.to_bytes().collectors {
         h.write(name.as_bytes());
         h.write(arena.as_bytes());
     }
-    let arena_hash = h.finish();
-    let (mut sink, passive_stats) = harvest_passive_sharded::<TeeSink>(
-        &prep.passive,
-        &prep.dict,
-        &prep.conn,
-        &prep.rels,
-        &PassiveConfig::default(),
+    let (rib_entries, arena_hash) = (passive.rib_len(), h.finish());
+    let validation = validate_harvest(
+        &eco,
+        &run.links,
+        &run.observations,
+        &CorpusConfig::seeded(seed),
     );
-    run_active_stage(&eco, &prep, &mut sink);
-    let (observations, inferencer) = sink;
-    let links = inferencer.finalize(&prep.conn);
-    let validation = validate_harvest(&eco, &links, &observations, &CorpusConfig::seeded(seed));
     let snap = Snapshot::build_validated(
         scale.word(),
         seed,
         Snapshot::names_of(&eco),
-        links,
-        &observations,
-        passive_stats,
+        run.links,
+        &run.observations,
+        run.passive_stats,
         validation,
     );
 
