@@ -27,10 +27,10 @@ use std::time::Duration;
 
 use mlpeer::infer::{InferState, LinkInferencer, Observation};
 use mlpeer::passive::{
-    harvest_passive_sharded, harvest_passive_units, passive_work_units, work_unit_weight,
-    PassiveConfig, PassiveStats, WorkUnit,
+    harvest_passive_units, passive_work_units, work_unit_weight, PassiveConfig, PassiveStats,
+    WorkUnit,
 };
-use mlpeer::pipeline::{PipelinePrep, TeeSink};
+use mlpeer::pipeline::{harvest_sharded, PipelinePrep, TeeSink};
 
 use crate::stats::DistStats;
 use crate::wire::{read_frame, write_frame, Fault, FrameKind, PassiveJob, PassiveResult};
@@ -304,13 +304,7 @@ pub fn harvest_passive_dist(
     stats: &DistStats,
 ) -> (TeeSink, PassiveStats) {
     if cfg.workers <= 1 {
-        return harvest_passive_sharded::<TeeSink>(
-            &prep.passive,
-            &prep.dict,
-            &prep.conn,
-            &prep.rels,
-            &PassiveConfig::default(),
-        );
+        return harvest_sharded(prep);
     }
 
     let total_rib: usize = prep.passive.rib_len();

@@ -40,20 +40,23 @@
 //!
 //! With `--data-dir=PATH` every published epoch also appends to the
 //! durable segment log there. On the next boot the latest persisted
-//! epoch is recovered byte-identically (same ETag); batch mode then
-//! serves it directly instead of re-running the pipeline, while live
-//! mode re-bootstraps from the route servers and publishes a *bridge*
-//! epoch carrying the link diff from the recovered state, so
-//! `/v1/changes` composes across the restart. Snapshot-addressed
+//! epoch is recovered byte-identically (same ETag); if it was written
+//! at the same scale and seed, batch mode serves it directly instead
+//! of re-running the pipeline. Otherwise — another scale or seed, or
+//! live mode, which re-bootstraps from the route servers — the fresh
+//! snapshot is published as a *bridge* epoch carrying the link diff
+//! from the recovered state, so `/v1/changes` composes across the
+//! restart. Snapshot-addressed
 //! endpoints additionally answer `?at=<epoch>` time-travel reads, and
 //! `/v1/changes?since=N` falls back to the on-disk history when `N`
 //! predates the in-memory ring.
 //!
-//! **Graceful shutdown:** SIGTERM or SIGINT starts a drain — listeners
-//! stop accepting, `/readyz` answers `draining` (503), in-flight
-//! keep-alive requests finish within `--drain-ms`, SSE subscribers get
-//! a terminal `shutdown` event, the active durable segment is flushed
-//! and fsynced, and the process exits 0. `--admission=N` caps global
+//! **Graceful shutdown:** the SIGTERM/SIGINT latch is installed before
+//! any listener, so once `/readyz` answers, either signal starts a
+//! drain — listeners stop accepting, `/readyz` answers `draining`
+//! (503), in-flight keep-alive requests finish within `--drain-ms`, SSE
+//! subscribers get a terminal `shutdown` event, the active durable
+//! segment is flushed and fsynced, and the process exits 0. `--admission=N` caps global
 //! in-flight responses on the reactor engine; beyond it requests are
 //! shed with a pre-rendered 503 + `Retry-After`.
 //!
