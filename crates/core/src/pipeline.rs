@@ -42,7 +42,7 @@ pub enum Scale {
     Tiny,
     /// ~25 % of Table 2 (~0.5 s) — the `mlpeer-serve` default.
     Small,
-    /// ~50 % of Table 2 (~1.6 s) — the serving/indexing bench scale.
+    /// ~50 % of Table 2 (~1.1 s) — the serving/indexing bench scale.
     Medium,
     /// ~75 % of Table 2 — the second point of the benchmark scale
     /// axis (`BENCH_*.json` records at Medium *and* Large).

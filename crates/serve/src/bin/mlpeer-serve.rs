@@ -46,19 +46,19 @@
 //! live mode, which re-bootstraps from the route servers — the fresh
 //! snapshot is published as a *bridge* epoch carrying the link diff
 //! from the recovered state, so `/v1/changes` composes across the
-//! restart. Snapshot-addressed
-//! endpoints additionally answer `?at=<epoch>` time-travel reads, and
-//! `/v1/changes?since=N` falls back to the on-disk history when `N`
-//! predates the in-memory ring.
+//! restart. Snapshot-addressed endpoints additionally answer
+//! `?at=<epoch>` time-travel reads, and `/v1/changes?since=N` falls
+//! back to the on-disk history when `N` predates the in-memory ring.
 //!
 //! **Graceful shutdown:** the SIGTERM/SIGINT latch is installed before
 //! any listener, so once `/readyz` answers, either signal starts a
 //! drain — listeners stop accepting, `/readyz` answers `draining`
 //! (503), in-flight keep-alive requests finish within `--drain-ms`, SSE
 //! subscribers get a terminal `shutdown` event, the active durable
-//! segment is flushed and fsynced, and the process exits 0. `--admission=N` caps global
-//! in-flight responses on the reactor engine; beyond it requests are
-//! shed with a pre-rendered 503 + `Retry-After`.
+//! segment is flushed and fsynced, and the process exits 0.
+//! `--admission=N` caps global in-flight responses on the reactor
+//! engine; beyond it requests are shed with a pre-rendered 503 +
+//! `Retry-After`.
 //!
 //! **Fault injection:** the `MLPEER_FAILPOINTS` environment variable
 //! activates named failpoints (`site=action;site=action` with actions
@@ -236,12 +236,7 @@ fn main() {
         let store = SnapshotStore::resume(prev, delta_ring);
         attach(&store);
         let prev = store.load();
-        if (prev.etag.as_str(), prev.scale.as_str(), prev.seed)
-            == (
-                snapshot.etag.as_str(),
-                snapshot.scale.as_str(),
-                snapshot.seed,
-            )
+        if (&prev.etag, &prev.scale, prev.seed) == (&snapshot.etag, &snapshot.scale, snapshot.seed)
         {
             eprintln!(
                 "# snapshot matches recovered epoch {}; no bridge needed",
