@@ -40,14 +40,14 @@ use crate::passive::{harvest_passive_sharded, PassiveConfig, PassiveStats};
 pub enum Scale {
     /// ~8 % of Table 2 (~0.1 s).
     Tiny,
-    /// ~25 % of Table 2 (~0.5 s) — the `mlpeer-serve` default.
+    /// ~25 % of Table 2 (~0.45 s) — the `mlpeer-serve` default.
     Small,
     /// ~50 % of Table 2 (~1.1 s) — the serving/indexing bench scale.
     Medium,
-    /// ~75 % of Table 2 — the second point of the benchmark scale
-    /// axis (`BENCH_*.json` records at Medium *and* Large).
+    /// ~75 % of Table 2 (~2.6 s) — the second point of the benchmark
+    /// scale axis (`BENCH_*.json` records at Medium *and* Large).
     Large,
-    /// Table 2 scale.
+    /// Table 2 scale (~4.2 s).
     Paper,
 }
 

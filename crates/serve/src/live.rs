@@ -1,8 +1,9 @@
 //! The live refresher: incremental epochs from an update stream, not
 //! periodic re-harvests.
 //!
-//! The plain [`crate::refresher`] re-runs the whole pipeline each
-//! interval — minutes at `paper` scale — even when nothing changed.
+//! The plain [`crate::refresher`] re-runs the whole serving pipeline
+//! each interval — seconds at `paper` scale — even when nothing
+//! changed.
 //! Live mode replaces it with a churn-driven delta loop: each tick
 //! draws the next batch of seeded churn events, mutates the ecosystem,
 //! renders the events as BGP session traffic
