@@ -240,10 +240,21 @@ fn serve_bin() -> PathBuf {
     candidate
 }
 
+/// A spawned server process, killed and reaped when dropped, so a
+/// failing assertion leaves no server running.
+struct Running(Child);
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Boot `mlpeer-serve tiny --seed=<seed>` over `data_dir` and block
 /// until it announces its bound address on stderr; a drain thread keeps
 /// the pipe from backpressuring the server.
-fn spawn_batch(data_dir: &Path, seed: u64) -> (Child, SocketAddr) {
+fn spawn_batch(data_dir: &Path, seed: u64) -> (Running, SocketAddr) {
     let mut child = Command::new(serve_bin())
         .args([
             "tiny".to_string(),
@@ -270,12 +281,7 @@ fn spawn_batch(data_dir: &Path, seed: u64) -> (Child, SocketAddr) {
     std::thread::spawn(move || {
         let _ = std::io::copy(&mut lines, &mut std::io::sink());
     });
-    (child, addr)
-}
-
-fn stop(mut child: Child) {
-    child.kill().expect("SIGKILL");
-    child.wait().expect("reap");
+    (Running(child), addr)
 }
 
 /// The value token of the first `"name":` field in a JSON body.
@@ -307,7 +313,7 @@ fn batch_boot_over_another_seed_publishes_a_bridge_epoch() {
     let (_, _, health) = get(addr, "/healthz");
     assert_eq!(field(&health, "etag"), seven.etag, "{health}");
     let (_, _, ixps_seven) = get(addr, "/v1/ixps");
-    stop(child);
+    drop(child);
 
     // ---- Second life: seed 42 over the same dir. The seed-7 epoch is
     //      history: the pipeline runs and bridges to it. ----
@@ -329,14 +335,14 @@ fn batch_boot_over_another_seed_publishes_a_bridge_epoch() {
         bridge.added.len() + bridge.removed.len(),
         "/v1/changes?since=0 lists the bridge delta"
     );
-    stop(child);
+    drop(child);
 
     // ---- Third life: seed 42 again serves the recovered epoch 1. ----
     let (child, addr) = spawn_batch(&dir, 42);
     let (_, _, health) = get(addr, "/healthz");
     assert_eq!(field(&health, "epoch"), "1", "{health}");
     assert_eq!(field(&health, "etag"), forty_two.etag);
-    stop(child);
+    drop(child);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -361,16 +367,19 @@ fn sigterm_at_first_readyz_drains_with_exit_zero() {
         .expect("free port")
         .port();
     let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
-    let mut child = Command::new(serve_bin())
-        .args([
-            "tiny".to_string(),
-            format!("--addr={addr}"),
-            format!("--data-dir={}", dir.display()),
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn mlpeer-serve");
+    let mut server = Running(
+        Command::new(serve_bin())
+            .args([
+                "tiny".to_string(),
+                format!("--addr={addr}"),
+                format!("--data-dir={}", dir.display()),
+            ])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn mlpeer-serve"),
+    );
+    let child = &mut server.0;
 
     // Poll /readyz from spawn on; act on the very first 200.
     let deadline = Instant::now() + Duration::from_secs(60);
