@@ -152,10 +152,11 @@ pub fn run_pipeline_dist<'e>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlpeer_ixp::EcosystemConfig;
 
     #[test]
     fn pipeline_runs_end_to_end_on_tiny() {
-        let eco = Ecosystem::generate(Scale::Tiny.config(2024));
+        let eco = Ecosystem::generate(EcosystemConfig::tiny(2024));
         let p = run_pipeline(&eco, 2024);
         assert!(!p.observations.is_empty());
         assert!(!p.links.unique_links().is_empty());
@@ -169,7 +170,7 @@ mod tests {
 
     #[test]
     fn inference_recovers_most_mutual_links_at_lg_ixps() {
-        let eco = Ecosystem::generate(Scale::Tiny.config(2025));
+        let eco = Ecosystem::generate(EcosystemConfig::tiny(2025));
         let p = run_pipeline(&eco, 2025);
         for ixp in &eco.ixps {
             if !ixp.has_lg || ixp.filter_portal {
@@ -194,7 +195,7 @@ mod tests {
     /// real worker processes.
     #[test]
     fn dist_pipeline_with_one_worker_matches_serial() {
-        let eco = Ecosystem::generate(Scale::Tiny.config(2024));
+        let eco = Ecosystem::generate(EcosystemConfig::tiny(2024));
         let serial = run_pipeline(&eco, 2024);
         let cfg = DistConfig {
             workers: 1,
