@@ -5,15 +5,15 @@
 //!    [`LinkIndex`] against the [`scan`] reference implementations,
 //!    after asserting byte-identical results (the acceptance criterion
 //!    asks for ≥ 10× on indexed lookups);
-//! 2. **HTTP load** — boot a real server on an ephemeral port and run
+//! 2. **HTTP load** — boot the reactor on an ephemeral port and run
 //!    the in-repo load generator over the query endpoints, recording
 //!    throughput and latency percentiles, plus a 304-revalidation run.
 //!    Since the pre-rendered body cache landed, the 200 hot path is a
 //!    lookup + memcpy — the recorded latencies measure that path.
-//! 3. **keep-alive concurrency sweep** (Medium only) — boot the epoll
-//!    reactor engine and hold 64 / 256 / 1024 / 4096 keep-alive
-//!    connections open while a bounded worker pool drives requests
-//!    across them (the loadgen *hold* mode). The `connections` axis in
+//! 3. **keep-alive concurrency sweep** (Medium only) — boot a fresh
+//!    reactor and hold 64 / 256 / 1024 / 4096 keep-alive connections
+//!    open while a bounded worker pool drives requests across them (the
+//!    loadgen *hold* mode). The `connections` axis in
 //!    `BENCH_serve.json` records throughput per population; the bench
 //!    asserts the ≥ 15k rps floor at 1024 held connections.
 //!
@@ -28,17 +28,17 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mlpeer::index::{scan, LinkIndex};
+use mlpeer::validate::cross::ValidationReport;
 use mlpeer_bench::{run_pipeline, Scale};
 use mlpeer_bgp::{Asn, Prefix};
 use mlpeer_ixp::Ecosystem;
 use mlpeer_serve::{
-    run_hold_load, run_load, spawn_reactor, HoldConfig, LoadConfig, ReactorConfig, Snapshot,
-    SnapshotStore,
+    run_hold_load, run_load, spawn_reactor, HoldConfig, LoadConfig, ReactorConfig, ServerHandle,
+    Snapshot, SnapshotStore,
 };
-use mlpeer_serve::{spawn_server, ServerHandle};
 
 /// Acceptance floor: held keep-alive population of 1024 must still
-/// clear this throughput on the reactor engine (single-core container).
+/// clear this throughput on the reactor.
 const HOLD_RPS_FLOOR: f64 = 15_000.0;
 
 /// Hold-mode run at one connection count; returns the JSON record.
@@ -51,11 +51,7 @@ fn hold_point(server: &ServerHandle, connections: usize, targets: &[String]) -> 
     };
     let r = run_hold_load(server.addr, &cfg);
     assert_eq!(r.errors, 0, "hold run must be error-free at {connections}");
-    let open = server
-        .reactor_stats
-        .as_ref()
-        .map(|s| s.accepted())
-        .unwrap_or(0);
+    let open = server.reactor_stats.accepted();
     eprintln!(
         "# hold {connections} conns: {:.0} rps, p50 {}us p99 {}us ({} accepted so far)",
         r.rps(),
@@ -194,20 +190,21 @@ fn bench_at(c: &mut Criterion, scale: Scale, seed: u64) -> serde_json::Value {
     );
 
     // -------- 2. HTTP load over a real server --------
-    let snapshot = Snapshot::build(
+    let snapshot = Snapshot::build_validated(
         scale.word(),
         seed,
         Snapshot::names_of(&eco),
         links.clone(),
         &observations,
         p.passive_stats.clone(),
+        ValidationReport::default(),
     );
     let cache_bodies = snapshot.cache.body_count();
     let cache_bytes = snapshot.cache.byte_len();
     let etag = snapshot.etag.clone();
     let store = SnapshotStore::new(snapshot);
-    let mut server =
-        spawn_server(Arc::clone(&store), "127.0.0.1:0", 4).expect("bind ephemeral port");
+    let mut server = spawn_reactor(Arc::clone(&store), "127.0.0.1:0", ReactorConfig::default())
+        .expect("bind ephemeral port");
     let sample_asn = members[members.len() / 2].value();
     let sample_prefix = announced.iter().next().copied().unwrap();
     let cfg = LoadConfig {
@@ -245,7 +242,7 @@ fn bench_at(c: &mut Criterion, scale: Scale, seed: u64) -> serde_json::Value {
     assert!(text.starts_with("HTTP/1.1 304"), "revalidation hit: {text}");
     server.stop();
 
-    // -------- 3. reactor keep-alive concurrency sweep (Medium) --------
+    // -------- 3. keep-alive concurrency sweep (Medium) --------
     let connections_axis = if scale == Scale::Medium {
         let mut reactor = spawn_reactor(store, "127.0.0.1:0", ReactorConfig::default())
             .expect("bind reactor port");
@@ -326,6 +323,7 @@ fn bench_serve(c: &mut Criterion) {
         "bench": "mlpeer-serve index + HTTP load",
         "seed": seed,
         "threads": rayon::current_num_threads(),
+        "cpus": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "scales": results,
     });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");

@@ -31,7 +31,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mlpeer::live::LinkDelta;
 use mlpeer_bench::Scale;
 use mlpeer_ixp::Ecosystem;
-use mlpeer_serve::{spawn_server, DurableStore, Snapshot, SnapshotStore};
+use mlpeer_serve::{spawn_reactor, DurableStore, ReactorConfig, Snapshot, SnapshotStore};
 
 /// Acceptance floor: appends must clear this rate at every scale (an
 /// append is an in-memory encode + buffered write + flush; fsync only
@@ -160,7 +160,7 @@ fn bench_at(scale: Scale, seed: u64, epochs: u64, checkpoints: &[u64]) -> ScaleR
     let recovered = durable.latest().unwrap();
     let snap_store = SnapshotStore::resume(recovered, 8);
     snap_store.attach_durable(Arc::clone(&durable)).unwrap();
-    let mut server = spawn_server(snap_store, "127.0.0.1:0", 2).unwrap();
+    let mut server = spawn_reactor(snap_store, "127.0.0.1:0", ReactorConfig::default()).unwrap();
     let reps = 12;
     let live_us = median_us(server.addr, "/v1/ixps", reps, 200);
     let at = epochs / 2;

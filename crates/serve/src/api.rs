@@ -586,8 +586,8 @@ fn stats_body(
         }),
         None => Value::Null,
     };
-    // Reactor counters when the reactor engine serves, null under the
-    // threaded engine.
+    // Reactor counters when the reactor routes the request, null for
+    // a direct call to the router.
     let reactor_v = match reactor {
         Some(r) => json!({
             "accepted": r.accepted(),

@@ -2,24 +2,20 @@
 //!
 //! ```text
 //! mlpeer-serve [tiny|small|medium|large|paper] [--addr=HOST:PORT] [--seed=N]
-//!              [--engine=reactor|threaded] [--shards=N] [--max-conns=N]
-//!              [--idle-ms=N] [--refresh-secs=N] [--workers=N]
-//!              [--http-workers=N] [--live] [--live-tick-ms=N]
-//!              [--churn-per-tick=N] [--churn-seed=N] [--delta-ring=N]
-//!              [--data-dir=PATH] [--drain-ms=N] [--admission=N]
+//!              [--shards=N] [--max-conns=N] [--idle-ms=N] [--workers=N]
+//!              [--live] [--live-tick-ms=N] [--churn-per-tick=N]
+//!              [--churn-seed=N] [--delta-ring=N] [--data-dir=PATH]
+//!              [--drain-ms=N] [--admission=N]
 //! ```
 //!
 //! Default mode generates the ecosystem, runs the inference pipeline
-//! once, publishes the snapshot, and serves the query API; with
-//! `--refresh-secs=N` a background refresher re-runs the whole
-//! pipeline every `N` seconds.
+//! once, publishes the snapshot, and serves the query API. The
+//! pipeline is deterministic in (scale, seed), so the snapshot stays
+//! current until a `--live` loop changes the ecosystem under it.
 //!
-//! The default engine is the epoll **reactor** (`--shards` event-loop
+//! The front end is the epoll **reactor** (`--shards` event-loop
 //! threads, `--max-conns` connections each, `--idle-ms` keep-alive
-//! read deadline) with long-poll and SSE push on `/v1/changes`;
-//! `--engine=threaded` selects the original thread-per-connection
-//! server with `--http-workers` pool threads. Both serve
-//! byte-identical responses.
+//! read deadline) with long-poll and SSE push on `/v1/changes`.
 //!
 //! With `--workers=N` (N > 1) the inference fold itself is distributed:
 //! the coordinator re-execs this binary as `--dist-worker` processes,
@@ -30,8 +26,8 @@
 //! in both batch (sharded passive harvest) and `--live` (IXP-
 //! partitioned tick fold) modes.
 //!
-//! With `--live` the refresher is replaced by the incremental loop:
-//! the initial snapshot comes from the route-server-state harvest, a
+//! With `--live` an incremental loop runs beside the server: the
+//! initial snapshot comes from the route-server-state harvest, a
 //! seeded churn model (`--churn-seed`) drives `--churn-per-tick`
 //! events every `--live-tick-ms`, deltas are applied incrementally,
 //! and a new epoch is published only when the link set changed —
@@ -56,9 +52,8 @@
 //! (503), in-flight keep-alive requests finish within `--drain-ms`, SSE
 //! subscribers get a terminal `shutdown` event, the active durable
 //! segment is flushed and fsynced, and the process exits 0.
-//! `--admission=N` caps global in-flight responses on the reactor
-//! engine; beyond it requests are shed with a pre-rendered 503 +
-//! `Retry-After`.
+//! `--admission=N` caps global in-flight responses; beyond it
+//! requests are shed with a pre-rendered 503 + `Retry-After`.
 //!
 //! **Fault injection:** the `MLPEER_FAILPOINTS` environment variable
 //! activates named failpoints (`site=action;site=action` with actions
@@ -74,10 +69,9 @@ use std::time::Duration;
 use mlpeer::pipeline::Scale;
 use mlpeer_data::churn::ChurnConfig;
 use mlpeer_ixp::Ecosystem;
-use mlpeer_serve::refresher::spawn_refresher;
 use mlpeer_serve::{
-    bootstrap, spawn_live_refresher, spawn_live_refresher_dist, spawn_reactor, spawn_server,
-    LiveConfig, LiveStats, ReactorConfig, Snapshot, SnapshotStore,
+    bootstrap, spawn_live_refresher, spawn_live_refresher_dist, spawn_reactor, LiveConfig,
+    LiveStats, ReactorConfig, Snapshot, SnapshotStore,
 };
 
 fn main() {
@@ -97,10 +91,7 @@ fn main() {
     let mut scale = Scale::Small;
     let mut addr = "127.0.0.1:8462".to_string();
     let mut seed: u64 = 20130501;
-    let mut refresh_secs: u64 = 0;
     let mut workers: usize = 1;
-    let mut http_workers: usize = 4;
-    let mut engine = "reactor".to_string();
     let mut reactor_cfg = ReactorConfig::default();
     let mut live = false;
     let mut live_tick_ms: u64 = 2000;
@@ -116,18 +107,8 @@ fn main() {
             addr = v.to_string();
         } else if let Some(v) = arg.strip_prefix("--seed=") {
             seed = v.parse().expect("--seed=N");
-        } else if let Some(v) = arg.strip_prefix("--refresh-secs=") {
-            refresh_secs = v.parse().expect("--refresh-secs=N");
         } else if let Some(v) = arg.strip_prefix("--workers=") {
             workers = v.parse().expect("--workers=N");
-        } else if let Some(v) = arg.strip_prefix("--http-workers=") {
-            http_workers = v.parse().expect("--http-workers=N");
-        } else if let Some(v) = arg.strip_prefix("--engine=") {
-            if v != "reactor" && v != "threaded" {
-                eprintln!("--engine must be `reactor` or `threaded`, got `{v}`");
-                std::process::exit(2);
-            }
-            engine = v.to_string();
         } else if let Some(v) = arg.strip_prefix("--shards=") {
             reactor_cfg.shards = v.parse().expect("--shards=N");
         } else if let Some(v) = arg.strip_prefix("--max-conns=") {
@@ -154,8 +135,7 @@ fn main() {
             eprintln!("unknown argument: {arg}");
             eprintln!(
                 "usage: mlpeer-serve [tiny|small|medium|large|paper] [--addr=HOST:PORT] \
-                 [--seed=N] [--engine=reactor|threaded] [--shards=N] [--max-conns=N] \
-                 [--idle-ms=N] [--refresh-secs=N] [--workers=N] [--http-workers=N] \
+                 [--seed=N] [--shards=N] [--max-conns=N] [--idle-ms=N] [--workers=N] \
                  [--live] [--live-tick-ms=N] [--churn-per-tick=N] [--churn-seed=N] \
                  [--delta-ring=N] [--data-dir=PATH] [--drain-ms=N] [--admission=N]"
             );
@@ -163,10 +143,6 @@ fn main() {
         }
     }
     reactor_cfg.drain_grace = Duration::from_millis(drain_ms);
-    if live && refresh_secs > 0 {
-        eprintln!("--live and --refresh-secs are mutually exclusive");
-        std::process::exit(2);
-    }
 
     let durable = data_dir.map(|dir| {
         let d = mlpeer_serve::DurableStore::open(&dir).unwrap_or_else(|e| {
@@ -310,18 +286,6 @@ fn main() {
             }
             other => (None, other),
         };
-        // One pipeline runner for the boot and the refresher: serial,
-        // or fanned out across worker processes — byte-identical. With
-        // a matching recovered epoch and no refresher nothing reads the
-        // ecosystem, so it is not generated.
-        let build = (resume.is_none() || refresh_secs > 0).then(|| {
-            let eco = generate();
-            let dist = dist.clone();
-            move || match &dist {
-                Some((cfg, stats)) => Snapshot::of_pipeline_dist(&eco, scale, seed, cfg, stats),
-                None => Snapshot::of_pipeline(&eco, scale, seed),
-            }
-        });
         let store = if let Some(prev) = resume {
             eprintln!(
                 "# serving recovered snapshot (epoch {}, {} unique links)",
@@ -338,8 +302,15 @@ fn main() {
                     prev.scale, prev.seed
                 );
             }
+            // Only the pipeline reads the ecosystem, so a matching
+            // recovered epoch never generates it. Serial or fanned out
+            // across worker processes, the snapshot is byte-identical.
+            let eco = generate();
             eprintln!("# running inference pipeline…");
-            let snapshot = build.as_ref().expect("generated for the pipeline")();
+            let snapshot = match &dist {
+                Some((cfg, stats)) => Snapshot::of_pipeline_dist(&eco, scale, seed, cfg, stats),
+                None => Snapshot::of_pipeline(&eco, scale, seed),
+            };
             eprintln!(
                 "# snapshot ready: {} IXPs, {} unique links, {} indexed prefixes, etag {}",
                 snapshot.names.len(),
@@ -352,16 +323,6 @@ fn main() {
         if let Some((_, dist_stats)) = &dist {
             store.set_dist_stats(Arc::clone(dist_stats));
         }
-        if let Some(build) = build.filter(|_| refresh_secs > 0) {
-            let store = Arc::clone(&store);
-            refresher = Some(spawn_refresher(
-                store,
-                Duration::from_secs(refresh_secs),
-                Arc::clone(&shutdown),
-                build,
-            ));
-            eprintln!("# refresher: every {refresh_secs}s");
-        }
         store
     };
 
@@ -370,27 +331,17 @@ fn main() {
     if let Err(e) = polling::signal::install_term_handler() {
         eprintln!("# warning: no signal handlers ({e}); drain on request only");
     }
-    let mut server = if engine == "reactor" {
-        let shards = reactor_cfg.shards.max(1);
-        let server = spawn_reactor(store, &addr, reactor_cfg).expect("bind address");
-        eprintln!(
-            "# serving on http://{} (reactor engine, {shards} shard{})",
-            server.addr,
-            if shards == 1 { "" } else { "s" }
-        );
-        server
-    } else {
-        let server = spawn_server(store, &addr, http_workers).expect("bind address");
-        eprintln!(
-            "# serving on http://{} (threaded engine, {http_workers} workers)",
-            server.addr
-        );
-        server
-    };
+    let shards = reactor_cfg.shards.max(1);
+    let mut server = spawn_reactor(store, &addr, reactor_cfg).expect("bind address");
+    eprintln!(
+        "# serving on http://{} (reactor, {shards} shard{})",
+        server.addr,
+        if shards == 1 { "" } else { "s" }
+    );
     eprintln!("#   try: curl http://{}/healthz", server.addr);
     // Wait for SIGTERM/SIGINT (or the serve threads exiting on their
     // own), then drain: stop accepting, finish in-flight work under
-    // the --drain-ms grace, stop refreshers, flush + fsync the active
+    // the --drain-ms grace, stop the live loop, flush + fsync the active
     // durable segment, exit 0.
     while !polling::signal::term_requested() {
         if server.is_finished() {

@@ -28,10 +28,10 @@
 //! precisely because ETag-addressed bodies never mention the epoch
 //! (asserted by `cached_bodies_match_fresh_renders`). Live-mode tick
 //! publishes deliberately skip the pre-render
-//! ([`Snapshot::build_uncached`]) — a per-link delta must not pay an
-//! O(corpus) render — and every endpoint falls back to rendering live
-//! on a cache miss, so an uncached snapshot serves identical bytes at
-//! pre-cache cost.
+//! ([`Snapshot::build_uncached_validated`]) — a per-link delta must
+//! not pay an O(corpus) render — and every endpoint falls back to
+//! rendering live on a cache miss, so an uncached snapshot serves
+//! identical bytes at pre-cache cost.
 
 use std::sync::Arc;
 
@@ -61,9 +61,9 @@ pub struct BodyCache {
 
 impl BodyCache {
     /// Render every addressable body from a fully-built snapshot.
-    /// Called once by [`Snapshot::build`]; the snapshot's `cache` field
-    /// is still default-empty at that point, which is fine — the
-    /// renderers only read the index and link set.
+    /// Called once by [`Snapshot::build_validated`]; the snapshot's
+    /// `cache` field is still default-empty at that point, which is
+    /// fine — the renderers only read the index and link set.
     pub(crate) fn build(snap: &Snapshot) -> BodyCache {
         let mut cache = BodyCache {
             ixps: Some(api::render_ixps(snap)),

@@ -1,24 +1,23 @@
-//! Minimal std-only HTTP/1.1 plumbing: request parsing, response
-//! writing, and a fixed thread pool.
+//! Minimal std-only HTTP/1.1 plumbing: the reactor's request-head
+//! parser, response framing, and the client-side response reader that
+//! the load generator and the tests share.
 //!
-//! The vendor tree has no async runtime, so the server is the classic
-//! shape: a blocking accept loop handing connections to a
-//! [`ThreadPool`], one keep-alive request loop per connection. The
-//! parser covers exactly what the API needs — GET requests, a path
+//! The parser covers exactly what the API needs — GET requests, a path
 //! (with the raw remainder preserved so `/v1/prefix/10.0.0.0/8` keeps
-//! its slash), and the handful of headers the router reads.
+//! its slash), and the handful of headers the router reads. It works on
+//! the reactor's per-connection buffer: a partial head is only scanned
+//! for the blank line that ends it, and the head is parsed once that
+//! line has arrived, so a head dribbled in a byte at a time costs time
+//! linear in its length.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 /// Longest request head (request line + headers) accepted, bytes.
 pub(crate) const MAX_HEAD: usize = 16 * 1024;
 
 /// One parsed request head.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Request {
     /// Uppercase method ("GET").
     pub method: String,
@@ -72,10 +71,7 @@ pub fn percent_decode(s: &str) -> String {
 /// a peer streaming an endless line errors out at `limit` bytes instead
 /// of growing memory until a newline arrives. `Ok(None)` is EOF before
 /// any byte of the line.
-fn read_line_bounded(
-    reader: &mut BufReader<TcpStream>,
-    limit: usize,
-) -> io::Result<Option<String>> {
+fn read_line_bounded<R: BufRead>(reader: &mut R, limit: usize) -> io::Result<Option<String>> {
     let mut out: Vec<u8> = Vec::new();
     loop {
         let buf = match reader.fill_buf() {
@@ -123,29 +119,40 @@ fn read_line_bounded(
     }
 }
 
-/// Read one request head off the stream. `Ok(None)` means the peer
-/// closed cleanly between requests (normal keep-alive teardown); any
-/// malformed or oversized head is an `InvalidData` error. Buffering is
-/// bounded by `MAX_HEAD` (16 KiB) even mid-line.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
-    let Some(line) = read_line_bounded(reader, MAX_HEAD)? else {
+/// Parse one request head from the front of `buf`, the reactor's
+/// per-connection read buffer. `scanned` is how many leading bytes an
+/// earlier call already searched without finding the blank line that
+/// ends the head (0 when unknown), so a head that arrives over many
+/// reads is scanned once in all rather than once per read.
+///
+/// `Ok(Some((req, consumed)))` hands back the parsed head and how many
+/// buffer bytes it spanned (the caller drains them and calls again for
+/// pipelined requests); `Ok(None)` means the head is still incomplete
+/// (read more). A head that has not ended within [`MAX_HEAD`] bytes, a
+/// malformed request line, or a declared body are all `InvalidData`
+/// errors. Nothing is parsed before the blank line arrives, so a
+/// malformed request line is reported once its head is complete.
+pub(crate) fn parse_head(buf: &[u8], scanned: usize) -> io::Result<Option<(Request, usize)>> {
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let Some(end) = head_end(&buf[..buf.len().min(MAX_HEAD)], scanned) else {
+        // Incomplete, unless the head already blew the limit while
+        // buffering: the limit binds before the blank line arrives.
+        if buf.len() >= MAX_HEAD {
+            return Err(bad("head too large".into()));
+        }
         return Ok(None);
     };
+    let mut lines = buf[..end]
+        .split(|&b| b == b'\n')
+        .map(|line| String::from_utf8_lossy(line.strip_suffix(b"\r").unwrap_or(line)));
+    let line = lines.next().unwrap_or_default();
     if line.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "empty request line",
-        ));
+        return Err(bad("empty request line".into()));
     }
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => (m, t),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad request line: {line:?}"),
-            ))
-        }
+        _ => return Err(bad(format!("bad request line: {line:?}"))),
     };
     let (raw_path, query) = match target.split_once('?') {
         Some((p, q)) => (p, q.to_string()),
@@ -157,111 +164,43 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
         query,
         headers: Vec::new(),
     };
-    let mut head_bytes = line.len();
-    loop {
-        let h = read_line_bounded(reader, MAX_HEAD.saturating_sub(head_bytes))?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated head"))?;
-        head_bytes += h.len() + 2;
-        if h.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = h.split_once(':') {
+    for line in lines.take_while(|l| !l.is_empty()) {
+        if let Some((name, value)) = line.split_once(':') {
             req.headers
                 .push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }
     }
     // This API is GET-only and GET bodies carry no semantics; a
     // declared body is rejected outright (the connection closes after
-    // the error response, so framing is moot). Draining instead would
-    // hand a trickling client an unbounded worker-pinning primitive.
+    // the error response, so framing is moot).
     if req
         .header("content-length")
         .and_then(|v| v.parse::<u64>().ok())
         .is_some_and(|n| n > 0)
         || req.header("transfer-encoding").is_some()
     {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request bodies are not accepted",
-        ));
+        return Err(bad("request bodies are not accepted".into()));
     }
-    Ok(Some(req))
+    Ok(Some((req, end)))
 }
 
-/// Parse one request head from an in-memory buffer — the nonblocking
-/// twin of [`read_request`] for the reactor's incremental reads.
-/// `Ok(Some((req, consumed)))` hands back the parsed head and how many
-/// buffer bytes it spanned (the caller drains them and re-parses for
-/// pipelined requests); `Ok(None)` means the head is still incomplete
-/// (read more). The same bounds and shape rules apply: a head that has
-/// not terminated within [`MAX_HEAD`] bytes, a malformed request line,
-/// or a declared body are all `InvalidData` errors.
-pub(crate) fn parse_head(buf: &[u8]) -> io::Result<Option<(Request, usize)>> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut offset = 0usize;
-    let mut req: Option<Request> = None;
-    loop {
-        let Some(nl) = buf[offset..].iter().position(|&b| b == b'\n') else {
-            // No newline yet: incomplete, unless the head already blew
-            // the limit while buffering (the `read_line_bounded` rule).
-            if buf.len() >= MAX_HEAD {
-                return Err(bad("head too large".into()));
-            }
-            return Ok(None);
-        };
-        let consumed = offset + nl + 1;
-        if consumed > MAX_HEAD {
-            return Err(bad("head too large".into()));
+/// The index just past the blank line that ends the head at the front
+/// of `buf`, looking only at newlines at or after `from`. Whether a
+/// line is blank depends only on the two bytes before its newline, so
+/// a search can resume where an earlier one stopped.
+fn head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let mut at = from.min(buf.len());
+    while let Some(off) = buf[at..].iter().position(|&b| b == b'\n') {
+        let nl = at + off;
+        if matches!(
+            &buf[nl.saturating_sub(2)..nl],
+            [] | [b'\r'] | [.., b'\n'] | [b'\n', b'\r']
+        ) {
+            return Some(nl + 1);
         }
-        let mut line = &buf[offset..offset + nl];
-        if line.last() == Some(&b'\r') {
-            line = &line[..line.len() - 1];
-        }
-        let line = String::from_utf8_lossy(line);
-        match &mut req {
-            None => {
-                // The request line.
-                if line.is_empty() {
-                    return Err(bad("empty request line".into()));
-                }
-                let mut parts = line.split_whitespace();
-                let (method, target) = match (parts.next(), parts.next(), parts.next()) {
-                    (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => (m, t),
-                    _ => return Err(bad(format!("bad request line: {line:?}"))),
-                };
-                let (raw_path, query) = match target.split_once('?') {
-                    Some((p, q)) => (p, q.to_string()),
-                    None => (target, String::new()),
-                };
-                req = Some(Request {
-                    method: method.to_ascii_uppercase(),
-                    path: percent_decode(raw_path),
-                    query,
-                    headers: Vec::new(),
-                });
-            }
-            Some(req) if line.is_empty() => {
-                // End of head. Same body rejection as `read_request`:
-                // the API is GET-only, declared bodies draw an error.
-                if req
-                    .header("content-length")
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .is_some_and(|n| n > 0)
-                    || req.header("transfer-encoding").is_some()
-                {
-                    return Err(bad("request bodies are not accepted".into()));
-                }
-                return Ok(Some((std::mem::take(req), consumed)));
-            }
-            Some(req) => {
-                if let Some((name, value)) = line.split_once(':') {
-                    req.headers
-                        .push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-                }
-            }
-        }
-        offset = consumed;
+        at = nl + 1;
     }
+    None
 }
 
 /// One parsed client-side response: status, headers, length-framed
@@ -288,8 +227,9 @@ impl ResponseParts {
     }
 }
 
-/// Read one length-framed response off a client connection.
-pub fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<ResponseParts> {
+/// Read one length-framed response off a client connection (or any
+/// buffered byte source).
+pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ResponseParts> {
     let status_line = read_line_bounded(reader, MAX_HEAD)?
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "closed before status line"))?;
     let status: u16 = status_line
@@ -435,9 +375,8 @@ impl Response {
         }
     }
 
-    /// The serialized head (status line + headers + blank line) —
-    /// exactly the bytes [`write_to`](Response::write_to) puts before
-    /// the body, so both engines frame responses identically.
+    /// The serialized head (status line + headers + blank line) that
+    /// the reactor writes before the body.
     pub fn head_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let mut head = Vec::with_capacity(128);
         // Writes into a Vec cannot fail.
@@ -455,81 +394,20 @@ impl Response {
         head.extend_from_slice(b"\r\n");
         head
     }
-
-    /// Serialize onto the wire.
-    pub fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> io::Result<()> {
-        w.write_all(&self.head_bytes(keep_alive))?;
-        w.write_all(self.body.as_slice())?;
-        w.flush()
-    }
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed pool of worker threads fed over an mpsc channel. Dropping
-/// the pool closes the channel and joins every worker.
-pub struct ThreadPool {
-    tx: Option<mpsc::Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Spawn `size` workers (floored at 1).
-    pub fn new(size: usize) -> ThreadPool {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..size.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("mlpeer-serve-worker-{i}"))
-                    .spawn(move || loop {
-                        let job = match rx.lock().expect("pool lock").recv() {
-                            Ok(job) => job,
-                            Err(_) => break, // pool dropped
-                        };
-                        job();
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-        ThreadPool {
-            tx: Some(tx),
-            workers,
-        }
-    }
-
-    /// Queue one job.
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(Box::new(job));
-        }
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::io::Read;
+    use std::net::{Shutdown, TcpStream};
+    use std::time::Duration;
 
-    /// Round-trip a raw request head through a real socket pair.
+    /// Parse one complete head from the front of `raw`.
     fn parse(raw: &str) -> io::Result<Option<Request>> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(raw.as_bytes()).unwrap();
-        drop(client);
-        let (server_side, _) = listener.accept().unwrap();
-        read_request(&mut BufReader::new(server_side))
+        Ok(parse_head(raw.as_bytes(), 0)?.map(|(req, _)| req))
     }
 
     #[test]
@@ -567,7 +445,7 @@ mod tests {
     fn eof_and_garbage_are_distinguished() {
         assert!(
             parse("").unwrap().is_none(),
-            "clean EOF is keep-alive teardown"
+            "an empty buffer is an incomplete head, not an error"
         );
         assert!(parse("NOT-HTTP\r\n\r\n").is_err());
     }
@@ -588,56 +466,65 @@ mod tests {
         assert!(parse(&fat_headers).is_err(), "cumulative header limit");
     }
 
-    /// `parse_head` agrees with `read_request` on shape and limits, and
-    /// reports exactly the bytes a head consumed (pipelining relies on
-    /// it).
+    /// `parse_head` reports exactly the bytes a head consumed
+    /// (pipelining relies on it) and waits for the blank line before
+    /// judging a head.
     #[test]
     fn parse_head_is_incremental_and_bounded() {
         let raw = b"GET /v1/ixps?x=1 HTTP/1.1\r\nHost: a\r\n\r\nGET /next HTTP/1.1\r\n\r\n";
         // Every strict prefix short of the first terminator is
-        // incomplete, never an error.
+        // incomplete, never an error — also when the search resumes
+        // where the previous, shorter prefix left it.
         let first_head = b"GET /v1/ixps?x=1 HTTP/1.1\r\nHost: a\r\n\r\n".len();
         for cut in 0..first_head {
             assert!(
-                parse_head(&raw[..cut]).unwrap().is_none(),
+                parse_head(&raw[..cut], 0).unwrap().is_none(),
                 "cut at {cut} must be incomplete"
             );
+            assert!(parse_head(&raw[..cut + 1], cut).is_ok());
         }
-        let (req, consumed) = parse_head(raw).unwrap().unwrap();
+        let (req, consumed) = parse_head(raw, 0).unwrap().unwrap();
         assert_eq!(consumed, first_head);
         assert_eq!(req.path, "/v1/ixps");
         assert_eq!(req.query, "x=1");
         assert_eq!(req.header("host"), Some("a"));
+        assert_eq!(
+            parse_head(raw, first_head - 1).unwrap().unwrap(),
+            (req, consumed),
+            "a resumed search finds the same head"
+        );
         // The remainder parses as the pipelined second request.
-        let (req2, consumed2) = parse_head(&raw[consumed..]).unwrap().unwrap();
+        let (req2, consumed2) = parse_head(&raw[consumed..], 0).unwrap().unwrap();
         assert_eq!(req2.path, "/next");
         assert_eq!(consumed + consumed2, raw.len());
 
-        // Same rejections as the blocking parser.
-        assert!(parse_head(b"\r\n\r\n").is_err(), "empty request line");
-        assert!(parse_head(b"NOT-HTTP\r\n\r\n").is_err());
+        assert!(parse_head(b"\r\n\r\n", 0).is_err(), "empty request line");
+        assert!(parse_head(b"NOT-HTTP\r\n\r\n", 0).is_err());
+        // A malformed request line is judged once its head is complete.
+        assert!(parse_head(b"NOT-HTTP\r\nHost: a\r\n", 0).unwrap().is_none());
+        assert!(parse_head(b"NOT-HTTP\r\nHost: a\r\n\r\n", 0).is_err());
         assert!(
-            parse_head(b"GET / HTTP/1.1\r\nContent-Length: 3\r\n\r\n").is_err(),
+            parse_head(b"GET / HTTP/1.1\r\nContent-Length: 3\r\n\r\n", 0).is_err(),
             "declared bodies are rejected"
         );
         let endless = vec![b'a'; MAX_HEAD + 1];
-        assert!(parse_head(&endless).is_err(), "no newline within the limit");
+        assert!(
+            parse_head(&endless, 0).is_err(),
+            "no newline within the limit"
+        );
         let fat = format!(
             "GET / HTTP/1.1\r\n{}\r\n",
             format!("h: {}\r\n", "v".repeat(1000)).repeat(20)
         );
-        assert!(parse_head(fat.as_bytes()).is_err(), "cumulative limit");
+        assert!(parse_head(fat.as_bytes(), 0).is_err(), "cumulative limit");
     }
 
     #[test]
     fn shared_bodies_write_identically_to_owned() {
         let owned = Response::json(200, "{\"ok\":true}").with_header("ETag", "\"ff\"");
         let shared = Response::shared(200, b"{\"ok\":true}".to_vec()).with_header("ETag", "\"ff\"");
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        owned.write_to(&mut a, true).unwrap();
-        shared.write_to(&mut b, true).unwrap();
-        assert_eq!(a, b);
         assert_eq!(shared.head_bytes(true), owned.head_bytes(true));
+        assert_eq!(shared.body.as_slice(), owned.body.as_slice());
         assert_eq!(shared.body.len(), 11);
         assert!(!shared.body.is_empty());
         assert_eq!(shared.body.clone().to_vec(), owned.body.to_vec());
@@ -645,11 +532,9 @@ mod tests {
 
     #[test]
     fn response_writes_length_framing() {
-        let mut out = Vec::new();
-        Response::json(200, "{\"ok\":true}")
-            .with_header("ETag", "\"ff\"")
-            .write_to(&mut out, true)
-            .unwrap();
+        let resp = Response::json(200, "{\"ok\":true}").with_header("ETag", "\"ff\"");
+        let mut out = resp.head_bytes(true);
+        out.extend_from_slice(resp.body.as_slice());
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
@@ -658,18 +543,181 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
     }
 
-    #[test]
-    fn pool_runs_jobs_and_joins_on_drop() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = Arc::new(AtomicUsize::new(0));
-        let pool = ThreadPool::new(3);
-        for _ in 0..20 {
-            let counter = counter.clone();
-            pool.execute(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
+    /// Valid heads the fuzzers start from.
+    const SEED_HEADS: [&str; 6] = [
+        "GET /healthz HTTP/1.1\r\nHost: f\r\n\r\n",
+        "GET /v1/ixps?at=0 HTTP/1.1\r\nHost: f\r\nIf-None-Match: \"abc\"\r\n\r\n",
+        "GET /v1/prefix/10.0.0.0%2F8 HTTP/1.1\r\nConnection: close\r\n\r\n",
+        "GET /v1/member/3 HTTP/1.0\nHost: f\n\n",
+        "GET /v1/ixp/0/links HTTP/1.1\r\nHost: f\r\nAccept: */*\r\nUser-Agent: fuzz\r\n\r\n",
+        "POST /v1/ixps HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+    ];
+
+    fn seed_head(rng: &mut StdRng) -> Vec<u8> {
+        SEED_HEADS[rng.gen_range(0..SEED_HEADS.len())]
+            .as_bytes()
+            .to_vec()
+    }
+
+    /// A seed head under one to four random edits: byte overwrites
+    /// (non-UTF-8 included), insertions, deletions, truncation,
+    /// duplicate and oversized headers, and pipelined heads or garbage.
+    fn mutated_head(rng: &mut StdRng) -> Vec<u8> {
+        let mut buf = seed_head(rng);
+        for _ in 0..rng.gen_range(1..=4) {
+            let at = rng.gen_range(0..=buf.len());
+            let after_first_line = buf
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(buf.len(), |p| p + 1);
+            match rng.gen_range(0..7) {
+                0 if !buf.is_empty() => {
+                    let i = rng.gen_range(0..buf.len());
+                    buf[i] = rng.gen::<u32>() as u8;
+                }
+                1 => {
+                    let bytes: Vec<u8> = (0..rng.gen_range(1..8))
+                        .map(|_| rng.gen::<u32>() as u8)
+                        .collect();
+                    buf.splice(at..at, bytes);
+                }
+                2 => {
+                    let end = rng.gen_range(at..=buf.len().min(at + 16));
+                    buf.drain(at..end);
+                }
+                3 => buf.truncate(at),
+                4 => {
+                    let dup = b"Host: dup\r\nHost: dup\r\n".to_vec();
+                    buf.splice(after_first_line..after_first_line, dup);
+                }
+                5 => {
+                    let mut big = b"X-Big: ".to_vec();
+                    big.resize(big.len() + rng.gen_range(0..20_000usize), b'v');
+                    big.extend_from_slice(b"\r\n");
+                    buf.splice(after_first_line..after_first_line, big);
+                }
+                _ if rng.gen_bool(0.5) => {
+                    let next = seed_head(rng);
+                    buf.extend(next);
+                }
+                _ => buf.extend((0..rng.gen_range(1..64)).map(|_| rng.gen::<u32>() as u8)),
+            }
         }
-        drop(pool); // joins workers, so every job ran
-        assert_eq!(counter.load(Ordering::Relaxed), 20);
+        buf
+    }
+
+    /// Every request parsed from a byte stream, in order, and the
+    /// error kind it stopped at, if any.
+    type Parsed = (Vec<Request>, Option<io::ErrorKind>);
+
+    /// Parse a stream as the reactor does when `chunks` are its reads:
+    /// append each chunk, then take every complete head, resuming the
+    /// blank-line search where the previous call stopped.
+    fn parse_chunks<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> Parsed {
+        let (mut buf, mut scanned, mut reqs) = (Vec::new(), 0, Vec::new());
+        for chunk in chunks {
+            buf.extend_from_slice(chunk);
+            loop {
+                match parse_head(&buf, scanned) {
+                    Ok(Some((req, n))) => {
+                        assert!(0 < n && n <= buf.len(), "consumed {n} of {}", buf.len());
+                        buf.drain(..n);
+                        scanned = 0;
+                        reqs.push(req);
+                    }
+                    Ok(None) => {
+                        scanned = buf.len();
+                        break;
+                    }
+                    Err(e) => return (reqs, Some(e.kind())),
+                }
+            }
+        }
+        (reqs, None)
+    }
+
+    /// Seeded mutation fuzz of the head parser: no input panics, every
+    /// error is `InvalidData`, and feeding the bytes in arbitrary
+    /// chunks (one-byte dribbles included) yields the same requests, in
+    /// order, as parsing the whole buffer.
+    #[test]
+    fn fuzzed_heads_parse_the_same_in_any_chunking() {
+        let mut rng = StdRng::seed_from_u64(0x6d6c_7065_6572);
+        let mut parsed = 0;
+        for case in 0..1500 {
+            let input = mutated_head(&mut rng);
+            let whole = parse_chunks([input.as_slice()]);
+            if let Some(kind) = whole.1 {
+                assert_eq!(kind, io::ErrorKind::InvalidData, "case {case}");
+            }
+            parsed += whole.0.len();
+            let max_chunk: usize = [1, 2, 7, 64, 4096][rng.gen_range(0..5usize)];
+            let mut chunks = Vec::new();
+            let mut rest = input.as_slice();
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(rng.gen_range(1..=max_chunk).min(rest.len()));
+                chunks.push(chunk);
+                rest = tail;
+            }
+            assert_eq!(
+                parse_chunks(chunks),
+                whole,
+                "case {case}: {:?}",
+                String::from_utf8_lossy(&input)
+            );
+        }
+        assert!(parsed > 500, "the mutations must leave many heads valid");
+    }
+
+    /// Mutated heads against a real reactor: every connection draws
+    /// complete responses that `read_response` parses, or a clean
+    /// close, within the idle deadline. Some clients half-close after
+    /// sending, the others leave the reactor to time them out.
+    #[test]
+    fn fuzzed_heads_draw_parseable_responses_from_the_reactor() {
+        use crate::reactor::{spawn_reactor, ReactorConfig};
+        let store = crate::store::SnapshotStore::new(crate::testutil::snapshot_with(3, 3));
+        let idle = Duration::from_millis(250);
+        let cfg = ReactorConfig {
+            idle,
+            ..ReactorConfig::default()
+        };
+        let mut server = spawn_reactor(store, "127.0.0.1:0", cfg).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x0072_6561_6374_6f72);
+        let mut responses = 0;
+        for batch in 0..3 {
+            let conns: Vec<(usize, TcpStream)> = (0..100)
+                .map(|i| {
+                    let case = batch * 100 + i;
+                    let mut s = TcpStream::connect(server.addr).unwrap();
+                    s.set_read_timeout(Some(idle * 8)).unwrap();
+                    s.write_all(&mutated_head(&mut rng)).unwrap();
+                    if case % 3 != 0 {
+                        s.shutdown(Shutdown::Write).unwrap();
+                    }
+                    (case, s)
+                })
+                .collect();
+            for (case, mut s) in conns {
+                let mut raw = Vec::new();
+                s.read_to_end(&mut raw)
+                    .unwrap_or_else(|e| panic!("case {case}: no clean close: {e}"));
+                let mut rest = raw.as_slice();
+                while !rest.is_empty() {
+                    let parts = read_response(&mut rest).unwrap_or_else(|e| {
+                        panic!("case {case}: {e}: {:?}", String::from_utf8_lossy(&raw))
+                    });
+                    assert!((200..600).contains(&parts.status), "case {case}");
+                    responses += 1;
+                }
+            }
+        }
+        assert!(responses > 200, "most fuzzed heads draw a response");
+        let mut s = TcpStream::connect(server.addr).unwrap();
+        s.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let parts = read_response(&mut io::BufReader::new(s)).unwrap();
+        assert_eq!(parts.status, 200, "the reactor still serves");
+        server.stop();
     }
 }

@@ -10,21 +10,19 @@
 //!   are O(result) instead of linear scans;
 //! * **versioned snapshot store** — immutable [`Snapshot`]s behind
 //!   [`SnapshotStore`], swapped atomically so in-flight readers are
-//!   never blocked or torn while a background [`refresher`] re-runs the
-//!   harvest and publishes a new epoch (content-addressed ETag from
-//!   deterministic JSON);
+//!   never blocked or torn while a new epoch is published
+//!   (content-addressed ETag from deterministic JSON);
 //! * **publish-time body cache** — [`cache::BodyCache`]: every
 //!   snapshot-addressed GET body (ixps, per-IXP links, per-member,
 //!   announced prefixes) is rendered once when the snapshot is built,
 //!   so the 200 hot path is a lookup + memcpy instead of a JSON render;
-//! * **two HTTP/1.1 engines behind one handle** — the std-only
-//!   threaded [`server`] (thread per connection, the original engine)
-//!   and the epoll [`reactor`] (one event loop per shard, vectored
-//!   zero-copy writes, massive keep-alive concurrency, push delivery
-//!   for `/v1/changes`), both exposing the JSON endpoints documented
-//!   in the README: `/healthz`, `/v1/ixps`, `/v1/ixp/{id}/links`,
-//!   `/v1/member/{asn}`, `/v1/prefix/{p}`, `/v1/stats`,
-//!   `/v1/changes` — byte-identical across engines (asserted by the
+//! * **one HTTP/1.1 front end** — the epoll [`reactor`] (one event
+//!   loop per shard, vectored zero-copy writes, massive keep-alive
+//!   concurrency, push delivery for `/v1/changes`) behind a
+//!   [`ServerHandle`], exposing the JSON endpoints documented in the
+//!   README: `/healthz`, `/v1/ixps`, `/v1/ixp/{id}/links`,
+//!   `/v1/member/{asn}`, `/v1/prefix/{p}`, `/v1/stats`, `/v1/changes`
+//!   — the router's exact bytes on the wire (asserted by the
 //!   `engine_equivalence` test);
 //! * an in-repo [`loadgen`] (closed-loop sweeps plus a keep-alive
 //!   hold mode for connection-count scaling) whose results the
@@ -44,8 +42,9 @@
 //!   410 is reserved for epochs genuinely compacted away.
 //!
 //! The `mlpeer-serve` binary boots the whole stack at any
-//! [`mlpeer::pipeline::Scale`]; `--live` switches the refresher to the
-//! incremental loop.
+//! [`mlpeer::pipeline::Scale`]: by default it runs (or, from a data
+//! directory, resumes) the pipeline once and serves that snapshot;
+//! `--live` adds the incremental loop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +58,6 @@ pub mod http;
 pub mod live;
 pub mod loadgen;
 pub mod reactor;
-pub mod refresher;
 pub mod server;
 pub mod snapshot;
 pub mod store;
@@ -71,7 +69,7 @@ pub use health::HealthState;
 pub use live::{bootstrap, spawn_live_refresher, spawn_live_refresher_dist, LiveConfig, LiveStats};
 pub use loadgen::{run_hold_load, run_load, HoldConfig, LoadConfig, LoadReport};
 pub use reactor::{spawn_reactor, ReactorConfig, ReactorStats};
-pub use server::{spawn_server, ServerHandle, ServerStats};
+pub use server::{ServerHandle, ServerStats};
 pub use snapshot::{Snapshot, SnapshotParts};
 pub use store::SnapshotStore;
 
@@ -85,6 +83,7 @@ pub(crate) mod testutil {
     use mlpeer::connectivity::{ConnSource, ConnectivityData};
     use mlpeer::infer::{infer_links, MlpLinkSet, Observation, ObservationSource};
     use mlpeer::passive::PassiveStats;
+    use mlpeer::validate::cross::ValidationReport;
     use mlpeer_bgp::Asn;
     use mlpeer_ixp::ixp::IxpId;
     use mlpeer_ixp::scheme::RsAction;
@@ -114,13 +113,14 @@ pub(crate) mod testutil {
     pub fn snapshot_with(members: u32, seed: u64) -> Snapshot {
         let (links, observations) = tiny_inputs(members);
         let names: BTreeMap<IxpId, String> = [(IxpId(0), "DE-CIX".to_string())].into();
-        Snapshot::build(
+        Snapshot::build_validated(
             "tiny",
             seed,
             names,
             links,
             &observations,
             PassiveStats::default(),
+            ValidationReport::default(),
         )
     }
 
@@ -128,13 +128,14 @@ pub(crate) mod testutil {
     pub fn snapshot_with_uncached(members: u32, seed: u64) -> Snapshot {
         let (links, observations) = tiny_inputs(members);
         let names: BTreeMap<IxpId, String> = [(IxpId(0), "DE-CIX".to_string())].into();
-        Snapshot::build_uncached(
+        Snapshot::build_uncached_validated(
             "tiny",
             seed,
             names,
             links,
             &observations,
             PassiveStats::default(),
+            ValidationReport::default(),
         )
     }
 }

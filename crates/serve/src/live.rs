@@ -1,10 +1,9 @@
 //! The live refresher: incremental epochs from an update stream, not
-//! periodic re-harvests.
+//! re-harvests.
 //!
-//! The plain [`crate::refresher`] re-runs the whole serving pipeline
-//! each interval — seconds at `paper` scale — even when nothing
-//! changed.
-//! Live mode replaces it with a churn-driven delta loop: each tick
+//! The batch pipeline is deterministic in (scale, seed), so re-running
+//! it could only republish the same links. Live mode changes the
+//! ecosystem instead, with a churn-driven delta loop: each tick
 //! draws the next batch of seeded churn events, mutates the ecosystem,
 //! renders the events as BGP session traffic
 //! ([`mlpeer_data::churn::event_messages`]), decodes and folds them

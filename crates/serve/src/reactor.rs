@@ -1,12 +1,10 @@
 //! The nonblocking reactor serve front end: one epoll event loop per
 //! shard, per-connection state machines, zero-copy vectored writes.
 //!
-//! The [`crate::server`] threaded engine pins one pool worker per
-//! connection, so its concurrency ceiling is the worker count and every
-//! idle keep-alive connection wastes a thread. The reactor inverts
-//! that: a single thread drives thousands of nonblocking connections
-//! through a [`polling::Poller`] (epoll on Linux, `poll(2)` fallback),
-//! and a connection costs only its buffers while idle.
+//! A single thread drives thousands of nonblocking connections through
+//! a [`polling::Poller`] (epoll on Linux, `poll(2)` fallback), and a
+//! connection costs only its buffers while idle, so idle keep-alive
+//! connections pin no thread.
 //!
 //! Per-connection state machine (one `Conn` per socket):
 //!
@@ -262,6 +260,9 @@ struct Conn {
     stream: TcpStream,
     /// Unparsed request bytes (bounded by [`MAX_HEAD`]).
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for the blank line that
+    /// ends a head, so each read scans only what it added.
+    scanned: usize,
     /// Responses queued for the wire, in request order.
     out: VecDeque<OutBuf>,
     last_activity: Instant,
@@ -380,7 +381,7 @@ pub fn spawn_reactor(
     Ok(ServerHandle {
         addr,
         stats,
-        reactor_stats: Some(rstats),
+        reactor_stats: rstats,
         shutdown,
         health: Arc::clone(store.health()),
         threads,
@@ -541,6 +542,7 @@ impl Shard {
             self.conns[idx] = Some(Conn {
                 stream,
                 buf: Vec::new(),
+                scanned: 0,
                 out: VecDeque::new(),
                 last_activity: Instant::now(),
                 head_started: None,
@@ -681,9 +683,10 @@ impl Shard {
                 if !matches!(conn.mode, Mode::Http) || conn.close_after_flush {
                     return;
                 }
-                match parse_head(&conn.buf) {
+                match parse_head(&conn.buf, conn.scanned) {
                     Ok(Some((req, consumed))) => {
                         conn.buf.drain(..consumed);
+                        conn.scanned = 0;
                         conn.last_activity = Instant::now();
                         // A complete head arrived: the slowloris clock
                         // restarts (leftover pipelined bytes are the
@@ -691,10 +694,13 @@ impl Shard {
                         conn.head_started = (!conn.buf.is_empty()).then(Instant::now);
                         req
                     }
-                    Ok(None) => return,
+                    Ok(None) => {
+                        conn.scanned = conn.buf.len();
+                        return;
+                    }
                     Err(_) => {
-                        // Threaded-engine parity: malformed head draws
-                        // a 400 and the connection closes.
+                        // A malformed head draws a 400 and the
+                        // connection closes.
                         self.stats.record_client_error();
                         conn.out.push_back(OutBuf::response(
                             api::error(400, "malformed request"),
@@ -1168,10 +1174,6 @@ mod tests {
         (store, server)
     }
 
-    fn rstats(server: &ServerHandle) -> &ReactorStats {
-        server.reactor_stats.as_deref().expect("reactor engine")
-    }
-
     /// One request on a fresh connection (Connection: close).
     fn raw_get(addr: SocketAddr, path: &str) -> (u16, String) {
         let mut s = TcpStream::connect(addr).unwrap();
@@ -1243,7 +1245,7 @@ mod tests {
         assert_eq!(third.status, 404);
         assert!(server.stats.requests() >= 3);
         assert!(server.stats.client_errors() >= 1);
-        assert!(rstats(&server).accepted() >= 1);
+        assert!(server.reactor_stats.accepted() >= 1);
         server.stop();
         server.stop(); // idempotent
     }
@@ -1253,15 +1255,24 @@ mod tests {
         let (_store, server) = boot(2, ReactorConfig::default());
         let mut s = TcpStream::connect(server.addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        // Dribble the head a few bytes at a time across many segments.
-        let head = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
-        for chunk in head.chunks(3) {
+        // Dribble the head a few bytes at a time across many segments,
+        // short of its blank line; then send the blank line together
+        // with a whole, shorter pipelined second head. The blank-line
+        // search resumes mid-head, then starts over at the second head.
+        let first = format!("GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n", "p".repeat(64));
+        for chunk in first.as_bytes().chunks(3) {
             s.write_all(chunk).unwrap();
             s.flush().unwrap();
             std::thread::sleep(Duration::from_millis(2));
         }
-        let parts = read_response(&mut BufReader::new(s)).unwrap();
-        assert_eq!(parts.status, 200);
+        std::thread::sleep(Duration::from_millis(20));
+        s.write_all(b"\r\nGET /v1/ixps HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut reader = BufReader::new(s);
+        assert_eq!(read_response(&mut reader).unwrap().status, 200);
+        let second = read_response(&mut reader).unwrap();
+        assert_eq!(second.status, 200);
+        assert!(String::from_utf8(second.body).unwrap().contains("\"ixps\""));
     }
 
     #[test]
@@ -1339,7 +1350,7 @@ mod tests {
             body.len()
         );
         assert!(
-            rstats(&server).writev_continuations() > 0,
+            server.reactor_stats.writev_continuations() > 0,
             "tiny SNDBUF must force at least one continuation"
         );
     }
@@ -1367,7 +1378,7 @@ mod tests {
             0,
             "closed after 408"
         );
-        assert_eq!(rstats(&server).idle_timeouts(), 1);
+        assert_eq!(server.reactor_stats.idle_timeouts(), 1);
     }
 
     /// Satellite (b): the connection cap pauses the accept path; the
@@ -1390,7 +1401,7 @@ mod tests {
         };
         let first = hold(server.addr);
         let second = hold(server.addr);
-        assert_eq!(rstats(&server).open(), 2);
+        assert_eq!(server.reactor_stats.open(), 2);
         // The third connect lands in the kernel backlog: the reactor
         // must not accept it while at the cap.
         let mut third = TcpStream::connect(server.addr).unwrap();
@@ -1399,13 +1410,13 @@ mod tests {
             .unwrap();
         write!(third, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
         std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(rstats(&server).open(), 2, "cap held");
+        assert_eq!(server.reactor_stats.open(), 2, "cap held");
         // Freeing a slot lets the parked client through.
         drop(first);
         let parts = read_response(&mut BufReader::new(third)).unwrap();
         assert_eq!(parts.status, 200);
         drop(second);
-        wait_for("connections to close", || rstats(&server).open() == 0);
+        wait_for("connections to close", || server.reactor_stats.open() == 0);
     }
 
     /// Satellite (d): a parked long-poll wakes on publish_with_delta
@@ -1481,7 +1492,7 @@ mod tests {
         read_until(&mut s, &mut collected, b"event: changes\n");
         read_until(&mut s, &mut collected, b"\n\n");
         wait_for("subscriber registration", || {
-            rstats(&server).sse_subscribers() == 1
+            server.reactor_stats.sse_subscribers() == 1
         });
         // A publish pushes the delta to the parked stream.
         store.publish_with_delta(
@@ -1498,7 +1509,7 @@ mod tests {
         assert!(text.contains("77"), "pushed delta visible: {text}");
         drop(s);
         wait_for("subscriber deregistration", || {
-            rstats(&server).sse_subscribers() == 0
+            server.reactor_stats.sse_subscribers() == 0
         });
     }
 
@@ -1544,7 +1555,7 @@ mod tests {
                 Err(_) => break,
             }
         }
-        assert_eq!(rstats(&server).sse_subscribers(), 0);
+        assert_eq!(server.reactor_stats.sse_subscribers(), 0);
     }
 
     /// Satellite (c): the reactor counters move under load and surface
@@ -1561,7 +1572,7 @@ mod tests {
             },
         );
         assert_eq!(report.errors, 0, "{report:?}");
-        let r = rstats(&server);
+        let r = &server.reactor_stats;
         assert!(r.accepted() >= 4, "accepted {}", r.accepted());
         assert!(r.wakeups() > 0);
         wait_for("loadgen connections to close", || r.open() == 0);
@@ -1623,7 +1634,7 @@ mod tests {
         });
         let parts = read_response(&mut BufReader::new(s)).unwrap();
         assert_eq!(parts.status, 408, "slow header read must time out");
-        assert!(rstats(&server).idle_timeouts() >= 1);
+        assert!(server.reactor_stats.idle_timeouts() >= 1);
         dribbler.join().unwrap();
     }
 
@@ -1646,9 +1657,9 @@ mod tests {
         assert!(String::from_utf8(parts.body)
             .unwrap()
             .contains("overloaded"));
-        assert!(rstats(&server).shed() >= 1);
+        assert!(server.reactor_stats.shed() >= 1);
         assert_eq!(
-            rstats(&server).inflight(),
+            server.reactor_stats.inflight(),
             0,
             "shed responses must not hold admission slots"
         );
@@ -1678,7 +1689,7 @@ mod tests {
         let mut collected = Vec::new();
         read_until(&mut sse, &mut collected, b"event: changes\n");
         wait_for("subscriber registration", || {
-            rstats(&server).sse_subscribers() == 1
+            server.reactor_stats.sse_subscribers() == 1
         });
         // …and an idle keep-alive connection.
         let mut idle = TcpStream::connect(server.addr).unwrap();

@@ -1,31 +1,14 @@
-//! The TCP front end: accept loop, per-connection keep-alive request
-//! loop, shared counters, graceful shutdown.
+//! The handle and shared counters of a running server.
 //!
-//! Each accepted connection is handed to the [`ThreadPool`]; each
-//! request on it loads the *current* snapshot from the store, so a
-//! long-lived connection observes refreshes between requests while any
-//! single response stays internally consistent.
+//! [`crate::reactor::spawn_reactor`] starts the serve threads and
+//! returns a [`ServerHandle`]: the bound address, the [`ServerStats`]
+//! and [`crate::reactor::ReactorStats`] counters that `/v1/stats`
+//! reports, and the stop, drain and join controls.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use crate::api;
-use crate::http::{read_request, ThreadPool};
-use crate::store::SnapshotStore;
-
-/// Read timeout for a connection's *first* request: a stalled client
-/// must not pin a worker.
-const READ_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Idle timeout between keep-alive requests. The thread-per-connection
-/// model pins a pool worker for the connection's lifetime, so idle
-/// connections must age out quickly to bound how long a slow client
-/// can hold a worker (back-to-back clients like the load generator
-/// never notice).
-const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(2);
+use std::time::Instant;
 
 /// Shared server counters, surfaced by `/v1/stats` and `/healthz`.
 #[derive(Debug)]
@@ -68,8 +51,8 @@ impl ServerStats {
         self.started.elapsed().as_millis() as u64
     }
 
-    /// Count one routed request (both engines call this right after a
-    /// head parses, before routing).
+    /// Count one routed request (called right after a head parses,
+    /// before routing).
     pub(crate) fn record_request(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
     }
@@ -80,22 +63,20 @@ impl ServerStats {
     }
 }
 
-/// A running server — threaded or reactor engine — with its bound
-/// address, stats, and a shutdown handle.
+/// A running server with its bound address, stats, and a shutdown
+/// handle.
 pub struct ServerHandle {
     /// The actually-bound address (resolves port 0).
     pub addr: SocketAddr,
     /// Shared counters.
     pub stats: Arc<ServerStats>,
-    /// Reactor counters when the reactor engine runs this server,
-    /// `None` under the threaded engine.
-    pub reactor_stats: Option<Arc<crate::reactor::ReactorStats>>,
+    /// Reactor counters: connections, wakeups, admission.
+    pub reactor_stats: Arc<crate::reactor::ReactorStats>,
     pub(crate) shutdown: Arc<AtomicBool>,
     /// The served store's health registry — the drain flag lives here
-    /// so `/readyz` and the engines see the same state.
+    /// so `/readyz` and the reactor see the same state.
     pub(crate) health: Arc<crate::health::HealthState>,
-    /// The accept thread (threaded engine) or one thread per reactor
-    /// shard.
+    /// One thread per reactor shard.
     pub(crate) threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -103,8 +84,7 @@ impl ServerHandle {
     /// Ask the serve threads to exit and join them. Idempotent.
     pub fn stop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        // Unblock a blocking accept (threaded) or wake a poller shard
-        // (reactor) with one throwaway connection; remaining reactor
+        // Wake a poller shard with one throwaway connection; remaining
         // shards notice the flag on their next wait timeout.
         let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
@@ -113,14 +93,15 @@ impl ServerHandle {
     }
 
     /// Graceful drain: flip the health registry's drain flag (so
-    /// `/readyz` answers `draining` and both engines stop accepting),
+    /// `/readyz` answers `draining` and the listeners stop accepting),
     /// let in-flight requests finish — the reactor pushes a terminal
-    /// `shutdown` SSE event and completes parked long-polls; grace is
-    /// bounded by [`crate::reactor::ReactorConfig::drain_grace`] — and
-    /// join the serve threads. Idempotent.
+    /// `shutdown` SSE event, completes parked long-polls and closes
+    /// idle keep-alive connections; grace is bounded by
+    /// [`crate::reactor::ReactorConfig::drain_grace`] — and join the
+    /// serve threads. Idempotent.
     pub fn drain(&mut self) {
         self.health.set_draining();
-        // Unblock a blocking accept / wake the poller shards.
+        // Wake the poller shards.
         let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -147,53 +128,8 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Bind `addr` and serve the store on `workers` pooled threads. Returns
-/// as soon as the listener is accepting (use port 0 for an ephemeral
-/// test port).
-pub fn spawn_server(
-    store: Arc<SnapshotStore>,
-    addr: &str,
-    workers: usize,
-) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let stats = Arc::new(ServerStats::default());
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let health = Arc::clone(store.health());
-    let accept_thread = {
-        let stats = Arc::clone(&stats);
-        let shutdown = Arc::clone(&shutdown);
-        let health = Arc::clone(&health);
-        std::thread::Builder::new()
-            .name("mlpeer-serve-accept".into())
-            .spawn(move || {
-                let pool = ThreadPool::new(workers);
-                for conn in listener.incoming() {
-                    if shutdown.load(Ordering::Relaxed) || health.is_draining() {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let store = Arc::clone(&store);
-                    let stats = Arc::clone(&stats);
-                    pool.execute(move || handle_connection(stream, &store, &stats));
-                }
-                // Dropping the pool joins the workers, draining
-                // in-flight connections before the handle's join
-                // returns.
-            })?
-    };
-    Ok(ServerHandle {
-        addr,
-        stats,
-        reactor_stats: None,
-        shutdown,
-        health,
-        threads: vec![accept_thread],
-    })
-}
-
-/// Bump the post-route counters for one response — shared by both
-/// engines so `/v1/stats`'s server section counts identically.
+/// Bump the post-route counters for one response, so `/v1/stats`'s
+/// server section counts every status class.
 pub(crate) fn count_response(stats: &ServerStats, status: u16) {
     match status {
         304 => {
@@ -206,94 +142,22 @@ pub(crate) fn count_response(stats: &ServerStats, status: u16) {
     }
 }
 
-/// Serve one connection: keep-alive loop, one snapshot load per
-/// request.
-fn handle_connection(stream: TcpStream, store: &SnapshotStore, stats: &ServerStats) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut write_half = write_half;
-    let mut reader = BufReader::new(stream);
-    loop {
-        // `Ok(None)` covers both clean close and an idle timeout before
-        // any byte of a request; a timeout (or garbage) mid-head is a
-        // client error and draws a 400.
-        let req = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => break,
-            Err(_) => {
-                stats.record_client_error();
-                let _ = api::error(400, "malformed request").write_to(&mut write_half, false);
-                break;
-            }
-        };
-        stats.record_request();
-        let snapshot = store.load();
-        let response = api::route(
-            &req,
-            &snapshot,
-            stats,
-            store.changes(),
-            store.durable(),
-            store.live_stats(),
-            None,
-            store.dist_stats(),
-            Some(store.health().as_ref()),
-        );
-        count_response(stats, response.status);
-        // During a drain the in-flight request finishes, but the
-        // response carries `Connection: close` and the worker frees up.
-        let keep_alive = !req.wants_close() && !store.health().is_draining();
-        if response.write_to(&mut write_half, keep_alive).is_err() || !keep_alive {
-            break;
-        }
-        // Subsequent requests on this connection get the short idle
-        // window; the worker frees up quickly if the client goes quiet.
-        let _ = reader.get_ref().set_read_timeout(Some(KEEP_ALIVE_IDLE));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::{spawn_reactor, ReactorConfig};
     use crate::snapshot::Snapshot;
-    use std::io::{Read, Write};
+    use std::io::{BufReader, Write};
 
     fn tiny_snapshot(members: u32) -> Snapshot {
         crate::testutil::snapshot_with(members, u64::from(members))
     }
 
-    /// Send one raw request over a fresh connection; return (status,
-    /// body text) via the shared client-side parser.
-    fn raw_get(addr: SocketAddr, path: &str, close: bool) -> (u16, String) {
-        let mut s = TcpStream::connect(addr).unwrap();
-        let conn = if close { "Connection: close\r\n" } else { "" };
-        write!(s, "GET {path} HTTP/1.1\r\nHost: t\r\n{conn}\r\n").unwrap();
-        let parts = crate::http::read_response(&mut BufReader::new(s)).unwrap();
-        (parts.status, String::from_utf8(parts.body).unwrap())
-    }
-
-    #[test]
-    fn serves_requests_and_counts_them() {
-        let store = crate::store::SnapshotStore::new(tiny_snapshot(3));
-        let mut server = spawn_server(store, "127.0.0.1:0", 2).unwrap();
-        let (status, text) = raw_get(server.addr, "/healthz", true);
-        assert_eq!(status, 200);
-        assert!(text.contains("\"status\": \"ok\""));
-        let (status, _) = raw_get(server.addr, "/nope", true);
-        assert_eq!(status, 404);
-        assert!(server.stats.requests() >= 2);
-        assert!(server.stats.client_errors() >= 1);
-        server.stop();
-        server.stop(); // idempotent
-    }
-
     #[test]
     fn refresh_is_visible_between_requests_on_one_connection() {
         let store = crate::store::SnapshotStore::new(tiny_snapshot(2));
-        let mut server = spawn_server(Arc::clone(&store), "127.0.0.1:0", 2).unwrap();
+        let mut server =
+            spawn_reactor(Arc::clone(&store), "127.0.0.1:0", ReactorConfig::default()).unwrap();
         let s = TcpStream::connect(server.addr).unwrap();
         let mut writer = s.try_clone().unwrap();
         let mut reader = BufReader::new(s);
@@ -311,43 +175,6 @@ mod tests {
             second.contains("\"epoch\": 1"),
             "same connection sees the new epoch: {second}"
         );
-        // Release the keep-alive worker before joining the pool.
-        drop(writer);
-        drop(reader);
         server.stop();
-    }
-
-    /// Once the drain flag is up, the threaded engine finishes the
-    /// in-flight request but answers it `Connection: close`, freeing
-    /// the pooled worker so `drain()` returns promptly.
-    #[test]
-    fn drain_closes_keep_alive_connections() {
-        let store = crate::store::SnapshotStore::new(tiny_snapshot(2));
-        let mut server = spawn_server(Arc::clone(&store), "127.0.0.1:0", 2).unwrap();
-        let s = TcpStream::connect(server.addr).unwrap();
-        let mut writer = s.try_clone().unwrap();
-        let mut reader = BufReader::new(s);
-        write!(writer, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let first = crate::http::read_response(&mut reader).unwrap();
-        assert_eq!(first.status, 200);
-        assert_eq!(first.header("connection"), Some("keep-alive"));
-        // Flip the drain flag directly (the binary does this via
-        // ServerHandle::drain on SIGTERM) and issue the in-flight
-        // request: it completes, but closes the connection.
-        store.health().set_draining();
-        write!(writer, "GET /readyz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let second = crate::http::read_response(&mut reader).unwrap();
-        assert_eq!(second.status, 503, "/readyz answers draining with 503");
-        assert_eq!(second.header("connection"), Some("close"));
-        assert!(String::from_utf8(second.body).unwrap().contains("draining"));
-        let mut scratch = [0u8; 64];
-        assert_eq!(
-            reader.get_mut().read(&mut scratch).unwrap(),
-            0,
-            "server closes after the drained response"
-        );
-        // With the worker freed, draining the handle joins quickly.
-        server.drain();
-        assert!(server.is_finished());
     }
 }

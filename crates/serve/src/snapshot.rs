@@ -68,32 +68,11 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Build a snapshot (index construction + ETag) from one pipeline
-    /// run's outputs, pre-rendering every addressable GET body into the
+    /// run's outputs and its cross-validation report, pre-rendering
+    /// every addressable GET body — `/v1/validate` included — into the
     /// [`crate::cache::BodyCache`]. The epoch starts at 0; publishing
-    /// through a [`crate::SnapshotStore`] re-stamps it.
-    pub fn build(
-        scale: &str,
-        seed: u64,
-        names: BTreeMap<IxpId, String>,
-        links: MlpLinkSet,
-        observations: &[Observation],
-        passive_stats: PassiveStats,
-    ) -> Snapshot {
-        Snapshot::build_validated(
-            scale,
-            seed,
-            names,
-            links,
-            observations,
-            passive_stats,
-            ValidationReport::default(),
-        )
-    }
-
-    /// [`build`](Snapshot::build) carrying a cross-validation report —
-    /// the path that knows the producing ecosystem computes the report
-    /// (see [`of_pipeline`](Snapshot::of_pipeline)) and hands it in
-    /// here so the `/v1/validate` body pre-renders with the rest.
+    /// through a [`crate::SnapshotStore`] re-stamps it. Callers without
+    /// a report pass `ValidationReport::default()`.
     #[allow(clippy::too_many_arguments)]
     pub fn build_validated(
         scale: &str,
@@ -120,32 +99,12 @@ impl Snapshot {
         snapshot
     }
 
-    /// [`build`](Snapshot::build) without the body pre-render: the
-    /// shape live-mode tick publishes use, where a per-link delta must
-    /// not pay an O(announcement-corpus) render. Every endpoint falls
-    /// back to rendering live on a cache miss, so the served bytes are
-    /// identical — only the per-request cost differs.
-    pub fn build_uncached(
-        scale: &str,
-        seed: u64,
-        names: BTreeMap<IxpId, String>,
-        links: MlpLinkSet,
-        observations: &[Observation],
-        passive_stats: PassiveStats,
-    ) -> Snapshot {
-        Snapshot::build_uncached_validated(
-            scale,
-            seed,
-            names,
-            links,
-            observations,
-            passive_stats,
-            ValidationReport::default(),
-        )
-    }
-
-    /// [`build_uncached`](Snapshot::build_uncached) carrying a
-    /// cross-validation report.
+    /// [`build_validated`](Snapshot::build_validated) without the body
+    /// pre-render: the shape live-mode tick publishes use, where a
+    /// per-link delta must not pay an O(announcement-corpus) render.
+    /// Every endpoint falls back to rendering live on a cache miss, so
+    /// the served bytes are identical — only the per-request cost
+    /// differs.
     #[allow(clippy::too_many_arguments)]
     pub fn build_uncached_validated(
         scale: &str,
@@ -185,7 +144,7 @@ impl Snapshot {
     /// deterministic parts — the durable-store recovery and `?at=`
     /// time-travel path. The index comes back via
     /// [`LinkIndex::build_from_announcements`] and the ETag via the
-    /// same hash [`Snapshot::build`] uses, so a recovered snapshot
+    /// same hash [`Snapshot::build_validated`] uses, so a recovered snapshot
     /// serves byte-identical bodies and ETags to the one originally
     /// published (the caller re-verifies the stored ETag against the
     /// rebuilt one as the end-to-end integrity check).
@@ -234,7 +193,7 @@ impl Snapshot {
     }
 
     /// Run the serving pipeline over `eco` and snapshot the result —
-    /// the one-call path the binary, the refresher, and the end-to-end
+    /// the one-call path the binary's batch boot and the end-to-end
     /// tests share.
     pub fn of_pipeline(eco: &Ecosystem, scale: Scale, seed: u64) -> Snapshot {
         Snapshot::of_run(
@@ -348,6 +307,7 @@ pub(crate) fn etag_of(links: &MlpLinkSet, announcements: &BTreeSet<Announcement>
 mod tests {
     use super::*;
     use mlpeer::passive::PassiveStats;
+    use mlpeer::validate::cross::ValidationReport;
 
     fn tiny_inputs() -> (MlpLinkSet, Vec<Observation>) {
         crate::testutil::tiny_inputs(3)
@@ -357,33 +317,36 @@ mod tests {
     fn etag_is_content_addressed_and_stable() {
         let (links, observations) = tiny_inputs();
         let names: BTreeMap<IxpId, String> = [(IxpId(0), "DE-CIX".to_string())].into();
-        let a = Snapshot::build(
+        let a = Snapshot::build_validated(
             "tiny",
             7,
             names.clone(),
             links.clone(),
             &observations,
             PassiveStats::default(),
+            ValidationReport::default(),
         );
-        let b = Snapshot::build(
+        let b = Snapshot::build_validated(
             "tiny",
             7,
             names.clone(),
             links.clone(),
             &observations,
             PassiveStats::default(),
+            ValidationReport::default(),
         );
         assert_eq!(a.etag, b.etag, "same content, same ETag");
         assert_eq!(a.etag.len(), 16);
 
         // Different content must change the ETag.
-        let fewer = Snapshot::build(
+        let fewer = Snapshot::build_validated(
             "tiny",
             7,
             names,
             links,
             &observations[..2],
             PassiveStats::default(),
+            ValidationReport::default(),
         );
         assert_ne!(a.etag, fewer.etag);
     }
@@ -391,13 +354,14 @@ mod tests {
     #[test]
     fn from_parts_rebuilds_byte_identically() {
         let (links, observations) = tiny_inputs();
-        let original = Snapshot::build(
+        let original = Snapshot::build_validated(
             "tiny",
             7,
             [(IxpId(0), "DE-CIX".to_string())].into(),
             links,
             &observations,
             PassiveStats::default(),
+            ValidationReport::default(),
         );
         let rebuilt = Snapshot::from_parts(SnapshotParts {
             epoch: 3,
@@ -444,13 +408,14 @@ mod tests {
     #[test]
     fn snapshot_carries_consistent_counts() {
         let (links, observations) = tiny_inputs();
-        let snap = Snapshot::build(
+        let snap = Snapshot::build_validated(
             "tiny",
             7,
             [(IxpId(0), "DE-CIX".to_string())].into(),
             links.clone(),
             &observations,
             PassiveStats::default(),
+            ValidationReport::default(),
         );
         assert_eq!(snap.epoch, 0);
         assert_eq!(snap.observation_count, 3);

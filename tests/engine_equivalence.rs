@@ -1,15 +1,16 @@
-//! Engine equivalence: the threaded server and the epoll reactor must
-//! be indistinguishable on the wire.
+//! Wire equivalence: the epoll reactor must put exactly the router's
+//! answer on the wire.
 //!
-//! Two stores are built from identical inputs (snapshots are
-//! deterministic, so their content and ETags agree bit for bit), one
-//! served by each engine, and a corpus covering every endpoint —
-//! success, revalidation, all error classes, `/v1/changes` in delta
-//! and 410-resync states, and a malformed request — is replayed
-//! against both. Responses are compared as **raw bytes** (neither
-//! engine emits a `Date` header, so byte equality is well-defined);
-//! only `/healthz` and `/v1/stats` are masked down to the status line,
-//! since their bodies carry live counters and uptime.
+//! A corpus covering every endpoint — success, revalidation, all error
+//! classes, `/v1/changes` in delta and 410-resync states, and a
+//! malformed request — is replayed against a reactor, and each raw
+//! response is compared with [`api::route`]'s answer to the same
+//! request over the same store, framed by `head_bytes(false)` (every
+//! corpus request asks for `Connection: close`). The reactor emits no
+//! `Date` header, so byte equality is well-defined; only `/healthz` and
+//! `/v1/stats` are masked down to the status line, since their bodies
+//! carry live counters and uptime. A malformed head must draw exactly
+//! `api::error(400, "malformed request")`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -21,7 +22,10 @@ use mlpeer_bench::Scale;
 use mlpeer_bgp::Asn;
 use mlpeer_ixp::ixp::IxpId;
 use mlpeer_ixp::Ecosystem;
-use mlpeer_serve::{spawn_reactor, spawn_server, ReactorConfig, Snapshot, SnapshotStore};
+use mlpeer_serve::http::{Request, Response};
+use mlpeer_serve::{
+    api, spawn_reactor, ReactorConfig, ServerHandle, ServerStats, Snapshot, SnapshotStore,
+};
 
 /// Send raw request bytes on a fresh connection and read to EOF.
 fn exchange(addr: SocketAddr, raw: &[u8]) -> Vec<u8> {
@@ -37,6 +41,37 @@ fn get(path: &str, extra: &str) -> Vec<u8> {
     format!("GET {path} HTTP/1.1\r\nHost: eq\r\n{extra}Connection: close\r\n\r\n").into_bytes()
 }
 
+/// The request a well-formed corpus head spells out: its request line
+/// split into method, path and query, its headers with lowercased
+/// names (corpus paths carry no percent escapes).
+fn request_of(raw: &[u8]) -> Request {
+    let text = std::str::from_utf8(raw).unwrap();
+    let mut lines = text.split("\r\n");
+    let mut words = lines.next().unwrap().split(' ');
+    let (method, target) = (words.next().unwrap(), words.next().unwrap());
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    Request {
+        method: method.into(),
+        path: path.into(),
+        query: query.into(),
+        headers: lines
+            .take_while(|l| !l.is_empty())
+            .map(|l| {
+                let (name, value) = l.split_once(':').unwrap();
+                (name.to_ascii_lowercase(), value.trim().into())
+            })
+            .collect(),
+    }
+}
+
+/// A response as the reactor frames it on a `Connection: close`
+/// exchange.
+fn framed(resp: &Response) -> Vec<u8> {
+    let mut out = resp.head_bytes(false);
+    out.extend_from_slice(resp.body.as_slice());
+    out
+}
+
 /// The first CRLF-terminated line of a raw response.
 fn status_line(raw: &[u8]) -> &[u8] {
     let end = raw
@@ -47,18 +82,14 @@ fn status_line(raw: &[u8]) -> &[u8] {
 }
 
 #[test]
-fn threaded_and_reactor_engines_serve_identical_bytes() {
+fn reactor_serves_the_routers_bytes() {
     let seed = 20130501u64;
     let build = || {
         let eco = Ecosystem::generate(Scale::Tiny.config(seed));
         Snapshot::of_pipeline(&eco, Scale::Tiny, seed)
     };
-    // One store per engine, identical content (and publish history
-    // below), so observable state matches at every step.
-    let store_threaded = SnapshotStore::with_change_capacity(build(), 1);
-    let store_reactor = SnapshotStore::with_change_capacity(build(), 1);
-    let snap = store_threaded.load();
-    assert_eq!(snap.etag, store_reactor.load().etag, "identical fixtures");
+    let store = SnapshotStore::with_change_capacity(build(), 1);
+    let snap = store.load();
     let member = *snap
         .links
         .unique_links()
@@ -68,13 +99,8 @@ fn threaded_and_reactor_engines_serve_identical_bytes() {
         .unwrap();
     let etag = snap.etag.clone();
 
-    let mut threaded = spawn_server(Arc::clone(&store_threaded), "127.0.0.1:0", 3).unwrap();
-    let mut reactor = spawn_reactor(
-        Arc::clone(&store_reactor),
-        "127.0.0.1:0",
-        ReactorConfig::default(),
-    )
-    .unwrap();
+    let mut reactor =
+        spawn_reactor(Arc::clone(&store), "127.0.0.1:0", ReactorConfig::default()).unwrap();
 
     let inm = format!("If-None-Match: \"{etag}\"\r\n");
     let member_path = format!("/v1/member/{}", member.value());
@@ -125,46 +151,62 @@ fn threaded_and_reactor_engines_serve_identical_bytes() {
             false,
         ),
     ];
-    let compare = |label: &str, req: &[u8], masked: bool| {
-        let a = exchange(threaded.addr, req);
-        let b = exchange(reactor.addr, req);
+    let compare = |reactor: &ServerHandle, label: &str, req: &[u8], masked: bool| {
+        let wire = exchange(reactor.addr, req);
+        let expected = if label == "malformed head" {
+            framed(&api::error(400, "malformed request"))
+        } else {
+            framed(&api::route(
+                &request_of(req),
+                &store.load(),
+                &ServerStats::default(),
+                store.changes(),
+                store.durable(),
+                store.live_stats(),
+                Some(&reactor.reactor_stats),
+                store.dist_stats(),
+                Some(store.health().as_ref()),
+            ))
+        };
         if masked {
             assert_eq!(
-                status_line(&a),
-                status_line(&b),
+                String::from_utf8_lossy(status_line(&wire)),
+                String::from_utf8_lossy(status_line(&expected)),
                 "{label}: status lines differ"
             );
         } else {
             assert_eq!(
-                String::from_utf8_lossy(&a),
-                String::from_utf8_lossy(&b),
+                String::from_utf8_lossy(&wire),
+                String::from_utf8_lossy(&expected),
                 "{label}: raw bytes differ"
             );
-            assert!(!a.is_empty(), "{label}: empty response");
+            assert!(!wire.is_empty(), "{label}: empty response");
         }
     };
     for (label, req, masked) in &corpus {
-        compare(label, req, *masked);
+        compare(&reactor, label, req, *masked);
     }
 
-    // Publish the same delta-carrying epoch to both stores and compare
-    // the /v1/changes delta answer.
+    // Publish a delta-carrying epoch and compare the /v1/changes delta
+    // answer.
     let delta = LinkDelta {
         added: vec![(IxpId(0), Asn(64901), Asn(64902))],
         removed: vec![],
     };
-    store_threaded.publish_with_delta(build(), delta.clone());
-    store_reactor.publish_with_delta(build(), delta);
+    store.publish_with_delta(build(), delta);
     corpus.clear();
     corpus.push((
         "changes delta".into(),
         get("/v1/changes?since=0", ""),
         false,
     ));
+    for (label, req, masked) in &corpus {
+        compare(&reactor, label, req, *masked);
+    }
     // A second delta publish overflows the depth-1 ring: since=0 now
-    // answers 410 + resync on both engines.
-    store_threaded.publish_with_delta(build(), LinkDelta::default());
-    store_reactor.publish_with_delta(build(), LinkDelta::default());
+    // answers 410 + resync.
+    store.publish_with_delta(build(), LinkDelta::default());
+    corpus.clear();
     corpus.push((
         "changes 410 resync".into(),
         get("/v1/changes?since=0", ""),
@@ -172,9 +214,10 @@ fn threaded_and_reactor_engines_serve_identical_bytes() {
     ));
     corpus.push(("ixps after publishes".into(), get("/v1/ixps", ""), false));
     for (label, req, masked) in &corpus {
-        compare(label, req, *masked);
+        compare(&reactor, label, req, *masked);
     }
+    let resync = exchange(reactor.addr, &get("/v1/changes?since=0", ""));
+    assert!(status_line(&resync).starts_with(b"HTTP/1.1 410"));
 
-    threaded.stop();
     reactor.stop();
 }

@@ -17,7 +17,8 @@ use std::time::Duration;
 use mlpeer_data::churn::ChurnConfig;
 use mlpeer_ixp::{Ecosystem, EcosystemConfig};
 use mlpeer_serve::{
-    bootstrap, spawn_live_refresher, spawn_server, LiveConfig, LiveStats, SnapshotStore,
+    bootstrap, spawn_live_refresher, spawn_reactor, LiveConfig, LiveStats, ReactorConfig,
+    SnapshotStore,
 };
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -135,7 +136,8 @@ fn live_stack_serves_composable_deltas_and_resync_signal() {
         Arc::clone(&stats),
         Arc::clone(&shutdown),
     );
-    let mut server = spawn_server(Arc::clone(&store), "127.0.0.1:0", 2).expect("bind");
+    let mut server =
+        spawn_reactor(Arc::clone(&store), "127.0.0.1:0", ReactorConfig::default()).expect("bind");
     let addr = server.addr;
 
     // Let the live loop publish several epochs, then quiesce it so the

@@ -13,7 +13,7 @@ use mlpeer_bench::{run_pipeline, Scale};
 use mlpeer_ixp::Ecosystem;
 use mlpeer_serve::http::{Request, Response};
 use mlpeer_serve::{api, Snapshot, SnapshotStore};
-use mlpeer_serve::{run_load, spawn_server, LoadConfig, ServerStats};
+use mlpeer_serve::{run_load, spawn_reactor, LoadConfig, ReactorConfig, ServerStats};
 
 fn build_snapshot(eco: &Ecosystem, seed: u64) -> Snapshot {
     Snapshot::of_pipeline(eco, Scale::Tiny, seed)
@@ -78,7 +78,8 @@ fn boot_query_refresh_over_real_tcp() {
     let snapshot = build_snapshot(&eco, seed);
     let etag = snapshot.etag.clone();
     let store = SnapshotStore::new(snapshot);
-    let mut server = spawn_server(Arc::clone(&store), "127.0.0.1:0", 3).expect("bind");
+    let mut server =
+        spawn_reactor(Arc::clone(&store), "127.0.0.1:0", ReactorConfig::default()).expect("bind");
 
     // A member and a prefix that certainly exist in the snapshot.
     let snap = store.load();
@@ -151,7 +152,7 @@ fn boot_query_refresh_over_real_tcp() {
     assert_eq!(get(server.addr, "/v1/member/0", None).0, 404);
     assert_eq!(get(server.addr, "/v1/prefix/banana", None).0, 400);
 
-    // -- a small load runs clean through the pooled server --
+    // -- a small load runs clean through the reactor --
     let report = run_load(
         server.addr,
         &LoadConfig {

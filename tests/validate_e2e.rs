@@ -1,23 +1,18 @@
 //! End-to-end test for the `/v1/validate` endpoint: the in-process
-//! server must put the exact `render_validate` bytes on the wire (with
-//! the snapshot's content ETag and a working 304 revalidation), and the
-//! real `mlpeer-serve` binary must keep every verdict byte-stable
-//! across a `kill -9` + `--data-dir` recovery — the validation report
-//! rides the durable log (record version 3), so a rebooted server
-//! serves the same cross-validation story without re-deriving the
-//! corpus.
+//! server must put the exact `render_validate` bytes on the wire, with
+//! the snapshot's content ETag and a working 304 revalidation. That the
+//! real `mlpeer-serve` binary keeps every verdict byte-stable across a
+//! `kill -9` + `--data-dir` recovery is checked in
+//! `crates/serve/tests/binary_e2e.rs`.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
-use std::time::Duration;
 
 use mlpeer_bench::Scale;
 use mlpeer_ixp::Ecosystem;
 use mlpeer_serve::http::{Request, Response};
-use mlpeer_serve::{api, ServerStats, Snapshot, SnapshotStore};
+use mlpeer_serve::{api, spawn_reactor, ReactorConfig, ServerStats, Snapshot, SnapshotStore};
 
 /// One request on a fresh connection; returns (status, headers, body).
 fn get(addr: SocketAddr, path: &str, extra_header: Option<&str>) -> (u16, String, String) {
@@ -37,14 +32,6 @@ fn get(addr: SocketAddr, path: &str, extra_header: Option<&str>) -> (u16, String
     (parts.status, head, String::from_utf8(parts.body).unwrap())
 }
 
-fn etag_of(head: &str) -> String {
-    head.lines()
-        .find_map(|l| l.strip_prefix("etag: "))
-        .expect("response carries an ETag")
-        .trim()
-        .to_string()
-}
-
 #[test]
 fn validate_endpoint_serves_wire_identical_bytes_with_revalidation() {
     let seed = 7u64;
@@ -56,7 +43,8 @@ fn validate_endpoint_serves_wire_identical_bytes_with_revalidation() {
     );
     let etag = snapshot.etag.clone();
     let store = SnapshotStore::new(snapshot);
-    let mut server = mlpeer_serve::spawn_server(Arc::clone(&store), "127.0.0.1:0", 2).unwrap();
+    let mut server =
+        spawn_reactor(Arc::clone(&store), "127.0.0.1:0", ReactorConfig::default()).unwrap();
 
     let (status, head, wire_body) = get(server.addr, "/v1/validate", None);
     assert_eq!(status, 200, "{wire_body}");
@@ -107,117 +95,4 @@ fn validate_endpoint_serves_wire_identical_bytes_with_revalidation() {
         assert!(stats_body.contains(verdict));
     }
     server.stop();
-}
-
-// ---- Real-binary crash/recovery below. ----
-
-/// Locate the `mlpeer-serve` binary cargo built alongside the tests
-/// (`target/<profile>/deps/this_test` → `target/<profile>/mlpeer-serve`),
-/// same resolution idiom as `mlpeer_dist::default_worker_cmd`.
-fn serve_bin() -> PathBuf {
-    if let Ok(path) = std::env::var("MLPEER_SERVE_BIN") {
-        return PathBuf::from(path);
-    }
-    let exe = std::env::current_exe().expect("test exe path");
-    let mut dir = exe.parent().expect("deps dir").to_path_buf();
-    dir.pop();
-    let candidate = dir.join("mlpeer-serve");
-    assert!(
-        candidate.is_file(),
-        "mlpeer-serve binary built alongside tests (run the whole workspace \
-         test suite, or set MLPEER_SERVE_BIN)"
-    );
-    candidate
-}
-
-/// Boot the real binary and block until it announces its bound address
-/// on stderr; a drain thread keeps the pipe from ever backpressuring
-/// the server.
-fn spawn_serve(data_dir: &Path) -> (Child, SocketAddr) {
-    let mut child = Command::new(serve_bin())
-        .args([
-            "tiny",
-            "--seed=7",
-            "--addr=127.0.0.1:0",
-            "--engine=threaded",
-            "--http-workers=2",
-            &format!("--data-dir={}", data_dir.display()),
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn mlpeer-serve");
-    let stderr = child.stderr.take().expect("stderr piped");
-    let mut lines = BufReader::new(stderr);
-    let mut line = String::new();
-    let addr = loop {
-        line.clear();
-        if lines.read_line(&mut line).expect("read server stderr") == 0 {
-            panic!("mlpeer-serve exited before announcing its address");
-        }
-        if let Some(rest) = line.trim().strip_prefix("# serving on http://") {
-            let host = rest.split_whitespace().next().expect("addr token");
-            break host.parse::<SocketAddr>().expect("bound address");
-        }
-    };
-    std::thread::spawn(move || {
-        let mut sink = std::io::sink();
-        let _ = std::io::copy(&mut lines, &mut sink);
-    });
-    (child, addr)
-}
-
-/// Retry the first connection briefly: the accept loop is up when the
-/// address is printed, but a just-spawned process can still lose a race
-/// on a loaded CI box.
-fn get_with_retry(addr: SocketAddr, path: &str) -> (u16, String, String) {
-    for _ in 0..50 {
-        if TcpStream::connect(addr).is_ok() {
-            return get(addr, path, None);
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    panic!("{path}: server at {addr} never answered");
-}
-
-#[test]
-fn kill_nine_and_data_dir_recovery_keep_verdicts_byte_stable() {
-    let dir = std::env::temp_dir().join(format!("mlpeer-validate-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // ---- First life: boot, capture the validation story. ----
-    let (mut child, addr) = spawn_serve(&dir);
-    let (status, head, before) = get_with_retry(addr, "/v1/validate");
-    assert_eq!(status, 200, "{before}");
-    let etag = etag_of(&head);
-    assert!(
-        before.contains("\"confirmed\""),
-        "live report must carry verdicts: {before:.>60}"
-    );
-
-    // ---- kill -9: no drain, no flush, no farewell. ----
-    child.kill().expect("SIGKILL");
-    child.wait().expect("reap");
-
-    // ---- Second life: same --data-dir. The binary recovers the
-    //      epoch from the durable log (validation included, record
-    //      version 3) instead of re-running the pipeline. ----
-    let (mut child, addr) = spawn_serve(&dir);
-    let (status, head, after) = get_with_retry(addr, "/v1/validate");
-    assert_eq!(status, 200, "{after}");
-    assert_eq!(
-        after, before,
-        "verdicts must be byte-stable across kill -9 + recovery"
-    );
-    assert_eq!(etag_of(&head), etag, "content ETag survives the crash");
-
-    // The first life's ETag still revalidates against the second life.
-    let inm = format!("If-None-Match: {etag}");
-    let (status, _, body) = get(addr, "/v1/validate", Some(&inm));
-    assert_eq!(status, 304, "{body}");
-
-    child.kill().expect("stop recovered server");
-    child.wait().expect("reap");
-    let _ = std::fs::remove_dir_all(&dir);
 }
