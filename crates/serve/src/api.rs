@@ -5,13 +5,17 @@
 //! a refresh lands mid-flight. The snapshot-addressed `/v1/*` endpoints
 //! carry the content ETag; an `If-None-Match` hit short-circuits to an
 //! empty 304 *before rendering*, which is what lets heavy read traffic
-//! revalidate for free across refreshes that changed nothing. The 200
-//! path is pre-rendered too: ixp, member and announced-prefix bodies
-//! come out of the snapshot's publish-time [`crate::cache::BodyCache`]
-//! as a lookup + memcpy — JSON rendering happens once per publish, not
-//! once per request (only un-announced CIDR queries render live).
-//! `/v1/stats` and `/healthz` are exempt — their bodies carry live
-//! server counters the snapshot ETag does not address.
+//! revalidate for free across refreshes that changed nothing. On a
+//! batch snapshot the 200 path is pre-rendered too: ixp, validate,
+//! member and announced-prefix bodies come out of the snapshot's
+//! publish-time [`crate::cache::BodyCache`] as a lookup + memcpy, and
+//! only un-announced CIDR queries render live. Live-tick snapshots
+//! carry no cache, so there every 200 renders on the request. Every
+//! body — cached or live, errors and push frames included — is
+//! written by [`crate::json::JsonWriter`] straight into its byte
+//! buffer. `/v1/stats` and `/healthz` are exempt from the ETag — their
+//! bodies carry live server counters the snapshot ETag does not
+//! address.
 //!
 //! | Endpoint | Answer |
 //! |---|---|
@@ -47,16 +51,17 @@
 //! one is a 400; an epoch whose full snapshot is gone — never stored,
 //! compacted away, or no `--data-dir` — is a 410.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use mlpeer::report;
+use mlpeer::index::Announcement;
 use mlpeer_bgp::{Asn, Prefix};
 use mlpeer_ixp::ixp::IxpId;
-use serde_json::{json, Value};
 
 use crate::cache::{CacheKey, CacheSlice};
 use crate::delta::{ChangeLog, SinceAnswer};
 use crate::http::{Request, Response};
+use crate::json::{export_policy, JsonWriter};
 use crate::live::LiveStats;
 use crate::reactor::ReactorStats;
 use crate::server::ServerStats;
@@ -91,7 +96,7 @@ pub fn route(
     let path = if path.is_empty() { "/" } else { path };
 
     if path == "/healthz" {
-        return Response::json(200, report::to_json(&healthz(snap, stats)));
+        return Response::json(200, healthz(snap, stats));
     }
     if path == "/readyz" {
         return readyz(snap, health);
@@ -169,10 +174,7 @@ pub fn route(
     if path == "/v1/stats" {
         // Deliberately no ETag/304: the body carries live server
         // counters, so the snapshot ETag does not address it.
-        return Response::json(
-            200,
-            report::to_json(&stats_body(snap, stats, live, reactor, dist)),
-        );
+        return Response::json(200, stats_body(snap, stats, live, reactor, dist));
     }
     error(404, "no such endpoint")
 }
@@ -260,31 +262,33 @@ pub(crate) fn render_changes(
     history: Option<&crate::durable::DurableStore>,
     since: u64,
 ) -> Response {
-    let delta_response =
-        |added: &std::collections::BTreeSet<(IxpId, Asn, Asn)>,
-         removed: &std::collections::BTreeSet<(IxpId, Asn, Asn)>| {
-            let render = |set: &std::collections::BTreeSet<(IxpId, Asn, Asn)>| {
-                set.iter()
-                    .map(|(ixp, a, b)| {
-                        json!({
-                            "ixp": ixp.0,
-                            "name": snap.name(*ixp),
-                            "a": a.value(),
-                            "b": b.value(),
-                        })
-                    })
-                    .collect::<Vec<Value>>()
-            };
-            let body = json!({
-                "since": since,
-                "epoch": snap.epoch,
-                "etag": snap.etag,
-                "resync": false,
-                "added": render(added),
-                "removed": render(removed),
-            });
-            Response::json(200, report::to_json(&body))
+    let delta_response = |added: &BTreeSet<(IxpId, Asn, Asn)>,
+                          removed: &BTreeSet<(IxpId, Asn, Asn)>| {
+        let links = |w: &mut JsonWriter, set: &BTreeSet<(IxpId, Asn, Asn)>| {
+            w.begin_array();
+            for &(ixp, a, b) in set {
+                w.begin_object();
+                w.key("a").u64(a.value().into());
+                w.key("b").u64(b.value().into());
+                w.key("ixp").u64(ixp.0.into());
+                w.key("name").str(snap.name(ixp));
+                w.end_object();
+            }
+            w.end_array();
         };
+        let mut w = JsonWriter::with_capacity(96 * (added.len() + removed.len()) + 128);
+        w.begin_object();
+        w.key("added");
+        links(&mut w, added);
+        w.key("epoch").u64(snap.epoch);
+        w.key("etag").str(&snap.etag);
+        w.key("removed");
+        links(&mut w, removed);
+        w.key("resync").bool(false);
+        w.key("since").u64(since);
+        w.end_object();
+        Response::json(200, w.finish())
+    };
     match changes.since(since, snap.epoch) {
         SinceAnswer::Delta { added, removed } => delta_response(&added, &removed),
         SinceAnswer::Truncated { oldest } => {
@@ -301,16 +305,23 @@ pub(crate) fn render_changes(
                 Some(h) => Some(h.oldest_since(snap.epoch)),
                 None => oldest,
             };
-            let body = json!({
-                "error": "delta history no longer covers this epoch; \
-                          re-sync from a full snapshot",
-                "resync": true,
-                "since": since,
-                "epoch": snap.epoch,
-                "etag": snap.etag,
-                "oldest_since": oldest,
-            });
-            Response::json(410, report::to_json(&body))
+            let mut w = JsonWriter::new();
+            w.begin_object();
+            w.key("epoch").u64(snap.epoch);
+            w.key("error").str(
+                "delta history no longer covers this epoch; \
+                 re-sync from a full snapshot",
+            );
+            w.key("etag").str(&snap.etag);
+            w.key("oldest_since");
+            match oldest {
+                Some(epoch) => w.u64(epoch),
+                None => w.null(),
+            };
+            w.key("resync").bool(true);
+            w.key("since").u64(since);
+            w.end_object();
+            Response::json(410, w.finish())
         }
     }
 }
@@ -337,17 +348,21 @@ fn revalidate_hit(req: &Request, etag: &str) -> Option<Response> {
 
 /// A JSON error body with matching status.
 pub fn error(status: u16, message: &str) -> Response {
-    Response::json(status, report::to_json(&json!({ "error": message })))
+    let mut w = JsonWriter::new();
+    w.begin_object().key("error").str(message).end_object();
+    Response::json(status, w.finish())
 }
 
-fn healthz(snap: &Snapshot, stats: &ServerStats) -> Value {
-    json!({
-        "status": "ok",
-        "epoch": snap.epoch,
-        "etag": snap.etag,
-        "scale": snap.scale,
-        "uptime_ms": stats.uptime_ms(),
-    })
+fn healthz(snap: &Snapshot, stats: &ServerStats) -> Vec<u8> {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("epoch").u64(snap.epoch);
+    w.key("etag").str(&snap.etag);
+    w.key("scale").str(&snap.scale);
+    w.key("status").str("ok");
+    w.key("uptime_ms").u64(stats.uptime_ms());
+    w.end_object();
+    w.finish()
 }
 
 /// The `/readyz` answer: liveness says "up", readiness says "up *and
@@ -361,37 +376,42 @@ fn readyz(snap: &Snapshot, health: Option<&crate::health::HealthState>) -> Respo
         Some(h) => (h.status(), h.reasons()),
         None => ("ready", Vec::new()),
     };
-    let body = json!({
-        "status": status,
-        "reasons": reasons,
-        "epoch": snap.epoch,
-        "etag": snap.etag,
-    });
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("epoch").u64(snap.epoch);
+    w.key("etag").str(&snap.etag);
+    w.key("reasons").begin_array();
+    for reason in reasons {
+        w.str(reason);
+    }
+    w.end_array();
+    w.key("status").str(status);
+    w.end_object();
     let code = if status == "draining" { 503 } else { 200 };
-    Response::json(code, report::to_json(&body))
+    Response::json(code, w.finish())
 }
 
-/// Render the `/v1/ixps` body — called once per publish by the
-/// [`crate::cache::BodyCache`], never on the request path.
+/// Render the `/v1/ixps` body: once per publish into the
+/// [`crate::cache::BodyCache`] for batch snapshots, and on every
+/// request for uncached (live-tick) snapshots.
 pub(crate) fn render_ixps(snap: &Snapshot) -> Vec<u8> {
     failpoints::failpoint!("serve::render");
-    let rows: Vec<Value> = snap
-        .names
-        .iter()
-        .map(|(id, name)| {
-            json!({
-                "id": id.0,
-                "name": name,
-                "links": snap.links.links_at(*id).len(),
-                "covered_members": snap.links.covered.get(id).map(|c| c.len()).unwrap_or(0),
-            })
-        })
-        .collect();
-    report::to_json(&json!({
-        "ixps": rows,
-        "unique_links": snap.unique_link_count,
-    }))
-    .into_bytes()
+    let mut w = JsonWriter::with_capacity(128 * snap.names.len() + 64);
+    w.begin_object();
+    w.key("ixps").begin_array();
+    for (&id, name) in &snap.names {
+        w.begin_object();
+        let covered = snap.links.covered.get(&id).map_or(0, |c| c.len());
+        w.key("covered_members").u64(covered as u64);
+        w.key("id").u64(id.0.into());
+        w.key("links").u64(snap.links.links_at(id).len() as u64);
+        w.key("name").str(name);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("unique_links").u64(snap.unique_link_count as u64);
+    w.end_object();
+    w.finish()
 }
 
 /// Render the `/v1/validate` body — the cross-validation report of
@@ -402,110 +422,118 @@ pub(crate) fn render_ixps(snap: &Snapshot) -> Vec<u8> {
 /// byte-identical bodies.
 pub(crate) fn render_validate(snap: &Snapshot) -> Vec<u8> {
     let v = &snap.validation;
-    let reasons: Vec<Value> = v
-        .reasons
-        .iter()
-        .map(|(reason, count)| json!({ "code": reason.code(), "count": count }))
-        .collect();
-    let per_ixp: Vec<Value> = v
-        .per_ixp
-        .iter()
-        .map(|(ixp, c)| {
-            json!({
-                "ixp": ixp.0,
-                "name": snap.name(*ixp),
-                "confirmed": c.confirmed,
-                "unknown": c.unknown,
-                "contradicted": c.contradicted,
-            })
-        })
-        .collect();
-    report::to_json(&json!({
-        "corpus": json!({
-            "objects": v.corpus.objects,
-            "roas": v.corpus.roas,
-            "quarantined": v.corpus.quarantined,
-            "complete": v.corpus.complete,
-        }),
-        "totals": json!({
-            "confirmed": v.totals.confirmed,
-            "unknown": v.totals.unknown,
-            "contradicted": v.totals.contradicted,
-        }),
-        "links_scored": v.totals.total(),
-        "reasons": reasons,
-        "per_ixp": per_ixp,
-    }))
-    .into_bytes()
+    let mut w = JsonWriter::with_capacity(192 * v.per_ixp.len() + 512);
+    w.begin_object();
+    w.key("corpus").begin_object();
+    w.key("complete").bool(v.corpus.complete);
+    w.key("objects").u64(v.corpus.objects);
+    w.key("quarantined").u64(v.corpus.quarantined);
+    w.key("roas").u64(v.corpus.roas);
+    w.end_object();
+    w.key("links_scored").u64(v.totals.total());
+    w.key("per_ixp").begin_array();
+    for (&ixp, c) in &v.per_ixp {
+        w.begin_object();
+        w.key("confirmed").u64(c.confirmed);
+        w.key("contradicted").u64(c.contradicted);
+        w.key("ixp").u64(ixp.0.into());
+        w.key("name").str(snap.name(ixp));
+        w.key("unknown").u64(c.unknown);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("reasons").begin_array();
+    for (reason, &count) in &v.reasons {
+        w.begin_object();
+        w.key("code").str(reason.code());
+        w.key("count").u64(count);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("totals").begin_object();
+    w.key("confirmed").u64(v.totals.confirmed);
+    w.key("contradicted").u64(v.totals.contradicted);
+    w.key("unknown").u64(v.totals.unknown);
+    w.end_object();
+    w.end_object();
+    w.finish()
 }
 
 /// Render one `/v1/ixp/{id}/links` body.
 pub(crate) fn render_ixp_links(snap: &Snapshot, ixp: IxpId) -> Vec<u8> {
-    let links: Vec<(u32, u32)> = snap
-        .links
-        .links_at(ixp)
-        .iter()
-        .map(|(a, b)| (a.value(), b.value()))
-        .collect();
-    report::to_json(&json!({
-        "id": ixp.0,
-        "name": snap.name(ixp),
-        "count": links.len(),
-        "links": links,
-    }))
-    .into_bytes()
+    let links = snap.links.links_at(ixp);
+    let mut w = JsonWriter::with_capacity(40 * links.len() + 128);
+    w.begin_object();
+    w.key("count").u64(links.len() as u64);
+    w.key("id").u64(ixp.0.into());
+    w.key("links").begin_array();
+    for &(a, b) in links {
+        w.begin_array();
+        w.u64(a.value().into()).u64(b.value().into());
+        w.end_array();
+    }
+    w.end_array();
+    w.key("name").str(snap.name(ixp));
+    w.end_object();
+    w.finish()
 }
 
 /// Render one `/v1/member/{asn}` body; `None` when the member has no
 /// inferred link anywhere (the 404 case).
 pub(crate) fn render_member(snap: &Snapshot, asn: Asn) -> Option<Vec<u8>> {
     let per_ixp = snap.index.member_links(asn)?;
-    let mut unique = std::collections::BTreeSet::new();
-    let rows: Vec<Value> = per_ixp
-        .iter()
-        .map(|(ixp, peers)| {
-            unique.extend(peers.iter().copied());
-            json!({
-                "ixp": ixp.0,
-                "name": snap.name(*ixp),
-                "peers": peers.iter().map(|p| p.value()).collect::<Vec<u32>>(),
-                "policy": snap.links.policies.get(&(*ixp, asn)),
-            })
-        })
-        .collect();
-    Some(
-        report::to_json(&json!({
-            "asn": asn.value(),
-            "ixps": rows,
-            "unique_peers": unique.len(),
-        }))
-        .into_bytes(),
-    )
+    let mut unique = BTreeSet::new();
+    let mut w = JsonWriter::with_capacity(1024);
+    w.begin_object();
+    w.key("asn").u64(asn.value().into());
+    w.key("ixps").begin_array();
+    for (&ixp, peers) in per_ixp {
+        unique.extend(peers.iter().copied());
+        w.begin_object();
+        w.key("ixp").u64(ixp.0.into());
+        w.key("name").str(snap.name(ixp));
+        w.key("peers").begin_array();
+        for peer in peers {
+            w.u64(peer.value().into());
+        }
+        w.end_array();
+        w.key("policy");
+        export_policy(&mut w, snap.links.policies.get(&(ixp, asn)));
+        w.end_object();
+    }
+    w.end_array();
+    w.key("unique_peers").u64(unique.len() as u64);
+    w.end_object();
+    Some(w.finish())
 }
 
 /// Render one `/v1/prefix/{p}` body.
 pub(crate) fn render_prefix(snap: &Snapshot, p: &Prefix) -> Vec<u8> {
     let m = snap.index.prefix_matches(p);
-    let render = |set: &std::collections::BTreeSet<mlpeer::index::Announcement>| {
-        set.iter()
-            .map(|(pfx, ixp, member)| {
-                json!({
-                    "prefix": pfx.to_string(),
-                    "ixp": ixp.0,
-                    "name": snap.name(*ixp),
-                    "member": member.value(),
-                })
-            })
-            .collect::<Vec<Value>>()
+    let announcements = |w: &mut JsonWriter, set: &BTreeSet<Announcement>| {
+        w.begin_array();
+        for &(pfx, ixp, member) in set {
+            w.begin_object();
+            w.key("ixp").u64(ixp.0.into());
+            w.key("member").u64(member.value().into());
+            w.key("name").str(snap.name(ixp));
+            w.key("prefix").display(pfx);
+            w.end_object();
+        }
+        w.end_array();
     };
-    report::to_json(&json!({
-        "prefix": p.to_string(),
-        "total": m.total(),
-        "exact": render(&m.exact),
-        "covering": render(&m.covering),
-        "covered": render(&m.covered),
-    }))
-    .into_bytes()
+    let mut w = JsonWriter::with_capacity(128 * m.total() + 128);
+    w.begin_object();
+    w.key("covered");
+    announcements(&mut w, &m.covered);
+    w.key("covering");
+    announcements(&mut w, &m.covering);
+    w.key("exact");
+    announcements(&mut w, &m.exact);
+    w.key("prefix").display(p);
+    w.key("total").u64(m.total() as u64);
+    w.end_object();
+    w.finish()
 }
 
 fn ixp_links(req: &Request, snap: &Arc<Snapshot>, rest: &str, etag: &str) -> Response {
@@ -573,97 +601,113 @@ fn stats_body(
     live: Option<&LiveStats>,
     reactor: Option<&ReactorStats>,
     dist: Option<&DistStats>,
-) -> Value {
+) -> Vec<u8> {
     use std::sync::atomic::Ordering;
     let p = &snap.passive_stats;
-    // Live-loop counters when live mode runs, JSON null otherwise.
-    let live_v = match live {
-        Some(l) => json!({
-            "ticks": l.ticks.load(Ordering::Relaxed),
-            "events": l.events.load(Ordering::Relaxed),
-            "published_epochs": l.published.load(Ordering::Relaxed),
-            "restarts": l.restarts.load(Ordering::Relaxed),
-        }),
-        None => Value::Null,
-    };
-    // Reactor counters when the reactor routes the request, null for
-    // a direct call to the router.
-    let reactor_v = match reactor {
-        Some(r) => json!({
-            "accepted": r.accepted(),
-            "open": r.open(),
-            "wakeups": r.wakeups(),
-            "writev_continuations": r.writev_continuations(),
-            "sse_subscribers": r.sse_subscribers(),
-            "idle_timeouts": r.idle_timeouts(),
-            "inflight": r.inflight(),
-            "shed": r.shed(),
-        }),
-        None => Value::Null,
-    };
+    let mut w = JsonWriter::with_capacity(2048);
+    w.begin_object();
+    w.key("announcements")
+        .u64(snap.index.announcement_count() as u64);
+    w.key("cache").begin_object();
+    w.key("bodies").u64(snap.cache.body_count() as u64);
+    w.key("bytes").u64(snap.cache.byte_len() as u64);
+    w.end_object();
     // Multi-process coordinator counters under `--workers=N`, null in
     // single-process boots.
-    let dist_v = match dist {
+    w.key("dist");
+    match dist.map(DistStats::snapshot) {
         Some(d) => {
-            let s = d.snapshot();
-            json!({
-                "procs": s.procs,
-                "spawned": s.spawned,
-                "retried": s.retried,
-                "timed_out": s.timed_out,
-                "degraded": s.degraded,
-                "deduped": s.deduped,
-                "frames": s.frames,
-                "bytes": s.bytes,
-            })
+            w.begin_object();
+            w.key("bytes").u64(d.bytes);
+            w.key("deduped").u64(d.deduped);
+            w.key("degraded").u64(d.degraded);
+            w.key("frames").u64(d.frames);
+            w.key("procs").u64(d.procs);
+            w.key("retried").u64(d.retried);
+            w.key("spawned").u64(d.spawned);
+            w.key("timed_out").u64(d.timed_out);
+            w.end_object();
         }
-        None => Value::Null,
-    };
-    json!({
-        "live": live_v,
-        "reactor": reactor_v,
-        "dist": dist_v,
-        "epoch": snap.epoch,
-        "etag": snap.etag,
-        "scale": snap.scale,
-        "seed": snap.seed,
-        "ixps": snap.names.len(),
-        "links_total": snap.index.links_total(),
-        "unique_links": snap.unique_link_count,
-        "distinct_asns": snap.distinct_asn_count,
-        "linked_members": snap.index.member_count(),
-        "indexed_prefixes": snap.index.prefix_count(),
-        "announcements": snap.index.announcement_count(),
-        "observations": snap.observation_count,
-        "cache": json!({
-            "bodies": snap.cache.body_count(),
-            "bytes": snap.cache.byte_len(),
-        }),
-        // Mirrors the `/v1/validate` totals so operational checks can
-        // cross-assert the two endpoints agree.
-        "validation": json!({
-            "confirmed": snap.validation.totals.confirmed,
-            "unknown": snap.validation.totals.unknown,
-            "contradicted": snap.validation.totals.contradicted,
-            "links_scored": snap.validation.totals.total(),
-        }),
-        "passive": json!({
-            "routes_seen": p.routes_seen,
-            "dropped_bogon": p.dropped_bogon,
-            "dropped_cycle": p.dropped_cycle,
-            "dropped_transient": p.dropped_transient,
-            "unidentified": p.unidentified,
-            "setter_unknown": p.setter_unknown,
-            "observations": p.observations,
-            "quarantined": p.quarantined,
-        }),
-        "server": json!({
-            "requests": stats.requests(),
-            "not_modified": stats.not_modified(),
-            "client_errors": stats.client_errors(),
-            "uptime_ms": stats.uptime_ms(),
-        }),
-    })
+        None => {
+            w.null();
+        }
+    }
+    w.key("distinct_asns").u64(snap.distinct_asn_count as u64);
+    w.key("epoch").u64(snap.epoch);
+    w.key("etag").str(&snap.etag);
+    w.key("indexed_prefixes")
+        .u64(snap.index.prefix_count() as u64);
+    w.key("ixps").u64(snap.names.len() as u64);
+    w.key("linked_members")
+        .u64(snap.index.member_count() as u64);
+    w.key("links_total").u64(snap.index.links_total() as u64);
+    // Live-loop counters when live mode runs, null otherwise.
+    w.key("live");
+    match live {
+        Some(l) => {
+            w.begin_object();
+            w.key("events").u64(l.events.load(Ordering::Relaxed));
+            w.key("published_epochs")
+                .u64(l.published.load(Ordering::Relaxed));
+            w.key("restarts").u64(l.restarts.load(Ordering::Relaxed));
+            w.key("ticks").u64(l.ticks.load(Ordering::Relaxed));
+            w.end_object();
+        }
+        None => {
+            w.null();
+        }
+    }
+    w.key("observations").u64(snap.observation_count as u64);
+    w.key("passive").begin_object();
+    w.key("dropped_bogon").u64(p.dropped_bogon as u64);
+    w.key("dropped_cycle").u64(p.dropped_cycle as u64);
+    w.key("dropped_transient").u64(p.dropped_transient as u64);
+    w.key("observations").u64(p.observations as u64);
+    w.key("quarantined").u64(p.quarantined as u64);
+    w.key("routes_seen").u64(p.routes_seen as u64);
+    w.key("setter_unknown").u64(p.setter_unknown as u64);
+    w.key("unidentified").u64(p.unidentified as u64);
+    w.end_object();
+    // Reactor counters when the reactor routes the request, null for
+    // a direct call to the router.
+    w.key("reactor");
+    match reactor {
+        Some(r) => {
+            w.begin_object();
+            w.key("accepted").u64(r.accepted());
+            w.key("idle_timeouts").u64(r.idle_timeouts());
+            w.key("inflight").u64(r.inflight());
+            w.key("open").u64(r.open());
+            w.key("shed").u64(r.shed());
+            w.key("sse_subscribers").u64(r.sse_subscribers());
+            w.key("wakeups").u64(r.wakeups());
+            w.key("writev_continuations").u64(r.writev_continuations());
+            w.end_object();
+        }
+        None => {
+            w.null();
+        }
+    }
+    w.key("scale").str(&snap.scale);
+    w.key("seed").u64(snap.seed);
+    w.key("server").begin_object();
+    w.key("client_errors").u64(stats.client_errors());
+    w.key("not_modified").u64(stats.not_modified());
+    w.key("requests").u64(stats.requests());
+    w.key("uptime_ms").u64(stats.uptime_ms());
+    w.end_object();
+    w.key("unique_links").u64(snap.unique_link_count as u64);
+    // Mirrors the `/v1/validate` totals so operational checks can
+    // cross-assert the two endpoints agree.
+    let v = &snap.validation.totals;
+    w.key("validation").begin_object();
+    w.key("confirmed").u64(v.confirmed);
+    w.key("contradicted").u64(v.contradicted);
+    w.key("links_scored").u64(v.total());
+    w.key("unknown").u64(v.unknown);
+    w.end_object();
+    w.end_object();
+    w.finish()
 }
 
 #[cfg(test)]

@@ -4,9 +4,12 @@
 //! content — the same property that makes the content ETag work — so
 //! rendering them per request is wasted work under read-heavy traffic.
 //! [`BodyCache`] renders every addressable body **once, when the
-//! snapshot is built** (`/v1/ixps`, every `/v1/ixp/{id}/links`, every
-//! linked `/v1/member/{asn}`, every *announced* `/v1/prefix/{p}`), and
-//! the request path becomes a lookup plus one memcpy into the response.
+//! snapshot is built** (`/v1/ixps`, `/v1/validate`, every
+//! `/v1/ixp/{id}/links`, every linked `/v1/member/{asn}`, every
+//! *announced* `/v1/prefix/{p}`) through the same `api::render_*`
+//! functions the live fallback calls, each writing its JSON straight
+//! into the body's buffer ([`crate::json::JsonWriter`]), and the
+//! request path becomes a lookup plus one memcpy into the response.
 //!
 //! Storage follows the repo's dense-id discipline
 //! ([`mlpeer::intern`]): member bodies sit in a flat `Vec` behind an
@@ -31,7 +34,7 @@
 //! ([`Snapshot::build_uncached_validated`]) — a per-link delta must
 //! not pay an O(corpus) render — and every endpoint falls back to
 //! rendering live on a cache miss, so an uncached snapshot serves
-//! identical bytes at pre-cache cost.
+//! identical bytes at the cost of one render per request.
 
 use std::sync::Arc;
 

@@ -13,9 +13,13 @@
 //!   never blocked or torn while a new epoch is published
 //!   (content-addressed ETag from deterministic JSON);
 //! * **publish-time body cache** — [`cache::BodyCache`]: every
-//!   snapshot-addressed GET body (ixps, per-IXP links, per-member,
-//!   announced prefixes) is rendered once when the snapshot is built,
-//!   so the 200 hot path is a lookup + memcpy instead of a JSON render;
+//!   snapshot-addressed GET body (ixps, validate, per-IXP links,
+//!   per-member, announced prefixes) is rendered once when a batch
+//!   snapshot is built, so the 200 hot path is a lookup + memcpy
+//!   instead of a JSON render;
+//! * **one JSON writer** — [`json::JsonWriter`] writes every served
+//!   body and the ETag corpus straight into bytes, in the canonical
+//!   pretty format, with no intermediate value tree;
 //! * **one HTTP/1.1 front end** — the epoll [`reactor`] (one event
 //!   loop per shard, vectored zero-copy writes, massive keep-alive
 //!   concurrency, push delivery for `/v1/changes`) behind a
@@ -55,6 +59,7 @@ pub mod delta;
 pub mod durable;
 pub mod health;
 pub mod http;
+pub mod json;
 pub mod live;
 pub mod loadgen;
 pub mod reactor;

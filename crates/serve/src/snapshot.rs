@@ -6,12 +6,13 @@
 //! mutates, so readers hold a consistent view for as long as they keep
 //! the `Arc`, across any number of store swaps.
 //!
-//! The **ETag is content-addressed**: a hash of the deterministic JSON
-//! rendering ([`mlpeer::report::to_json`], sorted keys) of the
-//! link set and announcement corpus. Two harvests that infer the same
-//! links produce the same ETag even across epochs and process restarts,
-//! so HTTP caches and `If-None-Match` revalidation survive refreshes
-//! that change nothing.
+//! The **ETag is content-addressed**: an FxHash of the canonical JSON
+//! of the link set and announcement corpus, written straight from them
+//! by [`crate::json::JsonWriter`] (the bytes `mlpeer::report::to_json`
+//! prints for the same pair, sorted keys and all). Two harvests that
+//! infer the same links produce the same ETag even across epochs and
+//! process restarts, so HTTP caches and `If-None-Match` revalidation
+//! survive refreshes that change nothing.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hasher;
@@ -21,11 +22,12 @@ use mlpeer::index::{Announcement, LinkIndex};
 use mlpeer::infer::{MlpLinkSet, Observation};
 use mlpeer::passive::PassiveStats;
 use mlpeer::pipeline::{self, PipelineRun, Scale};
-use mlpeer::report;
 use mlpeer::validate::cross::{validate_harvest, CorpusConfig, ValidationReport};
 use mlpeer_bgp::Asn;
 use mlpeer_ixp::ixp::IxpId;
 use mlpeer_ixp::Ecosystem;
+
+use crate::json::{export_policy, JsonWriter};
 
 /// One immutable, indexed view of the inference results.
 #[derive(Debug)]
@@ -292,16 +294,73 @@ fn content_etag(links: &MlpLinkSet, observations: &[Observation]) -> String {
 /// The same hash over an already-extracted corpus — shared by the
 /// build path (above) and the durable-store recovery path, so the two
 /// can never drift.
+///
+/// The corpus is the pair `(links, announcements)` in the serde
+/// derive's shapes:
+/// `[{"covered": …, "per_ixp": …, "policies": …}, [[prefix, ixp, asn], …]]`.
+/// It streams through a bounded buffer: every [`ETAG_FLUSH`] bytes the
+/// writer hands its whole 8-byte words to the hasher, which gives the
+/// hash of the document in one piece because `FxHasher::write` pads
+/// only the last partial word of each call.
 pub(crate) fn etag_of(links: &MlpLinkSet, announcements: &BTreeSet<Announcement>) -> String {
-    let announcements: Vec<(String, u16, u32)> = announcements
-        .iter()
-        .map(|&(p, ixp, asn)| (p.to_string(), ixp.0, asn.value()))
-        .collect();
-    let corpus = report::to_json(&(links, &announcements));
     let mut h = FxHasher::default();
-    h.write(corpus.as_bytes());
+    let mut w = JsonWriter::with_capacity(ETAG_FLUSH + 1024);
+    let mut flush = |w: &mut JsonWriter| {
+        if w.as_bytes().len() >= ETAG_FLUSH {
+            w.drain_words(|words| h.write(words));
+        }
+    };
+    w.begin_array();
+    w.begin_object();
+    w.key("covered").begin_array();
+    for (&ixp, members) in &links.covered {
+        w.begin_array().u64(ixp.0.into()).begin_array();
+        for asn in members {
+            w.u64(asn.value().into());
+        }
+        w.end_array().end_array();
+        flush(&mut w);
+    }
+    w.end_array();
+    w.key("per_ixp").begin_array();
+    for (&ixp, pairs) in &links.per_ixp {
+        w.begin_array().u64(ixp.0.into()).begin_array();
+        for &(a, b) in pairs {
+            w.begin_array();
+            w.u64(a.value().into()).u64(b.value().into());
+            w.end_array();
+            flush(&mut w);
+        }
+        w.end_array().end_array();
+    }
+    w.end_array();
+    w.key("policies").begin_array();
+    for (&(ixp, asn), policy) in &links.policies {
+        w.begin_array().begin_array();
+        w.u64(ixp.0.into()).u64(asn.value().into());
+        w.end_array();
+        export_policy(&mut w, Some(policy));
+        w.end_array();
+        flush(&mut w);
+    }
+    w.end_array();
+    w.end_object();
+    w.begin_array();
+    for &(prefix, ixp, asn) in announcements {
+        w.begin_array();
+        w.display(prefix).u64(ixp.0.into()).u64(asn.value().into());
+        w.end_array();
+        flush(&mut w);
+    }
+    w.end_array();
+    w.end_array();
+    h.write(&w.finish());
     format!("{:016x}", h.finish())
 }
+
+/// Bytes the ETag writer buffers before it hashes them: small enough
+/// to stay in cache, large enough that draining is rare.
+const ETAG_FLUSH: usize = 32 * 1024;
 
 #[cfg(test)]
 mod tests {

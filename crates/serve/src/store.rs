@@ -17,16 +17,37 @@
 //!
 //! [`publish`]: SnapshotStore::publish
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mlpeer::live::LinkDelta;
 
 use crate::delta::ChangeLog;
+use crate::health::DURABLE_BREAKER_THRESHOLD;
 use crate::snapshot::Snapshot;
 
 /// A registered publish observer (see [`SnapshotStore::on_publish`]).
 type PublishHook = Box<dyn Fn(u64) + Send + Sync>;
+
+/// Published epochs whose durable append failed, oldest first, waiting
+/// to land in the log (see [`SnapshotStore::persist_published`]).
+type Parked = Arc<Mutex<VecDeque<(Arc<Snapshot>, Option<LinkDelta>)>>>;
+
+/// Park a failed epoch behind the ones already waiting, keeping at most
+/// [`DURABLE_BREAKER_THRESHOLD`] of them: beyond that the breaker is
+/// open, and the newest epochs matter most (recent `?at=` and `since`
+/// queries ask for them), so the oldest parked one is dropped.
+fn park(
+    parked: &mut VecDeque<(Arc<Snapshot>, Option<LinkDelta>)>,
+    snapshot: &Arc<Snapshot>,
+    delta: Option<&LinkDelta>,
+) {
+    if parked.len() >= DURABLE_BREAKER_THRESHOLD as usize {
+        parked.pop_front();
+    }
+    parked.push_back((Arc::clone(snapshot), delta.cloned()));
+}
 
 /// Default [`ChangeLog`] depth: how many epochs back `/v1/changes` can
 /// answer before signalling a full resync.
@@ -56,12 +77,11 @@ pub struct SnapshotStore {
     /// Degradation registry behind `/readyz`: the durability breaker,
     /// supervisor flags, and the drain flag all live here.
     health: Arc<crate::health::HealthState>,
-    /// The newest epoch that failed to persist while the durability
-    /// breaker is open, kept for the recovery probe to catch up with.
-    /// `Arc`-wrapped so the probe thread can share it without owning
-    /// the store.
-    #[allow(clippy::type_complexity)]
-    pending_persist: Arc<Mutex<Option<(Arc<Snapshot>, Option<LinkDelta>)>>>,
+    /// Epochs that failed to persist, oldest first: the next publish
+    /// lands them before its own epoch, or, once the durability breaker
+    /// is open, the recovery probe does. `Arc`-wrapped so the probe
+    /// thread can share it without owning the store.
+    pending_persist: Parked,
 }
 
 impl SnapshotStore {
@@ -91,7 +111,7 @@ impl SnapshotStore {
             hooks: Mutex::new(Vec::new()),
             durable: std::sync::OnceLock::new(),
             health: crate::health::HealthState::new(),
-            pending_persist: Arc::new(Mutex::new(None)),
+            pending_persist: Arc::new(Mutex::new(VecDeque::new())),
         })
     }
 
@@ -129,8 +149,11 @@ impl SnapshotStore {
                      durability breaker OPEN, probing for recovery",
                     current.epoch
                 );
-                *self.pending_persist.lock().expect("pending lock") =
-                    Some((Arc::clone(&current), None));
+                park(
+                    &mut self.pending_persist.lock().expect("pending lock"),
+                    &current,
+                    None,
+                );
                 if self.health.trip_durable_breaker() {
                     spawn_durable_probe(
                         attached,
@@ -152,45 +175,62 @@ impl SnapshotStore {
     /// Append a freshly published epoch to the attached log (called
     /// with the swap lock held). Failures degrade durability, not
     /// availability: the epoch still serves, the error is reported, and
-    /// [`crate::health::DURABLE_BREAKER_THRESHOLD`] consecutive
-    /// failures trip the read-only-durability breaker — the publish
-    /// path stops attempting appends (keeping publishes fast under a
-    /// dead disk) and a background probe retries with exponential
-    /// backoff until the log answers again, catching it up to the
-    /// newest epoch and closing the breaker.
+    /// the epoch parks. The next publish appends the parked epochs,
+    /// oldest first, before its own, so one failed append leaves no
+    /// hole in the log and the log stays in epoch order. When
+    /// [`DURABLE_BREAKER_THRESHOLD`] epochs are parked the
+    /// read-only-durability breaker trips: the publish path stops attempting appends (keeping
+    /// publishes fast under a dead disk) and a background probe retries
+    /// with exponential backoff until the log answers again, landing
+    /// the parked epochs and closing the breaker.
     fn persist_published(&self, snapshot: &Arc<Snapshot>, delta: Option<&LinkDelta>) {
         let Some(durable) = self.durable.get() else {
             return;
         };
+        // The probe checks for an empty queue and closes the breaker
+        // under this lock, so parking here cannot slip between them.
+        let mut parked = self.pending_persist.lock().expect("pending lock");
         if self.health.durable_breaker_open() {
-            // Read-only durability: remember the newest epoch for the
-            // probe instead of hammering a failing disk per publish.
-            *self.pending_persist.lock().expect("pending lock") =
-                Some((Arc::clone(snapshot), delta.cloned()));
+            // Read-only durability: leave the epoch for the probe
+            // instead of hammering a failing disk per publish.
+            park(&mut parked, snapshot, delta);
             return;
         }
-        match durable.append_epoch(snapshot, delta) {
-            Ok(()) => self.health.record_durable_success(),
-            Err(err) => {
-                eprintln!(
-                    "mlpeer-serve: failed to persist epoch {}: {err}",
-                    snapshot.epoch
-                );
-                *self.pending_persist.lock().expect("pending lock") =
-                    Some((Arc::clone(snapshot), delta.cloned()));
-                if self.health.record_durable_failure() {
-                    eprintln!(
-                        "mlpeer-serve: durability breaker OPEN after {} consecutive \
-                         append failures; serving read-only durability, probing for recovery",
-                        crate::health::DURABLE_BREAKER_THRESHOLD
-                    );
-                    spawn_durable_probe(
-                        Arc::clone(durable),
-                        Arc::clone(&self.health),
-                        Arc::clone(&self.pending_persist),
-                    );
-                }
+        let mut failed = None;
+        while let Some((parked_snap, parked_delta)) = parked.front() {
+            if let Err(err) = durable.append_epoch(parked_snap, parked_delta.as_ref()) {
+                failed = Some((parked_snap.epoch, err));
+                break;
             }
+            parked.pop_front();
+            self.health.record_durable_success();
+        }
+        let failed = failed.or_else(|| {
+            let err = durable.append_epoch(snapshot, delta).err()?;
+            Some((snapshot.epoch, err))
+        });
+        let Some((epoch, err)) = failed else {
+            self.health.record_durable_success();
+            return;
+        };
+        eprintln!("mlpeer-serve: failed to persist epoch {epoch}: {err}");
+        park(&mut parked, snapshot, delta);
+        let tripped = if parked.len() >= DURABLE_BREAKER_THRESHOLD as usize {
+            self.health.trip_durable_breaker()
+        } else {
+            self.health.record_durable_failure()
+        };
+        if tripped {
+            eprintln!(
+                "mlpeer-serve: durability breaker OPEN with {} epochs unpersisted; \
+                 serving read-only durability, probing for recovery",
+                parked.len()
+            );
+            spawn_durable_probe(
+                Arc::clone(durable),
+                Arc::clone(&self.health),
+                Arc::clone(&self.pending_persist),
+            );
         }
     }
 
@@ -301,20 +341,20 @@ impl SnapshotStore {
 }
 
 /// The durability recovery probe: spawned once when the breaker trips
-/// (the [`HealthState`] probe slot makes it exclusive), retries the
-/// newest failed epoch with exponential backoff — 50 ms doubling to a
-/// 2 s cap — and closes the breaker once an append lands. It then
-/// drains any epoch published *during* the retry before exiting, so
-/// the log always catches up to the newest snapshot without waiting
-/// for the next publish. Owns only `Arc`s (log, health, the pending
-/// slot), never the store, so it cannot keep a dropped store alive.
+/// (the [`HealthState`] probe slot makes it exclusive), appends the
+/// parked epochs oldest first, retrying a failing one with exponential
+/// backoff — 50 ms doubling to a 2 s cap — and closes the breaker once
+/// the queue is empty. Epochs parked *during* the retry land too before
+/// it exits, so the log catches up to the newest snapshot without
+/// waiting for the next publish. Owns only `Arc`s (log, health, the
+/// parked queue), never the store, so it cannot keep a dropped store
+/// alive.
 ///
 /// [`HealthState`]: crate::health::HealthState
-#[allow(clippy::type_complexity)]
 fn spawn_durable_probe(
     durable: Arc<crate::durable::DurableStore>,
     health: Arc<crate::health::HealthState>,
-    pending: Arc<Mutex<Option<(Arc<Snapshot>, Option<LinkDelta>)>>>,
+    pending: Parked,
 ) {
     if !health.claim_probe() {
         return;
@@ -324,13 +364,22 @@ fn spawn_durable_probe(
         .name("mlpeer-serve-durable-probe".into())
         .spawn(move || {
             let health = thread_health;
-            let mut backoff = std::time::Duration::from_millis(50);
+            const FIRST: std::time::Duration = std::time::Duration::from_millis(50);
+            let mut backoff = FIRST;
             loop {
                 std::thread::sleep(backoff);
-                let Some((snap, delta)) = pending.lock().expect("pending lock").clone() else {
-                    // Nothing left to persist: recovered.
-                    health.record_durable_success();
-                    break;
+                let (snap, delta) = {
+                    let parked = pending.lock().expect("pending lock");
+                    let Some(front) = parked.front() else {
+                        // Nothing left to persist: recovered. The slot
+                        // is freed and the breaker closed under the
+                        // lock, so a publish that parks or trips next
+                        // sees both, and can start a new probe.
+                        health.release_probe();
+                        health.record_durable_success();
+                        break;
+                    };
+                    front.clone()
                 };
                 let result = if durable.latest_epoch().is_some_and(|l| l >= snap.epoch) {
                     Ok(()) // someone already persisted it
@@ -339,25 +388,24 @@ fn spawn_durable_probe(
                 };
                 match result {
                     Ok(()) => {
-                        let mut slot = pending.lock().expect("pending lock");
-                        if slot.as_ref().is_some_and(|(s, _)| s.epoch <= snap.epoch) {
-                            *slot = None;
+                        let mut parked = pending.lock().expect("pending lock");
+                        // A publish may have dropped it from a full
+                        // queue meanwhile; only pop what just landed.
+                        if parked.front().is_some_and(|(s, _)| s.epoch == snap.epoch) {
+                            parked.pop_front();
                         }
-                        // Loop once more: a newer epoch may have landed
-                        // in the slot while we were appending.
-                        backoff = std::time::Duration::from_millis(50);
+                        backoff = std::time::Duration::ZERO;
                     }
                     Err(err) => {
                         eprintln!(
                             "mlpeer-serve: durability probe: epoch {} still failing: {err}",
                             snap.epoch
                         );
-                        backoff = (backoff * 2).min(std::time::Duration::from_secs(2));
+                        backoff = (backoff * 2).clamp(FIRST, std::time::Duration::from_secs(2));
                     }
                 }
             }
             eprintln!("mlpeer-serve: durability breaker CLOSED; epoch log caught up");
-            health.release_probe();
         });
     if spawned.is_err() {
         health.release_probe();

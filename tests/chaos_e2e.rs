@@ -12,10 +12,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use mlpeer::infer::MlpLinkSet;
+use mlpeer::live::LinkDelta;
+use mlpeer::passive::PassiveStats;
+use mlpeer::validate::cross::ValidationReport;
 use mlpeer_bench::Scale;
+use mlpeer_bgp::Asn;
 use mlpeer_data::churn::ChurnConfig;
 use mlpeer_dist::{default_worker_cmd, DistConfig, DistStats};
-use mlpeer_ixp::{Ecosystem, EcosystemConfig};
+use mlpeer_ixp::{Ecosystem, EcosystemConfig, IxpId};
 use mlpeer_serve::{
     bootstrap, spawn_live_refresher, DurableStore, LiveConfig, LiveStats, Snapshot, SnapshotStore,
 };
@@ -122,6 +127,72 @@ fn store_append_failure_degrades_then_probe_recovers() {
     });
     assert_eq!(faulty.health().status(), "ready");
     assert!(faulty.health().durable_recoveries() >= 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The snapshot published as epoch `e` in
+/// [`intermittent_append_failures_leave_no_gap_in_the_log`]: links
+/// `(k, 1000 + k)` for `k` in `1..=e` at one IXP, so every epoch has
+/// its own ETag and epoch `e`'s delta adds exactly link `e`.
+fn epoch_snapshot(e: u64) -> Snapshot {
+    let mut links = MlpLinkSet::default();
+    let pairs = (1..=e as u32).map(|k| (Asn(k), Asn(1000 + k))).collect();
+    links.per_ixp.insert(IxpId(0), pairs);
+    Snapshot::build_uncached_validated(
+        "tiny",
+        e,
+        [(IxpId(0), "IX".to_string())].into(),
+        links,
+        &[],
+        PassiveStats::default(),
+        ValidationReport::default(),
+    )
+}
+
+/// Every other durable append failing never trips the breaker (a
+/// success always follows a failure), so only the publish path can
+/// land the failed epochs: it appends them, oldest first, before its
+/// own. Every epoch but possibly the newest revives from the log, and
+/// the stored deltas fold from genesis to the newest landed epoch.
+#[test]
+fn intermittent_append_failures_leave_no_gap_in_the_log() {
+    let _guard = chaos_guard();
+    let dir = temp_dir("intermittent");
+    let durable = Arc::new(DurableStore::open(&dir).unwrap());
+    let store = SnapshotStore::new(epoch_snapshot(0));
+    store.attach_durable(Arc::clone(&durable)).unwrap();
+    assert_eq!(durable.latest_epoch(), Some(0), "boot epoch lands");
+
+    failpoints::cfg("serve::durable_append", "1in(2)").unwrap();
+    let mut etags = vec![store.load().etag.clone()];
+    for e in 1..=20u64 {
+        let link = (IxpId(0), Asn(e as u32), Asn(1000 + e as u32));
+        let delta = LinkDelta {
+            added: vec![link],
+            removed: vec![],
+        };
+        assert_eq!(store.publish_with_delta(epoch_snapshot(e), delta), e);
+        etags.push(store.load().etag.clone());
+    }
+    assert!(failpoints::hits("serve::durable_append") >= 20);
+    failpoints::remove("serve::durable_append");
+
+    let newest = durable.latest_epoch().expect("log has epochs");
+    assert!(newest >= 19, "newest landed epoch {newest}");
+    for (e, etag) in etags.iter().enumerate() {
+        match durable.snapshot_at(e as u64) {
+            Some(revived) => assert_eq!(&revived.etag, etag, "epoch {e} revives"),
+            None => assert!(
+                e == 20 && newest == 19,
+                "epoch {e} is missing from the log (newest landed {newest})"
+            ),
+        }
+    }
+    let (added, removed) = durable
+        .fold_since(0, newest)
+        .expect("stored deltas cover every epoch from genesis");
+    assert_eq!(added.len() as u64, newest, "one added link per epoch");
+    assert!(removed.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
