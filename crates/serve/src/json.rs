@@ -204,7 +204,9 @@ impl JsonWriter {
         self
     }
 
-    /// An unsigned integer.
+    /// An unsigned integer. (The `Value` tree held integers as `i64`
+    /// and printed values above `i64::MAX` wrapped negative; no served
+    /// count or epoch comes near that, and here they print as they are.)
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.prefix();
         write_u64(&mut self.out, v);
