@@ -179,10 +179,11 @@ impl SnapshotStore {
     /// oldest first, before its own, so one failed append leaves no
     /// hole in the log and the log stays in epoch order. When
     /// [`DURABLE_BREAKER_THRESHOLD`] epochs are parked the
-    /// read-only-durability breaker trips: the publish path stops attempting appends (keeping
-    /// publishes fast under a dead disk) and a background probe retries
-    /// with exponential backoff until the log answers again, landing
-    /// the parked epochs and closing the breaker.
+    /// read-only-durability breaker trips: the publish path stops
+    /// attempting appends (keeping publishes fast under a dead disk)
+    /// and a background probe retries with exponential backoff until
+    /// the log answers again, landing the parked epochs and closing
+    /// the breaker.
     fn persist_published(&self, snapshot: &Arc<Snapshot>, delta: Option<&LinkDelta>) {
         let Some(durable) = self.durable.get() else {
             return;
