@@ -23,10 +23,6 @@
 //!   routing data.
 //! * [`mrt`] — an MRT-inspired archive format for collector RIB dumps
 //!   and update streams, mirroring what Route Views / RIPE RIS publish.
-//! * [`view`] — the zero-copy counterpart: [`view::MrtBytes`] validates
-//!   a wire-encoded archive once and serves borrowed [`view::RouteView`]s
-//!   off the byte arena, so batch harvests decode without per-route
-//!   allocation.
 //! * [`stream`] — time-stepped BGP message streams ([`stream::TimedMessage`],
 //!   [`stream::UpdateStream`]) carrying the OPEN/UPDATE/NOTIFICATION
 //!   traffic live mode folds incrementally (member churn, §5.1).
@@ -48,7 +44,6 @@ pub mod rib;
 pub mod route;
 pub mod stream;
 pub mod update;
-pub mod view;
 pub mod wire;
 
 pub use asn::Asn;
@@ -59,9 +54,3 @@ pub use prefix::Prefix;
 pub use rib::{Rib, RibEntry};
 pub use route::{Announcement, Origin, RouteAttrs};
 pub use update::{BgpMessage, UpdateMessage};
-pub use view::{LossyReport, MrtBytes, RibCursor, RouteView, UpdateCursor};
-
-// `Bytes` appears in public signatures (`MrtBytes::new`,
-// `MrtBytes::validate_lossy`); re-export it so consumers need no
-// direct `bytes` dependency.
-pub use bytes::Bytes;

@@ -65,9 +65,9 @@ pub struct MrtArchive {
     pub updates: Vec<MrtUpdate>,
 }
 
-pub(crate) const REC_PEER_TABLE: u16 = 1;
-pub(crate) const REC_RIB_ENTRY: u16 = 2;
-pub(crate) const REC_UPDATE: u16 = 3;
+const REC_PEER_TABLE: u16 = 1;
+const REC_RIB_ENTRY: u16 = 2;
+const REC_UPDATE: u16 = 3;
 
 impl MrtArchive {
     /// New empty archive.

@@ -37,21 +37,19 @@ const TYPE_UPDATE: u8 = 2;
 const TYPE_NOTIFICATION: u8 = 3;
 const TYPE_KEEPALIVE: u8 = 4;
 
-pub(crate) const TYPE_UPDATE_CODE: u8 = TYPE_UPDATE;
-
-pub(crate) const ATTR_ORIGIN: u8 = 1;
-pub(crate) const ATTR_AS_PATH: u8 = 2;
-pub(crate) const ATTR_NEXT_HOP: u8 = 3;
-pub(crate) const ATTR_MED: u8 = 4;
-pub(crate) const ATTR_LOCAL_PREF: u8 = 5;
-pub(crate) const ATTR_COMMUNITIES: u8 = 8;
+const ATTR_ORIGIN: u8 = 1;
+const ATTR_AS_PATH: u8 = 2;
+const ATTR_NEXT_HOP: u8 = 3;
+const ATTR_MED: u8 = 4;
+const ATTR_LOCAL_PREF: u8 = 5;
+const ATTR_COMMUNITIES: u8 = 8;
 
 const FLAG_OPTIONAL: u8 = 0x80;
 const FLAG_TRANSITIVE: u8 = 0x40;
-pub(crate) const FLAG_EXTENDED: u8 = 0x10;
+const FLAG_EXTENDED: u8 = 0x10;
 
-pub(crate) const SEG_SET: u8 = 1;
-pub(crate) const SEG_SEQUENCE: u8 = 2;
+const SEG_SET: u8 = 1;
+const SEG_SEQUENCE: u8 = 2;
 
 /// Encode a message, appending the full frame (header + body) to `dst`.
 pub fn encode_message(msg: &BgpMessage, dst: &mut BytesMut) {

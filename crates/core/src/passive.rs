@@ -12,22 +12,14 @@
 //! shard folding into its own sink ([`MergeSink`]) and
 //! [`PassiveStats`], and the shard states merge — commutatively for
 //! stats and inference state, in collector order for collected
-//! observation vectors — to exactly the serial result. On a single
-//! thread the sharded entry points fall back to the serial fold
-//! directly: shard/merge overhead cannot be amortized without
+//! observation vectors — to exactly the serial [`harvest_passive`]
+//! result. On a single thread the sharded entry point runs the serial
+//! fold directly: shard/merge overhead cannot be amortized without
 //! parallelism (the `BENCH_passive.json` regression this fixes).
 //!
-//! Two input shapes share one route processor:
-//!
-//! * **structs** — [`harvest_passive`] walks decoded
-//!   [`MrtArchive`]s (`MrtRibEntry` / `RouteAttrs` per route);
-//! * **views** — [`harvest_passive_bytes`] walks wire-encoded
-//!   [`PassiveBytes`] through zero-copy cursors
-//!   ([`mlpeer_bgp::view::MrtBytes`]), reusing per-harvest scratch
-//!   buffers so the hot loop allocates nothing per route. The two paths
-//!   are byte-identical — same observations, same stats, any thread or
-//!   chunk count — asserted by the `*_matches_struct` tests here and
-//!   the ecosystem-scale checks in `tests/columnar_equivalence.rs`.
+//! Both walk the decoded [`MrtArchive`]s of a [`PassiveDataset`]
+//! (`MrtRibEntry` / `RouteAttrs` per route) through one route
+//! processor.
 //!
 //! Setter pin-pointing follows §4.2's three cases, given the IXP's
 //! known members on the path:
@@ -40,15 +32,14 @@
 use std::ops::{Add, AddAssign};
 
 use mlpeer_bgp::mrt::MrtArchive;
-use mlpeer_bgp::view::{MrtBytes, RibCursor};
-use mlpeer_bgp::{Asn, CommunitySet, Prefix};
+use mlpeer_bgp::{Asn, Prefix};
 use mlpeer_ixp::ixp::IxpId;
 use mlpeer_ixp::scheme::RsAction;
 use mlpeer_topo::infer::InferredRelationships;
 use mlpeer_topo::relationship::Relationship;
 use rayon::prelude::*;
 
-use mlpeer_data::collector::{PassiveBytes, PassiveDataset};
+use mlpeer_data::collector::PassiveDataset;
 
 use crate::connectivity::ConnectivityData;
 use crate::dict::CommunityDictionary;
@@ -91,8 +82,11 @@ pub struct PassiveStats {
     pub setter_unknown: usize,
     /// Observations emitted.
     pub observations: usize,
-    /// Corrupt MRT records quarantined by the lossy ingest path
-    /// ([`harvest_passive_bytes_lossy`]); zero on the strict paths.
+    /// Corrupt MRT records quarantined. No harvest sets it, so it is
+    /// always 0: every harvest walks decoded archives, which hold no
+    /// corrupt records. It stays because the epoch log's record v3,
+    /// the multi-process wire format and `/v1/stats` all carry it, so
+    /// dropping it is a format change.
     pub quarantined: usize,
 }
 
@@ -198,17 +192,14 @@ pub fn harvest_passive_sharded<S>(
 where
     S: ObservationSink + MergeSink + Default + Send,
 {
-    let index = MemberIndex::build(conn);
     // One worker means the fan-out can only add shard/merge overhead
     // (BENCH_passive measured 0.92x at 1 thread): take the serial path.
     if rayon::current_num_threads() <= 1 {
         let mut sink = S::default();
-        let mut stats = PassiveStats::default();
-        for (_, archive) in &dataset.collectors {
-            harvest_archive(archive, dict, &index, rels, cfg, &mut sink, &mut stats);
-        }
+        let stats = harvest_passive(dataset, dict, conn, rels, cfg, &mut sink);
         return (sink, stats);
     }
+    let index = MemberIndex::build(conn);
     // ~4 chunks per worker balances stragglers without drowning in
     // merge overhead; chunking never changes the merged result. The
     // floor keeps chunks big enough that per-shard sink setup and the
@@ -361,289 +352,6 @@ pub fn harvest_passive_units<S: ObservationSink>(
         }
     }
     stats
-}
-
-/// Per-harvest scratch reused across every route of the view-based
-/// path, so the hot loop performs no allocation after warm-up.
-#[derive(Debug, Default)]
-struct RouteScratch {
-    path: Vec<Asn>,
-    communities: CommunitySet,
-}
-
-/// Run the passive pipeline over the **columnar** dataset: wire-encoded
-/// archives walked through zero-copy cursors, no per-route heap
-/// structures. Byte-identical to [`harvest_passive`] over the decoded
-/// struct form of the same bytes.
-pub fn harvest_passive_bytes<S: ObservationSink>(
-    data: &PassiveBytes,
-    dict: &CommunityDictionary,
-    conn: &ConnectivityData,
-    rels: &InferredRelationships,
-    cfg: &PassiveConfig,
-    sink: &mut S,
-) -> PassiveStats {
-    let index = MemberIndex::build(conn);
-    let mut stats = PassiveStats::default();
-    let mut scratch = RouteScratch::default();
-    for (_, archive) in &data.collectors {
-        harvest_archive_views(
-            archive,
-            dict,
-            &index,
-            rels,
-            cfg,
-            sink,
-            &mut stats,
-            &mut scratch,
-        );
-    }
-    stats
-}
-
-/// Degraded-mode ingest: validate each collector's **raw wire bytes**
-/// lossily ([`MrtBytes::validate_lossy`]), quarantining corrupt
-/// records instead of failing the harvest, then run the view-based
-/// pipeline over what survived. Dropped records are tallied in
-/// [`PassiveStats::quarantined`] (a truncated tail counts as one);
-/// on clean input this is byte-identical to
-/// [`harvest_passive_bytes`] with `quarantined == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn harvest_passive_bytes_lossy<S: ObservationSink>(
-    collectors: &[(String, mlpeer_bgp::Bytes)],
-    dict: &CommunityDictionary,
-    conn: &ConnectivityData,
-    rels: &InferredRelationships,
-    cfg: &PassiveConfig,
-    sink: &mut S,
-) -> PassiveStats {
-    let index = MemberIndex::build(conn);
-    let mut stats = PassiveStats::default();
-    let mut scratch = RouteScratch::default();
-    for (_, wire) in collectors {
-        let (archive, report) = MrtBytes::validate_lossy(wire.clone());
-        stats.quarantined +=
-            (report.quarantined + u64::from(report.truncated_tail_bytes > 0)) as usize;
-        harvest_archive_views(
-            &archive,
-            dict,
-            &index,
-            rels,
-            cfg,
-            sink,
-            &mut stats,
-            &mut scratch,
-        );
-    }
-    stats
-}
-
-/// One unit of sharded work over the columnar dataset: a RIB
-/// record-index range, or a collector's whole update stream (transient
-/// filtering pairs announcements with their withdrawals).
-enum ByteShardUnit<'a> {
-    Rib {
-        archive: &'a MrtBytes,
-        start: usize,
-        end: usize,
-    },
-    Updates(&'a MrtBytes),
-}
-
-/// The sharded counterpart of [`harvest_passive_bytes`]: record-index
-/// ranges fan out across threads (splitting a cursor range never
-/// touches the arena), merging to exactly the serial result. Falls
-/// back to the serial fold on a single thread, like
-/// [`harvest_passive_sharded`].
-pub fn harvest_passive_bytes_sharded<S>(
-    data: &PassiveBytes,
-    dict: &CommunityDictionary,
-    conn: &ConnectivityData,
-    rels: &InferredRelationships,
-    cfg: &PassiveConfig,
-) -> (S, PassiveStats)
-where
-    S: ObservationSink + MergeSink + Default + Send,
-{
-    let index = MemberIndex::build(conn);
-    if rayon::current_num_threads() <= 1 {
-        let mut sink = S::default();
-        let mut stats = PassiveStats::default();
-        let mut scratch = RouteScratch::default();
-        for (_, archive) in &data.collectors {
-            harvest_archive_views(
-                archive,
-                dict,
-                &index,
-                rels,
-                cfg,
-                &mut sink,
-                &mut stats,
-                &mut scratch,
-            );
-        }
-        return (sink, stats);
-    }
-    let chunk_len = shard_chunk_len(data.rib_len());
-    let mut units: Vec<ByteShardUnit<'_>> = Vec::new();
-    for (_, archive) in &data.collectors {
-        let mut start = 0;
-        while start < archive.rib_len() {
-            let end = (start + chunk_len).min(archive.rib_len());
-            units.push(ByteShardUnit::Rib {
-                archive,
-                start,
-                end,
-            });
-            start = end;
-        }
-        if archive.update_len() > 0 {
-            units.push(ByteShardUnit::Updates(archive));
-        }
-    }
-    units
-        .par_iter()
-        .map(|unit| {
-            let mut sink = S::default();
-            let mut stats = PassiveStats::default();
-            let mut scratch = RouteScratch::default();
-            match unit {
-                ByteShardUnit::Rib {
-                    archive,
-                    start,
-                    end,
-                } => process_rib_views(
-                    archive.rib_range(*start, *end),
-                    dict,
-                    &index,
-                    rels,
-                    &mut sink,
-                    &mut stats,
-                    &mut scratch,
-                ),
-                ByteShardUnit::Updates(archive) => process_update_views(
-                    archive,
-                    dict,
-                    &index,
-                    rels,
-                    cfg,
-                    &mut sink,
-                    &mut stats,
-                    &mut scratch,
-                ),
-            }
-            (sink, stats)
-        })
-        .reduce(
-            || (S::default(), PassiveStats::default()),
-            |(mut sink, mut stats), (shard_sink, shard_stats)| {
-                sink.merge(shard_sink);
-                stats.merge(&shard_stats);
-                (sink, stats)
-            },
-        )
-}
-
-/// One shard: every route of one collector's columnar archive.
-#[allow(clippy::too_many_arguments)]
-fn harvest_archive_views<S: ObservationSink>(
-    archive: &MrtBytes,
-    dict: &CommunityDictionary,
-    index: &MemberIndex,
-    rels: &InferredRelationships,
-    cfg: &PassiveConfig,
-    sink: &mut S,
-    stats: &mut PassiveStats,
-    scratch: &mut RouteScratch,
-) {
-    process_rib_views(
-        archive.rib_cursor(),
-        dict,
-        index,
-        rels,
-        sink,
-        stats,
-        scratch,
-    );
-    process_update_views(archive, dict, index, rels, cfg, sink, stats, scratch);
-}
-
-/// RIB record views: the allocation-free hot loop. Path and community
-/// decode go into the reused scratch buffers; the shared
-/// [`process_route`] keeps the two input shapes byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn process_rib_views<S: ObservationSink>(
-    cursor: RibCursor<'_>,
-    dict: &CommunityDictionary,
-    index: &MemberIndex,
-    rels: &InferredRelationships,
-    sink: &mut S,
-    stats: &mut PassiveStats,
-    scratch: &mut RouteScratch,
-) {
-    for view in cursor {
-        stats.routes_seen += 1;
-        view.path_dedup_into(&mut scratch.path);
-        view.communities_into(&mut scratch.communities);
-        process_route(
-            &scratch.path,
-            &scratch.communities,
-            view.prefix(),
-            dict,
-            index,
-            rels,
-            sink,
-            stats,
-        );
-    }
-}
-
-/// The update stream through views, with transient filtering — the
-/// mirror of [`process_update_stream`] (stable announcements must
-/// materialize into the pending map either way; per-route decode still
-/// reads the arena in place).
-#[allow(clippy::too_many_arguments)]
-fn process_update_views<S: ObservationSink>(
-    archive: &MrtBytes,
-    dict: &CommunityDictionary,
-    index: &MemberIndex,
-    rels: &InferredRelationships,
-    cfg: &PassiveConfig,
-    sink: &mut S,
-    stats: &mut PassiveStats,
-    scratch: &mut RouteScratch,
-) {
-    let mut pending: FxHashMap<(u16, Prefix), PendingRoute> = FxHashMap::default();
-    for view in archive.update_cursor() {
-        for w in view.withdrawn() {
-            if let Some((t0, _, _)) = pending.get(&(view.peer_index(), w)) {
-                if view.timestamp().saturating_sub(*t0) < cfg.transient_secs {
-                    pending.remove(&(view.peer_index(), w));
-                    stats.dropped_transient += 1;
-                }
-            }
-        }
-        if view.has_attrs() {
-            view.path_dedup_into(&mut scratch.path);
-            view.communities_into(&mut scratch.communities);
-            for p in view.nlri() {
-                pending.insert(
-                    (view.peer_index(), p),
-                    (
-                        view.timestamp(),
-                        scratch.path.clone(),
-                        scratch.communities.clone(),
-                    ),
-                );
-            }
-        }
-    }
-    let mut stable: Vec<((u16, Prefix), PendingRoute)> = pending.into_iter().collect();
-    stable.sort_unstable_by_key(|(key, _)| *key);
-    for ((_, prefix), (_, path, communities)) in stable {
-        stats.routes_seen += 1;
-        process_route(&path, &communities, prefix, dict, index, rels, sink, stats);
-    }
 }
 
 /// One shard: every route of one collector's archive.
@@ -1132,8 +840,10 @@ mod tests {
 
     /// The sharding contract on a hand-built multi-collector dataset:
     /// identical observations (collector order), stats, and inference
-    /// state. The ecosystem-scale version lives in the workspace
-    /// integration tests.
+    /// state, at 1, 2 and 4 pinned threads (1 takes the serial
+    /// fallback; more fan out whatever the host's CPU count). The
+    /// ecosystem-scale version lives in the workspace integration
+    /// tests.
     #[test]
     fn sharded_matches_serial_on_multi_collector_dataset() {
         let (dict, conn) = dict_and_conn();
@@ -1167,23 +877,33 @@ mod tests {
             &Default::default(),
             &mut serial_sink,
         );
-        let (sharded_sink, sharded_stats) = harvest_passive_sharded::<(
-            Vec<Observation>,
-            LinkInferencer,
-        )>(
-            &dataset, &dict, &conn, &rels, &Default::default()
-        );
-        assert_eq!(sharded_stats, serial_stats);
-        assert_eq!(
-            sharded_sink.0, serial_sink.0,
-            "observations in collector order"
-        );
-        assert_eq!(
-            sharded_sink.1.finalize(&conn),
-            serial_sink.1.finalize(&conn),
-            "identical inference state"
-        );
         assert!(serial_stats.observations > 0);
+        let serial_links = serial_sink.1.finalize(&conn);
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let (sharded_sink, sharded_stats) = pool.install(|| {
+                harvest_passive_sharded::<(Vec<Observation>, LinkInferencer)>(
+                    &dataset,
+                    &dict,
+                    &conn,
+                    &rels,
+                    &Default::default(),
+                )
+            });
+            assert_eq!(sharded_stats, serial_stats, "{threads} threads");
+            assert_eq!(
+                sharded_sink.0, serial_sink.0,
+                "observations in collector order at {threads} threads"
+            );
+            assert_eq!(
+                sharded_sink.1.finalize(&conn),
+                serial_links,
+                "identical inference state at {threads} threads"
+            );
+        }
     }
 
     /// The distributable-unit contract: enumerating every [`WorkUnit`]
@@ -1271,140 +991,6 @@ mod tests {
         let stats = harvest_passive_units(&dataset, &dict, &conn, &rels, &cfg, &stale, &mut sink);
         assert_eq!(stats, PassiveStats::default());
         assert!(sink.0.is_empty());
-    }
-
-    /// The columnar contract: harvesting the wire-encoded archives
-    /// through zero-copy views — serial or sharded — is byte-identical
-    /// to the struct path, across RIB entries, transient-filtered
-    /// update streams, bogons, cycles and unidentified communities.
-    #[test]
-    fn bytes_harvest_matches_struct_harvest() {
-        let (dict, conn) = dict_and_conn();
-        // A dataset exercising every drop path plus an update stream.
-        let mut ds = archive_with(vec![
-            (
-                vec![999, 102, 101],
-                "0:6695 6695:102 6695:103",
-                "10.1.0.0/24",
-            ),
-            (vec![999, 102, 103], "6695:6695", "10.3.0.0/24"),
-            (vec![999, 23456, 101], "6695:6695", "10.4.0.0/24"),
-            (vec![999, 102, 999, 101], "6695:6695", "10.2.0.0/24"),
-            (vec![999, 102, 101], "3356:2001", "10.6.0.0/24"),
-        ]);
-        let archive = &mut ds.collectors[0].1;
-        let attrs = RouteAttrs::new(
-            AsPath::from_seq([Asn(999), Asn(102), Asn(101)]),
-            "10.0.0.2".parse().unwrap(),
-        )
-        .with_communities("6695:6695 0:103".parse().unwrap());
-        archive.updates.push(MrtUpdate {
-            peer_index: 0,
-            timestamp: 100,
-            update: UpdateMessage::announce(attrs.clone(), vec!["10.5.0.0/24".parse().unwrap()]),
-        });
-        archive.updates.push(MrtUpdate {
-            peer_index: 0,
-            timestamp: 1_000,
-            update: UpdateMessage::withdraw(vec!["10.5.0.0/24".parse().unwrap()]),
-        });
-        archive.updates.push(MrtUpdate {
-            peer_index: 0,
-            timestamp: 2_000,
-            update: UpdateMessage::announce(attrs, vec!["10.7.0.0/24".parse().unwrap()]),
-        });
-        let rels = no_rels();
-        let cfg = PassiveConfig::default();
-
-        let mut struct_sink: (Vec<Observation>, LinkInferencer) = Default::default();
-        let struct_stats = harvest_passive(&ds, &dict, &conn, &rels, &cfg, &mut struct_sink);
-
-        let bytes = ds.to_bytes();
-        let mut view_sink: (Vec<Observation>, LinkInferencer) = Default::default();
-        let view_stats = harvest_passive_bytes(&bytes, &dict, &conn, &rels, &cfg, &mut view_sink);
-        assert_eq!(view_stats, struct_stats);
-        assert_eq!(view_sink.0, struct_sink.0, "observations byte-identical");
-        assert_eq!(view_sink.1.finalize(&conn), struct_sink.1.finalize(&conn));
-        assert!(struct_stats.observations > 0);
-        assert!(struct_stats.dropped_transient > 0, "update path exercised");
-
-        let (sharded_sink, sharded_stats) = harvest_passive_bytes_sharded::<(
-            Vec<Observation>,
-            LinkInferencer,
-        )>(&bytes, &dict, &conn, &rels, &cfg);
-        assert_eq!(sharded_stats, struct_stats);
-        assert_eq!(sharded_sink.0, struct_sink.0);
-        assert_eq!(
-            sharded_sink.1.finalize(&conn),
-            struct_sink.1.finalize(&conn)
-        );
-    }
-
-    /// The degraded-ingest contract: on clean wire input the lossy
-    /// harvest is byte-identical to the strict columnar path with
-    /// nothing quarantined; corrupting one record quarantines exactly
-    /// that record and the harvest equals the struct path over the
-    /// dataset without it.
-    #[test]
-    fn lossy_harvest_quarantines_and_matches() {
-        let (dict, conn) = dict_and_conn();
-        let routes = vec![
-            (
-                vec![999, 102, 101],
-                "0:6695 6695:102 6695:103",
-                "10.1.0.0/24",
-            ),
-            (vec![999, 102, 103], "6695:6695", "10.3.0.0/24"),
-            (vec![999, 102, 101], "6695:6695", "10.5.0.0/24"),
-        ];
-        let ds = archive_with(routes.clone());
-        let rels = no_rels();
-        let cfg = PassiveConfig::default();
-        let wire: Vec<(String, mlpeer_bgp::Bytes)> = ds
-            .collectors
-            .iter()
-            .map(|(n, a)| (n.clone(), a.encode()))
-            .collect();
-
-        let mut strict_sink: (Vec<Observation>, LinkInferencer) = Default::default();
-        let strict_stats =
-            harvest_passive_bytes(&ds.to_bytes(), &dict, &conn, &rels, &cfg, &mut strict_sink);
-        let mut lossy_sink: (Vec<Observation>, LinkInferencer) = Default::default();
-        let lossy_stats =
-            harvest_passive_bytes_lossy(&wire, &dict, &conn, &rels, &cfg, &mut lossy_sink);
-        assert_eq!(lossy_stats, strict_stats);
-        assert_eq!(lossy_sink.0, strict_sink.0, "clean input: byte-identical");
-        assert_eq!(lossy_stats.quarantined, 0);
-
-        // Corrupt the first RIB record's embedded frame type byte: the
-        // record frames fine but fails body validation.
-        let mut bad = wire[0].1.to_vec();
-        let mut frames = Vec::new();
-        let mut pos = 0usize;
-        while pos < bad.len() {
-            frames.push(pos);
-            let rlen = u32::from_be_bytes([bad[pos + 2], bad[pos + 3], bad[pos + 4], bad[pos + 5]])
-                as usize;
-            pos += 6 + rlen;
-        }
-        // Record 0 is the peer table; record 1 the first RIB entry. Its
-        // body is peer(2) + originated(4) + flen(4), then the embedded
-        // frame whose type byte sits at frame offset 18.
-        bad[frames[1] + 6 + 10 + 18] ^= 0xff;
-        let bad_wire = vec![("rv".to_string(), mlpeer_bgp::Bytes::from(bad))];
-
-        let mut ds_minus = archive_with(routes);
-        ds_minus.collectors[0].1.rib.remove(0);
-        let mut minus_sink: (Vec<Observation>, LinkInferencer) = Default::default();
-        let mut minus_stats =
-            harvest_passive(&ds_minus, &dict, &conn, &rels, &cfg, &mut minus_sink);
-        minus_stats.quarantined = 1;
-
-        let mut qsink: (Vec<Observation>, LinkInferencer) = Default::default();
-        let qstats = harvest_passive_bytes_lossy(&bad_wire, &dict, &conn, &rels, &cfg, &mut qsink);
-        assert_eq!(qstats, minus_stats, "only the corrupt record is lost");
-        assert_eq!(qsink.0, minus_sink.0);
-        assert_eq!(qsink.1.finalize(&conn), minus_sink.1.finalize(&conn));
     }
 
     #[test]

@@ -20,7 +20,6 @@
 use mlpeer_bgp::mrt::{MrtArchive, MrtRibEntry, MrtUpdate};
 use mlpeer_bgp::route::RouteAttrs;
 use mlpeer_bgp::update::UpdateMessage;
-use mlpeer_bgp::view::MrtBytes;
 use mlpeer_bgp::{AsPath, Asn, Community, CommunitySet};
 use mlpeer_topo::propagate::BestRoute;
 use mlpeer_topo::relationship::LearnedFrom;
@@ -131,48 +130,6 @@ impl PassiveDataset {
     /// Total update count.
     pub fn update_len(&self) -> usize {
         self.collectors.iter().map(|(_, a)| a.updates.len()).sum()
-    }
-
-    /// Encode the dataset into its columnar form: the same wire bytes a
-    /// real collector would serve, fronted by zero-copy cursors. The
-    /// view-based harvest (`mlpeer::passive::harvest_passive_bytes`)
-    /// consumes this and is byte-identical to the struct path.
-    pub fn to_bytes(&self) -> PassiveBytes {
-        PassiveBytes {
-            collectors: self
-                .collectors
-                .iter()
-                .map(|(name, a)| (name.clone(), MrtBytes::from_archive(a)))
-                .collect(),
-        }
-    }
-}
-
-/// The columnar passive dataset: named collectors as validated,
-/// wire-encoded byte arenas ([`MrtBytes`]). This is how archives look
-/// *before* the struct decoder materializes them — the shape the
-/// allocation-free harvest consumes.
-#[derive(Debug, Clone)]
-pub struct PassiveBytes {
-    /// `(collector name, wire archive)`, in the same order as
-    /// [`PassiveDataset::collectors`].
-    pub collectors: Vec<(String, MrtBytes)>,
-}
-
-impl PassiveBytes {
-    /// Total RIB record count.
-    pub fn rib_len(&self) -> usize {
-        self.collectors.iter().map(|(_, a)| a.rib_len()).sum()
-    }
-
-    /// Total update record count.
-    pub fn update_len(&self) -> usize {
-        self.collectors.iter().map(|(_, a)| a.update_len()).sum()
-    }
-
-    /// Total arena size in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.collectors.iter().map(|(_, a)| a.byte_len()).sum()
     }
 }
 

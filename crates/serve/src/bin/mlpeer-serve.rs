@@ -50,8 +50,10 @@
 //! any listener, so once `/readyz` answers, either signal starts a
 //! drain — listeners stop accepting, `/readyz` answers `draining`
 //! (503), in-flight keep-alive requests finish within `--drain-ms`, SSE
-//! subscribers get a terminal `shutdown` event, the active durable
-//! segment is flushed and fsynced, and the process exits 0.
+//! subscribers get a terminal `shutdown` event, epochs whose durable
+//! append failed are landed in the log, the active durable segment is
+//! flushed and fsynced, and the process exits 0 (also when landing or
+//! syncing fails, which it reports on stderr).
 //! `--admission=N` caps global in-flight responses; beyond it
 //! requests are shed with a pre-rendered 503 + `Retry-After`.
 //!
@@ -332,7 +334,7 @@ fn main() {
         eprintln!("# warning: no signal handlers ({e}); drain on request only");
     }
     let shards = reactor_cfg.shards.max(1);
-    let mut server = spawn_reactor(store, &addr, reactor_cfg).expect("bind address");
+    let mut server = spawn_reactor(Arc::clone(&store), &addr, reactor_cfg).expect("bind address");
     eprintln!(
         "# serving on http://{} (reactor, {shards} shard{})",
         server.addr,
@@ -341,8 +343,8 @@ fn main() {
     eprintln!("#   try: curl http://{}/healthz", server.addr);
     // Wait for SIGTERM/SIGINT (or the serve threads exiting on their
     // own), then drain: stop accepting, finish in-flight work under
-    // the --drain-ms grace, stop the live loop, flush + fsync the active
-    // durable segment, exit 0.
+    // the --drain-ms grace, stop the live loop, land the parked epochs,
+    // flush + fsync the active durable segment, exit 0.
     while !polling::signal::term_requested() {
         if server.is_finished() {
             server.join();
@@ -358,6 +360,11 @@ fn main() {
         let _ = r.join();
     }
     if let Some(d) = &durable {
+        // Epochs that served but whose append failed land now: a
+        // restart must not give their numbers to other content.
+        if let Err(e) = store.land_parked() {
+            eprintln!("# warning: parked epochs not persisted: {e}");
+        }
         match d.sync() {
             Ok(()) => eprintln!("# durable log flushed and synced"),
             Err(e) => eprintln!("# warning: durable sync failed: {e}"),

@@ -18,7 +18,7 @@
 //!   claims to be, and the revive is refused rather than served.
 //!
 //! Lock discipline: `SnapshotStore` calls [`append_epoch`] *inside*
-//! its swap lock (so log order always matches publish order), which
+//! its publish lock (so log order always matches publish order), which
 //! means nothing in this module may call back into the snapshot store.
 //!
 //! [`append_epoch`]: DurableStore::append_epoch

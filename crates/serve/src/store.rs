@@ -2,13 +2,15 @@
 //! readers.
 //!
 //! Readers call [`SnapshotStore::load`] and get an `Arc<Snapshot>` —
-//! the mutex guards only the `Arc` clone (a reference-count increment),
-//! never the snapshot contents, so a reader holds its view for as long
-//! as it likes while any number of refreshes publish behind it.
-//! Writers build the replacement snapshot entirely *outside* the lock
-//! (index construction over a `Scale::Paper` run takes seconds; the
-//! swap itself is a pointer exchange), then [`publish`] stamps the next
-//! epoch and swaps.
+//! the mutex guards only the `Arc` clone (a reference-count increment)
+//! and a publish's pointer replace, never the snapshot contents or the
+//! disk, so a reader holds its view for as long as it likes while any
+//! number of refreshes publish behind it. Writers build the
+//! replacement snapshot entirely *outside* any lock (index construction
+//! over a `Scale::Paper` run takes seconds), then [`publish`] stamps
+//! the next epoch, swaps, and appends it to the durable log. Publishers
+//! serialize on a lock of their own, held across all three, so the log
+//! stays in publish order while readers never wait on the append.
 //!
 //! The `never blocked, never torn` contract is asserted by
 //! `swap_under_concurrent_readers`: readers observe only complete
@@ -30,23 +32,44 @@ use crate::snapshot::Snapshot;
 /// A registered publish observer (see [`SnapshotStore::on_publish`]).
 type PublishHook = Box<dyn Fn(u64) + Send + Sync>;
 
+/// A published epoch whose durable append failed: the snapshot and the
+/// delta its publish carried.
+type ParkedEpoch = (Arc<Snapshot>, Option<LinkDelta>);
+
 /// Published epochs whose durable append failed, oldest first, waiting
 /// to land in the log (see [`SnapshotStore::persist_published`]).
-type Parked = Arc<Mutex<VecDeque<(Arc<Snapshot>, Option<LinkDelta>)>>>;
+type Parked = Arc<Mutex<VecDeque<ParkedEpoch>>>;
 
 /// Park a failed epoch behind the ones already waiting, keeping at most
 /// [`DURABLE_BREAKER_THRESHOLD`] of them: beyond that the breaker is
 /// open, and the newest epochs matter most (recent `?at=` and `since`
 /// queries ask for them), so the oldest parked one is dropped.
-fn park(
-    parked: &mut VecDeque<(Arc<Snapshot>, Option<LinkDelta>)>,
-    snapshot: &Arc<Snapshot>,
-    delta: Option<&LinkDelta>,
-) {
+fn park(parked: &mut VecDeque<ParkedEpoch>, snapshot: &Arc<Snapshot>, delta: Option<&LinkDelta>) {
     if parked.len() >= DURABLE_BREAKER_THRESHOLD as usize {
         parked.pop_front();
     }
     parked.push_back((Arc::clone(snapshot), delta.cloned()));
+}
+
+/// Land the parked epochs in the log, oldest first: the one landing
+/// routine of the publish path, the recovery probe and the drain. The
+/// caller holds the queue's lock throughout, so two landers never race
+/// on an epoch. An epoch the log already holds leaves the queue without
+/// a second append. Stops at the first failing append, which stays
+/// parked with everything after it, and returns its epoch and error.
+fn land_oldest_first(
+    durable: &crate::durable::DurableStore,
+    parked: &mut VecDeque<ParkedEpoch>,
+) -> Result<(), (u64, std::io::Error)> {
+    while let Some((snapshot, delta)) = parked.front() {
+        if durable.latest_epoch().is_none_or(|l| l < snapshot.epoch) {
+            durable
+                .append_epoch(snapshot, delta.as_ref())
+                .map_err(|err| (snapshot.epoch, err))?;
+        }
+        parked.pop_front();
+    }
+    Ok(())
 }
 
 /// Default [`ChangeLog`] depth: how many epochs back `/v1/changes` can
@@ -55,7 +78,14 @@ pub const DEFAULT_CHANGE_CAPACITY: usize = 64;
 
 /// Shared handle to the current [`Snapshot`] epoch.
 pub struct SnapshotStore {
+    /// Held only to clone the `Arc` ([`load`](SnapshotStore::load)) or
+    /// to replace it (a publish's swap).
     current: Mutex<Arc<Snapshot>>,
+    /// Serializes publishers and the durable attach: held across the
+    /// epoch stamp, the change-ring record, the swap and the durable
+    /// append, so the log's order is publish order. Readers never take
+    /// it.
+    publishing: Mutex<()>,
     swaps: AtomicU64,
     changes: ChangeLog,
     /// Registered by the live refresher so `/v1/stats` can surface its
@@ -70,7 +100,7 @@ pub struct SnapshotStore {
     /// they run on the publisher's thread after every swap.
     hooks: Mutex<Vec<PublishHook>>,
     /// The on-disk epoch log, when the process runs with `--data-dir`.
-    /// Appends happen *inside* the swap lock so log order always
+    /// Appends happen *inside* the publish lock so log order always
     /// matches publish order; an append failure is reported and served
     /// past (availability over durability), never a panic.
     durable: std::sync::OnceLock<Arc<crate::durable::DurableStore>>,
@@ -79,8 +109,9 @@ pub struct SnapshotStore {
     health: Arc<crate::health::HealthState>,
     /// Epochs that failed to persist, oldest first: the next publish
     /// lands them before its own epoch, or, once the durability breaker
-    /// is open, the recovery probe does. `Arc`-wrapped so the probe
-    /// thread can share it without owning the store.
+    /// is open, the recovery probe does; the drain lands what is left
+    /// ([`land_parked`](SnapshotStore::land_parked)). `Arc`-wrapped so
+    /// the probe thread can share it without owning the store.
     pending_persist: Parked,
 }
 
@@ -104,6 +135,7 @@ impl SnapshotStore {
     pub fn resume(initial: Snapshot, capacity: usize) -> Arc<SnapshotStore> {
         Arc::new(SnapshotStore {
             current: Mutex::new(Arc::new(initial)),
+            publishing: Mutex::new(()),
             swaps: AtomicU64::new(0),
             changes: ChangeLog::new(capacity),
             live_stats: std::sync::OnceLock::new(),
@@ -132,9 +164,9 @@ impl SnapshotStore {
         &self,
         durable: Arc<crate::durable::DurableStore>,
     ) -> std::io::Result<()> {
-        // Hold the swap lock across the attach + catch-up append so a
-        // concurrent publish cannot interleave between them.
-        let current = self.current.lock().expect("store lock never poisoned");
+        // Hold the publish lock across the attach + catch-up append so
+        // a concurrent publish cannot interleave between them.
+        let _publishing = self.publishing.lock().expect("publish lock never poisoned");
         let attached = Arc::clone(&durable);
         if self.durable.set(durable).is_err() {
             return Err(std::io::Error::new(
@@ -143,6 +175,7 @@ impl SnapshotStore {
             ));
         }
         if attached.latest_epoch().is_none() {
+            let current = self.load();
             if let Err(err) = attached.append_epoch(&current, None) {
                 eprintln!(
                     "mlpeer-serve: failed to persist boot epoch {}: {err}; \
@@ -173,17 +206,16 @@ impl SnapshotStore {
     }
 
     /// Append a freshly published epoch to the attached log (called
-    /// with the swap lock held). Failures degrade durability, not
+    /// with the publish lock held). Failures degrade durability, not
     /// availability: the epoch still serves, the error is reported, and
-    /// the epoch parks. The next publish appends the parked epochs,
-    /// oldest first, before its own, so one failed append leaves no
-    /// hole in the log and the log stays in epoch order. When
-    /// [`DURABLE_BREAKER_THRESHOLD`] epochs are parked the
-    /// read-only-durability breaker trips: the publish path stops
-    /// attempting appends (keeping publishes fast under a dead disk)
-    /// and a background probe retries with exponential backoff until
-    /// the log answers again, landing the parked epochs and closing
-    /// the breaker.
+    /// the epoch stays parked. The epoch parks first and the queue lands
+    /// oldest first, so one failed append leaves no hole in the log and
+    /// the log stays in epoch order. When [`DURABLE_BREAKER_THRESHOLD`]
+    /// epochs are parked the read-only-durability breaker trips: the
+    /// publish path stops attempting appends (keeping publishes fast
+    /// under a dead disk) and a background probe retries with
+    /// exponential backoff until the log answers again, landing the
+    /// parked epochs and closing the breaker.
     fn persist_published(&self, snapshot: &Arc<Snapshot>, delta: Option<&LinkDelta>) {
         let Some(durable) = self.durable.get() else {
             return;
@@ -191,31 +223,48 @@ impl SnapshotStore {
         // The probe checks for an empty queue and closes the breaker
         // under this lock, so parking here cannot slip between them.
         let mut parked = self.pending_persist.lock().expect("pending lock");
+        park(&mut parked, snapshot, delta);
         if self.health.durable_breaker_open() {
             // Read-only durability: leave the epoch for the probe
             // instead of hammering a failing disk per publish.
-            park(&mut parked, snapshot, delta);
             return;
         }
-        let mut failed = None;
-        while let Some((parked_snap, parked_delta)) = parked.front() {
-            if let Err(err) = durable.append_epoch(parked_snap, parked_delta.as_ref()) {
-                failed = Some((parked_snap.epoch, err));
-                break;
-            }
-            parked.pop_front();
+        let _ = self.land(durable, &mut parked);
+    }
+
+    /// Land every parked epoch in the attached log, oldest first. The
+    /// graceful drain calls this before its final sync, so an epoch
+    /// that was served but whose append failed reaches the disk before
+    /// exit, and a restart cannot give its number to other content.
+    /// Without a log, or with nothing parked, it does nothing; on
+    /// failure the error is reported and returned, and the epochs stay
+    /// parked.
+    pub fn land_parked(&self) -> std::io::Result<()> {
+        let Some(durable) = self.durable.get() else {
+            return Ok(());
+        };
+        let mut parked = self.pending_persist.lock().expect("pending lock");
+        self.land(durable, &mut parked)
+    }
+
+    /// Land the locked queue and keep the breaker's books: a landed
+    /// epoch resets the failure count; a failure is reported, and trips
+    /// the breaker (starting the probe) once
+    /// [`DURABLE_BREAKER_THRESHOLD`] epochs are parked.
+    fn land(
+        &self,
+        durable: &Arc<crate::durable::DurableStore>,
+        parked: &mut VecDeque<ParkedEpoch>,
+    ) -> std::io::Result<()> {
+        let waiting = parked.len();
+        let landed = land_oldest_first(durable, parked);
+        if parked.len() < waiting {
             self.health.record_durable_success();
         }
-        let failed = failed.or_else(|| {
-            let err = durable.append_epoch(snapshot, delta).err()?;
-            Some((snapshot.epoch, err))
-        });
-        let Some((epoch, err)) = failed else {
-            self.health.record_durable_success();
-            return;
+        let Err((epoch, err)) = landed else {
+            return Ok(());
         };
         eprintln!("mlpeer-serve: failed to persist epoch {epoch}: {err}");
-        park(&mut parked, snapshot, delta);
         let tripped = if parked.len() >= DURABLE_BREAKER_THRESHOLD as usize {
             self.health.trip_durable_breaker()
         } else {
@@ -233,12 +282,13 @@ impl SnapshotStore {
                 Arc::clone(&self.pending_persist),
             );
         }
+        Err(err)
     }
 
     /// Register a publish observer: called with the new epoch after
     /// every successful [`publish`](SnapshotStore::publish) or
     /// [`publish_with_delta`](SnapshotStore::publish_with_delta) swap
-    /// (outside the swap lock). The reactor uses this to wake parked
+    /// (outside the store's locks). The reactor uses this to wake parked
     /// long-poll and SSE subscribers the moment a new epoch lands.
     pub fn on_publish(&self, hook: impl Fn(u64) + Send + Sync + 'static) {
         self.hooks
@@ -247,8 +297,8 @@ impl SnapshotStore {
             .push(Box::new(hook));
     }
 
-    /// Run every publish observer (after the swap lock is released, so
-    /// a hook can call [`load`](SnapshotStore::load) freely).
+    /// Run every publish observer (after the publish lock is released,
+    /// so a hook can call [`load`](SnapshotStore::load) freely).
     fn notify(&self, epoch: u64) {
         for hook in self.hooks.lock().expect("hook lock never poisoned").iter() {
             hook(epoch);
@@ -297,39 +347,45 @@ impl SnapshotStore {
     /// swap it in atomically. Returns the assigned epoch. In-flight
     /// readers keep whatever epoch they already loaded.
     ///
-    /// The epoch is assigned *inside* the swap lock, so concurrent
+    /// The epoch is assigned under the publish lock, so concurrent
     /// publishers serialize: the snapshot installed last always carries
     /// the highest epoch and `load()` never observes epochs regress.
-    pub fn publish(&self, mut snapshot: Snapshot) -> u64 {
-        failpoints::failpoint!("serve::publish");
-        let mut current = self.current.lock().expect("store lock never poisoned");
-        let epoch = current.epoch + 1;
-        snapshot.epoch = epoch;
-        *current = Arc::new(snapshot);
-        // No delta information for this epoch: older `since` values can
-        // no longer be answered honestly, so the ring resets (still
-        // inside the lock, so the ring's view of epochs stays ordered).
-        self.changes.reset();
-        self.persist_published(&current, None);
-        drop(current);
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        self.notify(epoch);
-        epoch
+    /// The publish carries no delta information, so the change ring
+    /// resets: older `since` values can no longer be answered honestly.
+    pub fn publish(&self, snapshot: Snapshot) -> u64 {
+        self.publish_epoch(snapshot, None)
     }
 
     /// Publish a replacement snapshot together with the link-level
     /// [`LinkDelta`] that produced it, recording the delta in the
-    /// change ring under the assigned epoch (atomically with the swap,
-    /// so `/v1/changes` never observes an epoch before its delta).
-    pub fn publish_with_delta(&self, mut snapshot: Snapshot, delta: LinkDelta) -> u64 {
+    /// change ring under the assigned epoch before the swap, so
+    /// `/v1/changes` never observes an epoch before its delta.
+    pub fn publish_with_delta(&self, snapshot: Snapshot, delta: LinkDelta) -> u64 {
+        self.publish_epoch(snapshot, Some(delta))
+    }
+
+    /// The one publish body: stamp, record (or reset) the change ring,
+    /// swap, append, all under the publish lock; `current` is held only
+    /// for the pointer replace. The replaced snapshot is freed and the
+    /// observers run after both locks are released.
+    fn publish_epoch(&self, mut snapshot: Snapshot, delta: Option<LinkDelta>) -> u64 {
         failpoints::failpoint!("serve::publish");
-        let mut current = self.current.lock().expect("store lock never poisoned");
-        let epoch = current.epoch + 1;
+        let publishing = self.publishing.lock().expect("publish lock never poisoned");
+        // Only a publisher moves `current`, and it holds the publish lock.
+        let epoch = self.load().epoch + 1;
         snapshot.epoch = epoch;
-        *current = Arc::new(snapshot);
-        self.changes.record(epoch, delta.clone());
-        self.persist_published(&current, Some(&delta));
-        drop(current);
+        let snapshot = Arc::new(snapshot);
+        match &delta {
+            Some(delta) => self.changes.record(epoch, delta.clone()),
+            None => self.changes.reset(),
+        }
+        let replaced = std::mem::replace(
+            &mut *self.current.lock().expect("store lock never poisoned"),
+            Arc::clone(&snapshot),
+        );
+        self.persist_published(&snapshot, delta.as_ref());
+        drop(publishing);
+        drop(replaced);
         self.swaps.fetch_add(1, Ordering::Relaxed);
         self.notify(epoch);
         epoch
@@ -342,14 +398,15 @@ impl SnapshotStore {
 }
 
 /// The durability recovery probe: spawned once when the breaker trips
-/// (the [`HealthState`] probe slot makes it exclusive), appends the
+/// (the [`HealthState`] probe slot makes it exclusive), lands the
 /// parked epochs oldest first, retrying a failing one with exponential
 /// backoff — 50 ms doubling to a 2 s cap — and closes the breaker once
 /// the queue is empty. Epochs parked *during* the retry land too before
 /// it exits, so the log catches up to the newest snapshot without
-/// waiting for the next publish. Owns only `Arc`s (log, health, the
-/// parked queue), never the store, so it cannot keep a dropped store
-/// alive.
+/// waiting for the next publish. It lands under the queue's lock, so a
+/// publish that parks meanwhile waits for one landing attempt (readers
+/// never do). Owns only `Arc`s (log, health, the parked queue), never
+/// the store, so it cannot keep a dropped store alive.
 ///
 /// [`HealthState`]: crate::health::HealthState
 fn spawn_durable_probe(
@@ -369,42 +426,19 @@ fn spawn_durable_probe(
             let mut backoff = FIRST;
             loop {
                 std::thread::sleep(backoff);
-                let (snap, delta) = {
-                    let parked = pending.lock().expect("pending lock");
-                    let Some(front) = parked.front() else {
-                        // Nothing left to persist: recovered. The slot
-                        // is freed and the breaker closed under the
-                        // lock, so a publish that parks or trips next
-                        // sees both, and can start a new probe.
-                        health.release_probe();
-                        health.record_durable_success();
-                        break;
-                    };
-                    front.clone()
+                let mut parked = pending.lock().expect("pending lock");
+                let Err((epoch, err)) = land_oldest_first(&durable, &mut parked) else {
+                    // Nothing left to persist: recovered. The slot is
+                    // freed and the breaker closed under the lock, so a
+                    // publish that parks or trips next sees both, and
+                    // can start a new probe.
+                    health.release_probe();
+                    health.record_durable_success();
+                    break;
                 };
-                let result = if durable.latest_epoch().is_some_and(|l| l >= snap.epoch) {
-                    Ok(()) // someone already persisted it
-                } else {
-                    durable.append_epoch(&snap, delta.as_ref())
-                };
-                match result {
-                    Ok(()) => {
-                        let mut parked = pending.lock().expect("pending lock");
-                        // A publish may have dropped it from a full
-                        // queue meanwhile; only pop what just landed.
-                        if parked.front().is_some_and(|(s, _)| s.epoch == snap.epoch) {
-                            parked.pop_front();
-                        }
-                        backoff = std::time::Duration::ZERO;
-                    }
-                    Err(err) => {
-                        eprintln!(
-                            "mlpeer-serve: durability probe: epoch {} still failing: {err}",
-                            snap.epoch
-                        );
-                        backoff = (backoff * 2).clamp(FIRST, std::time::Duration::from_secs(2));
-                    }
-                }
+                drop(parked);
+                eprintln!("mlpeer-serve: durability probe: epoch {epoch} still failing: {err}");
+                backoff = (backoff * 2).clamp(FIRST, std::time::Duration::from_secs(2));
             }
             eprintln!("mlpeer-serve: durability breaker CLOSED; epoch log caught up");
         });

@@ -3,15 +3,14 @@
 //! Umbrella crate of the *Inferring Multilateral Peering* (CoNEXT
 //! 2013) reproduction: it hosts the repo-wide examples (`examples/`)
 //! and integration tests (`tests/end_to_end.rs`, `tests/serve_e2e.rs`,
-//! `tests/live_e2e.rs`, `tests/columnar_equivalence.rs`,
-//! `tests/engine_equivalence.rs`, `tests/durability_e2e.rs`,
-//! `tests/dist_faults.rs`) that exercise
+//! `tests/live_e2e.rs`, `tests/engine_equivalence.rs`,
+//! `tests/durability_e2e.rs`, `tests/dist_faults.rs`) that exercise
 //! the whole workspace together. The crate map, data flows, layer
-//! invariants, and the columnar hot path (zero-copy
-//! [`mlpeer_bgp::view::MrtBytes`] archives, interned
-//! [`mlpeer::intern`] ids, the publish-time serve body cache) are
-//! documented in `docs/ARCHITECTURE.md`; per-module reference docs
-//! live in each crate (`cargo doc --no-deps --workspace --open`).
+//! invariants, and the hot path (the sharded harvest over decoded
+//! collector archives, interned [`mlpeer::intern`] ids, the
+//! publish-time serve body cache) are documented in
+//! `docs/ARCHITECTURE.md`; per-module reference docs live in each
+//! crate (`cargo doc --no-deps --workspace --open`).
 //!
 //! The README's quickstart, as a tested example — the Figure 3
 //! scenario: member A includes only B and D, everyone else is open,

@@ -149,6 +149,14 @@ fn epoch_snapshot(e: u64) -> Snapshot {
     )
 }
 
+/// The delta that turns [`epoch_snapshot`]`(e - 1)` into `epoch_snapshot(e)`.
+fn epoch_delta(e: u64) -> LinkDelta {
+    LinkDelta {
+        added: vec![(IxpId(0), Asn(e as u32), Asn(1000 + e as u32))],
+        removed: vec![],
+    }
+}
+
 /// Every other durable append failing never trips the breaker (a
 /// success always follows a failure), so only the publish path can
 /// land the failed epochs: it appends them, oldest first, before its
@@ -166,12 +174,10 @@ fn intermittent_append_failures_leave_no_gap_in_the_log() {
     failpoints::cfg("serve::durable_append", "1in(2)").unwrap();
     let mut etags = vec![store.load().etag.clone()];
     for e in 1..=20u64 {
-        let link = (IxpId(0), Asn(e as u32), Asn(1000 + e as u32));
-        let delta = LinkDelta {
-            added: vec![link],
-            removed: vec![],
-        };
-        assert_eq!(store.publish_with_delta(epoch_snapshot(e), delta), e);
+        assert_eq!(
+            store.publish_with_delta(epoch_snapshot(e), epoch_delta(e)),
+            e
+        );
         etags.push(store.load().etag.clone());
     }
     assert!(failpoints::hits("serve::durable_append") >= 20);
@@ -193,6 +199,83 @@ fn intermittent_append_failures_leave_no_gap_in_the_log() {
         .expect("stored deltas cover every epoch from genesis");
     assert_eq!(added.len() as u64, newest, "one added link per epoch");
     assert!(removed.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The graceful drain lands what the publish path parked. When only
+/// the newest publish's append fails, no later publish lands it and one
+/// failure is too few to start the probe; the drain's landing routine,
+/// run before the final sync, puts it in the log, so the reopened log's
+/// latest epoch and ETag are the ones last served.
+#[test]
+fn drain_lands_the_newest_parked_epoch() {
+    let _guard = chaos_guard();
+    let dir = temp_dir("drain-parked");
+    let durable = Arc::new(DurableStore::open(&dir).unwrap());
+    let store = SnapshotStore::new(epoch_snapshot(0));
+    store.attach_durable(Arc::clone(&durable)).unwrap();
+    for e in 1..=4u64 {
+        store.publish_with_delta(epoch_snapshot(e), epoch_delta(e));
+    }
+    failpoints::cfg("serve::durable_append", "return(chaos: disk full)").unwrap();
+    assert_eq!(
+        store.publish_with_delta(epoch_snapshot(5), epoch_delta(5)),
+        5
+    );
+    failpoints::remove("serve::durable_append");
+    assert_eq!(durable.latest_epoch(), Some(4), "epoch 5 is parked");
+    assert!(!store.health().durable_breaker_open());
+    let served = store.load();
+
+    // The drain: land the parked epochs, then sync.
+    store.land_parked().expect("the parked epoch lands");
+    durable.sync().unwrap();
+    drop((store, durable));
+
+    let reopened = DurableStore::open(&dir).unwrap();
+    let latest = reopened.latest().expect("the log has epochs");
+    assert_eq!(
+        (latest.epoch, &latest.etag),
+        (served.epoch, &served.etag),
+        "the reopened log ends at the served epoch"
+    );
+    let (added, _) = reopened.fold_since(4, 5).expect("epoch 5 kept its delta");
+    assert_eq!(added.len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Readers never wait on the disk: a publish holds the snapshot lock
+/// only for the pointer swap, so a `load()` made while the publish's
+/// durable append stalls for 300 ms returns at once, already seeing
+/// the new epoch.
+#[test]
+fn load_does_not_wait_for_a_stalled_durable_append() {
+    let _guard = chaos_guard();
+    let dir = temp_dir("stalled-append");
+    let durable = Arc::new(DurableStore::open(&dir).unwrap());
+    let store = SnapshotStore::new(epoch_snapshot(0));
+    store.attach_durable(Arc::clone(&durable)).unwrap();
+
+    failpoints::cfg("serve::durable_append", "delay(300)").unwrap();
+    std::thread::scope(|scope| {
+        let publisher = scope.spawn(|| store.publish_with_delta(epoch_snapshot(1), epoch_delta(1)));
+        wait_for(
+            "the publish to reach its append",
+            Duration::from_secs(10),
+            || failpoints::hits("serve::durable_append") >= 1,
+        );
+        let started = Instant::now();
+        let loaded = store.load();
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_millis(100),
+            "load() waited {waited:?} behind a durable append"
+        );
+        assert_eq!(loaded.epoch, 1, "the swap precedes the append");
+        assert_eq!(publisher.join().unwrap(), 1);
+    });
+    failpoints::remove("serve::durable_append");
+    assert_eq!(durable.latest_epoch(), Some(1), "the stalled append lands");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

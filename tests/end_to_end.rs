@@ -199,7 +199,7 @@ fn per_ixp_links_sum_exceeds_unique_by_overlap() {
 /// harvest out one-shard-per-collector must reproduce the serial path
 /// byte for byte — identical `MlpLinkSet` (links, covered, policies),
 /// identical merged `PassiveStats`, identical observation stream in
-/// collector order.
+/// collector order — at 1, 2 and 4 pinned threads.
 #[test]
 fn sharded_passive_matches_serial_at_ecosystem_scale() {
     let eco = tiny_eco(31337);
@@ -223,24 +223,36 @@ fn sharded_passive_matches_serial_at_ecosystem_scale() {
 
     let mut serial: (Vec<Observation>, LinkInferencer) = Default::default();
     let serial_stats = harvest_passive(&passive, &dict, &conn, &rels, &cfg, &mut serial);
-    let (sharded, sharded_stats) = harvest_passive_sharded::<(Vec<Observation>, LinkInferencer)>(
-        &passive, &dict, &conn, &rels, &cfg,
-    );
-
     assert!(
         serial_stats.observations > 0,
         "the dataset must exercise the pipeline"
     );
-    assert_eq!(
-        sharded_stats, serial_stats,
-        "per-shard stats merge to the serial totals"
-    );
-    assert_eq!(sharded.0, serial.0, "observation stream in collector order");
     let serial_links = serial.1.finalize(&conn);
-    let sharded_links = sharded.1.finalize(&conn);
-    assert_eq!(sharded_links, serial_links, "identical MlpLinkSet");
-    // Byte-identical, not just Eq: the rendered reports match too.
-    assert_eq!(format!("{sharded_links:?}"), format!("{serial_links:?}"));
+    // Pinned thread counts: 1 takes the serial fallback, 2 and 4 fan
+    // out whatever the host's CPU count.
+    for threads in [1, 2, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let (sharded, sharded_stats) = pool.install(|| {
+            harvest_passive_sharded::<(Vec<Observation>, LinkInferencer)>(
+                &passive, &dict, &conn, &rels, &cfg,
+            )
+        });
+        assert_eq!(
+            sharded_stats, serial_stats,
+            "per-shard stats merge to the serial totals at {threads} threads"
+        );
+        assert_eq!(
+            sharded.0, serial.0,
+            "observation stream in collector order at {threads} threads"
+        );
+        let sharded_links = sharded.1.finalize(&conn);
+        assert_eq!(sharded_links, serial_links, "identical MlpLinkSet");
+        // Byte-identical, not just Eq: the rendered reports match too.
+        assert_eq!(format!("{sharded_links:?}"), format!("{serial_links:?}"));
+    }
 }
 
 #[test]

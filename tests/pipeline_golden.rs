@@ -5,7 +5,7 @@
 //! the published snapshot:
 //!
 //! * the collector RIB entry count and the FxHash of the wire-encoded
-//!   MRT arenas (`PassiveDataset::to_bytes`), so a propagation change
+//!   MRT arenas (`MrtArchive::encode`), so a propagation change
 //!   that moves a single path or community shows up here;
 //! * the folded observation count, the unique link count and the
 //!   snapshot ETag;
@@ -43,9 +43,9 @@ fn record_line(scale: Scale, seed: u64) -> String {
     let run = run(&eco, seed, harvest_sharded);
     let passive = &run.prep.passive;
     let mut h = FxHasher::default();
-    for (name, arena) in &passive.to_bytes().collectors {
+    for (name, archive) in &passive.collectors {
         h.write(name.as_bytes());
-        h.write(arena.as_bytes());
+        h.write(&archive.encode());
     }
     let (rib_entries, arena_hash) = (passive.rib_len(), h.finish());
     let validation = validate_harvest(
