@@ -1,8 +1,8 @@
 //! The standalone worker binary: a frame loop over stdin/stdout.
 //!
 //! Spawned by the coordinator (directly, or as `mlpeer-serve
-//! --dist-worker`, which delegates here). Exits 0 on clean EOF or
-//! shutdown, 1 on a frame/protocol error.
+//! --dist-worker`, which delegates here). Exits 0 on clean EOF, 1 on
+//! a frame/protocol error.
 
 fn main() {
     let stdin = std::io::stdin().lock();

@@ -1,20 +1,15 @@
-//! # `mlpeer_dist` — multi-process harvest & live scale-out
+//! # `mlpeer_dist` — multi-process passive harvest
 //!
 //! Thread-level sharding breaks even on one core; the next scaling
 //! step is across *processes*. This crate reuses the order-insensitive
-//! per-shard merge seams of the core inferencer to distribute both
-//! pipeline modes:
-//!
-//! - **Passive** ([`harvest_passive_dist`]): the coordinator
-//!   enumerates the dataset's [`WorkUnit`](mlpeer::passive::WorkUnit)s,
-//!   partitions them into contiguous weight-balanced shards, and ships
-//!   each to a worker process that regenerates the dataset from
-//!   `(scale, seed)` and harvests its slice. Replies fold in shard
-//!   order, byte-identically to serial `harvest_passive`.
-//! - **Live** ([`DistLive`]): the update stream splits by IXP across
-//!   long-lived workers; per-tick `LinkDelta`s and canonical state
-//!   fold into one publishable epoch, byte-identical to one serial
-//!   `LiveInferencer`.
+//! per-shard merge seams of the core inferencer to distribute the
+//! batch pipeline's passive harvest ([`harvest_passive_dist`]): the
+//! coordinator enumerates the dataset's
+//! [`WorkUnit`](mlpeer::passive::WorkUnit)s, partitions them into
+//! contiguous weight-balanced shards, and ships each to a worker
+//! process that regenerates the dataset from `(scale, seed)` and
+//! harvests its slice. Replies fold in shard order, byte-identically
+//! to serial `harvest_passive`. Live mode always folds in process.
 //!
 //! Frames are checksummed and length-prefixed ([`wire`]); a crashed,
 //! stalled, corrupt, or duplicate worker is retried, timed out,
@@ -25,13 +20,11 @@
 #![warn(missing_docs)]
 
 pub mod coordinator;
-pub mod live;
 pub mod stats;
 pub mod wire;
 pub mod worker;
 
 pub use coordinator::{default_worker_cmd, harvest_passive_dist, partition_units, DistConfig};
-pub use live::{DistLive, LiveTickOutcome};
 pub use stats::{DistStats, DistStatsSnapshot};
 pub use wire::{Fault, PassiveJob, PassiveResult, WireError};
 pub use worker::run_worker;

@@ -28,14 +28,12 @@ use std::hash::Hasher;
 use std::io::{self, Read, Write};
 
 use mlpeer::hash::FxHasher;
-use mlpeer::infer::{InferEntry, InferState, MlpLinkSet, Observation, ObservationSource};
-use mlpeer::live::{LinkDelta, LiveEvent};
+use mlpeer::infer::{InferEntry, InferState, Observation, ObservationSource};
 use mlpeer::passive::{PassiveStats, WorkUnit};
 use mlpeer_ixp::scheme::RsAction;
 use mlpeer_store::codec::{
-    get_asn, get_asn_set, get_delta, get_ixp, get_links, get_passive, get_prefix, put_asn,
-    put_asn_set, put_delta, put_ixp, put_links, put_passive, put_prefix, CodecError, Reader,
-    Writer,
+    get_asn, get_asn_set, get_ixp, get_passive, get_prefix, put_asn, put_asn_set, put_ixp,
+    put_passive, put_prefix, CodecError, Reader, Writer,
 };
 
 /// Frame magic (`MLPD`).
@@ -54,14 +52,6 @@ pub enum FrameKind {
     PassiveJob,
     /// Worker → coordinator: the harvested shard.
     PassiveResult,
-    /// Coordinator → worker: seed a live shard from canonical state.
-    LiveSeed,
-    /// Coordinator → worker: one tick's events for this shard.
-    LiveTick,
-    /// Worker → coordinator: the folded outcome of a seed or tick.
-    LiveAck,
-    /// Coordinator → worker: exit cleanly.
-    Shutdown,
 }
 
 impl FrameKind {
@@ -69,10 +59,6 @@ impl FrameKind {
         match self {
             FrameKind::PassiveJob => 1,
             FrameKind::PassiveResult => 2,
-            FrameKind::LiveSeed => 3,
-            FrameKind::LiveTick => 4,
-            FrameKind::LiveAck => 5,
-            FrameKind::Shutdown => 6,
         }
     }
 
@@ -80,10 +66,6 @@ impl FrameKind {
         match v {
             1 => Some(FrameKind::PassiveJob),
             2 => Some(FrameKind::PassiveResult),
-            3 => Some(FrameKind::LiveSeed),
-            4 => Some(FrameKind::LiveTick),
-            5 => Some(FrameKind::LiveAck),
-            6 => Some(FrameKind::Shutdown),
             _ => None,
         }
     }
@@ -436,68 +418,6 @@ fn get_unit(r: &mut Reader<'_>) -> Result<WorkUnit, CodecError> {
     }
 }
 
-fn put_event(w: &mut Writer, e: &LiveEvent) {
-    match e {
-        LiveEvent::Join { ixp, member } => {
-            w.put_u8(0);
-            put_ixp(w, *ixp);
-            put_asn(w, *member);
-        }
-        LiveEvent::Leave { ixp, member } => {
-            w.put_u8(1);
-            put_ixp(w, *ixp);
-            put_asn(w, *member);
-        }
-        LiveEvent::Announce {
-            ixp,
-            member,
-            prefix,
-            actions,
-        } => {
-            w.put_u8(2);
-            put_ixp(w, *ixp);
-            put_asn(w, *member);
-            put_prefix(w, prefix);
-            put_actions(w, actions);
-        }
-        LiveEvent::Withdraw {
-            ixp,
-            member,
-            prefix,
-        } => {
-            w.put_u8(3);
-            put_ixp(w, *ixp);
-            put_asn(w, *member);
-            put_prefix(w, prefix);
-        }
-    }
-}
-
-fn get_event(r: &mut Reader<'_>) -> Result<LiveEvent, CodecError> {
-    match r.u8()? {
-        0 => Ok(LiveEvent::Join {
-            ixp: get_ixp(r)?,
-            member: get_asn(r)?,
-        }),
-        1 => Ok(LiveEvent::Leave {
-            ixp: get_ixp(r)?,
-            member: get_asn(r)?,
-        }),
-        2 => Ok(LiveEvent::Announce {
-            ixp: get_ixp(r)?,
-            member: get_asn(r)?,
-            prefix: get_prefix(r)?,
-            actions: get_actions(r)?,
-        }),
-        3 => Ok(LiveEvent::Withdraw {
-            ixp: get_ixp(r)?,
-            member: get_asn(r)?,
-            prefix: get_prefix(r)?,
-        }),
-        _ => Err(CodecError::BadValue("live event tag")),
-    }
-}
-
 // ---- protocol messages ----
 
 /// An injected worker fault, shipped inside the job so the *worker*
@@ -637,95 +557,6 @@ impl PassiveResult {
             observations,
             state,
             stats,
-        })
-    }
-}
-
-/// A live-mode batch: seed state or one tick's events for this shard's
-/// IXPs (the coordinator decodes session messages centrally — workers
-/// never see community schemes, which churn can retune).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LiveBatch {
-    /// The events, in stream order.
-    pub events: Vec<LiveEvent>,
-    /// Injected misbehavior (tests only).
-    pub fault: Fault,
-}
-
-impl LiveBatch {
-    /// Encode to payload bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u32(self.events.len() as u32);
-        for e in &self.events {
-            put_event(&mut w, e);
-        }
-        put_fault(&mut w, self.fault);
-        w.into_bytes()
-    }
-
-    /// Decode from exactly `buf`.
-    pub fn decode(buf: &[u8]) -> Result<LiveBatch, CodecError> {
-        let mut r = Reader::new(buf);
-        let n = r.count()?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(get_event(&mut r)?);
-        }
-        let fault = get_fault(&mut r)?;
-        if !r.is_done() {
-            return Err(CodecError::BadValue("trailing bytes after batch"));
-        }
-        Ok(LiveBatch { events, fault })
-    }
-}
-
-/// A worker's reply to a live seed or tick: whether served state moved,
-/// the folded link delta, and the shard's full canonical state (links +
-/// observations) — the coordinator's fold input *and* its reseed cache
-/// should this worker later crash.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LiveAck {
-    /// Did the shard's served state change this tick?
-    pub changed: bool,
-    /// The tick's folded link delta.
-    pub delta: LinkDelta,
-    /// The shard's current link set.
-    pub links: MlpLinkSet,
-    /// The shard's canonical observation list (sorted).
-    pub observations: Vec<Observation>,
-}
-
-impl LiveAck {
-    /// Encode to payload bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(self.changed as u8);
-        put_delta(&mut w, &self.delta);
-        put_links(&mut w, &self.links);
-        put_observations(&mut w, &self.observations);
-        w.into_bytes()
-    }
-
-    /// Decode from exactly `buf`.
-    pub fn decode(buf: &[u8]) -> Result<LiveAck, CodecError> {
-        let mut r = Reader::new(buf);
-        let changed = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(CodecError::BadValue("changed flag")),
-        };
-        let delta = get_delta(&mut r)?;
-        let links = get_links(&mut r)?;
-        let observations = get_observations(&mut r)?;
-        if !r.is_done() {
-            return Err(CodecError::BadValue("trailing bytes after ack"));
-        }
-        Ok(LiveAck {
-            changed,
-            delta,
-            links,
-            observations,
         })
     }
 }

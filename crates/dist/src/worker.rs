@@ -4,19 +4,17 @@
 //! `(scale, seed)` in each job — routing data never crosses the
 //! process boundary, only work-unit indices one way and harvested
 //! state the other. The loop exits on clean EOF (the coordinator
-//! dropped our stdin), an explicit [`FrameKind::Shutdown`], or any
-//! frame error (a confused coordinator is treated like a closed one).
+//! dropped our stdin) or any frame error (a confused coordinator is
+//! treated like a closed one).
 
 use std::io::{Read, Write};
 
 use mlpeer::infer::LinkInferencer;
-use mlpeer::live::{LinkDelta, LiveInferencer};
 use mlpeer::passive::{harvest_passive_units, PassiveConfig};
 use mlpeer::pipeline::{prepare, TeeSink};
 
 use crate::wire::{
-    read_frame, write_frame, Fault, Frame, FrameKind, LiveAck, LiveBatch, PassiveJob,
-    PassiveResult, WireError,
+    read_frame, write_frame, Fault, Frame, FrameKind, PassiveJob, PassiveResult, WireError,
 };
 
 /// Write `payload` as a reply frame, executing the job's injected
@@ -83,26 +81,10 @@ fn handle_passive(job: &PassiveJob) -> Option<PassiveResult> {
     })
 }
 
-fn handle_live(li: &mut LiveInferencer, batch: &LiveBatch) -> LiveAck {
-    let before = li.state_version();
-    let mut delta = LinkDelta::default();
-    for event in &batch.events {
-        delta.merge(li.apply(event));
-    }
-    LiveAck {
-        changed: !delta.is_empty() || li.state_version() != before,
-        delta,
-        links: li.current().clone(),
-        observations: li.observations(),
-    }
-}
-
-/// The worker main loop: read frames, harvest, reply, until EOF or
-/// shutdown. Returns `Ok` on a clean exit and the frame error
-/// otherwise (the binary maps it to a nonzero exit code).
+/// The worker main loop: read frames, harvest, reply, until EOF.
+/// Returns `Ok` on a clean exit and the frame error otherwise (the
+/// binary maps it to a nonzero exit code).
 pub fn run_worker(mut input: impl Read, mut output: impl Write) -> Result<(), WireError> {
-    // One live inferencer per process: seeded once, then ticked.
-    let mut live: Option<LiveInferencer> = None;
     loop {
         let Some(Frame { kind, seq, payload }) = read_frame(&mut input)? else {
             return Ok(()); // clean EOF: coordinator is done with us
@@ -125,50 +107,10 @@ pub fn run_worker(mut input: impl Read, mut output: impl Write) -> Result<(), Wi
                     job.fault,
                 )?;
             }
-            FrameKind::LiveSeed => {
-                let batch = LiveBatch::decode(&payload)?;
-                let li = live.insert(LiveInferencer::new());
-                let ack = handle_live(li, &batch);
-                // A seed's delta is bootstrap noise, not publishable
-                // change: ack canonical state only.
-                let ack = LiveAck {
-                    changed: false,
-                    delta: LinkDelta::default(),
-                    ..ack
-                };
-                send_reply(
-                    &mut output,
-                    FrameKind::LiveAck,
-                    seq,
-                    &ack.encode(),
-                    batch.fault,
-                )?;
-            }
-            FrameKind::LiveTick => {
-                let batch = LiveBatch::decode(&payload)?;
-                let Some(li) = live.as_mut() else {
-                    // Tick before seed: protocol violation.
-                    return Err(WireError::Codec(mlpeer_store::codec::CodecError::BadValue(
-                        "tick before seed",
-                    )));
-                };
-                let ack = handle_live(li, &batch);
-                send_reply(
-                    &mut output,
-                    FrameKind::LiveAck,
-                    seq,
-                    &ack.encode(),
-                    batch.fault,
-                )?;
-            }
-            FrameKind::Shutdown => return Ok(()),
-            FrameKind::PassiveResult | FrameKind::LiveAck => {
-                // Reply kinds flowing coordinator→worker are a
+            FrameKind::PassiveResult => {
+                // A reply kind flowing coordinator→worker is a
                 // protocol violation.
-                return Err(WireError::BadKind(match kind {
-                    FrameKind::PassiveResult => 2,
-                    _ => 5,
-                }));
+                return Err(WireError::BadKind(2));
             }
         }
     }

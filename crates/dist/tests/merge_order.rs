@@ -1,21 +1,15 @@
 //! Order-insensitivity properties of the distributed fold: arbitrary
 //! partition shapes (including empty shards) and arbitrary absorb
-//! orders are byte-identical to serial `harvest_passive`; the live
-//! partition merge is byte-identical to one serial `LiveInferencer`
-//! over the same stream — which core's own suite ties to
-//! `full_harvest` of the churned ecosystem.
+//! orders are byte-identical to serial `harvest_passive`.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use mlpeer::infer::{InferState, LinkInferencer, Observation};
-use mlpeer::live::{decode_message, LinkDelta, LiveInferencer};
 use mlpeer::passive::{
     harvest_passive, harvest_passive_units, passive_work_units, PassiveConfig, PassiveStats,
 };
 use mlpeer::pipeline::{prepare, TeeSink};
-use mlpeer_data::churn::{event_messages, ChurnConfig, ChurnGen};
-use mlpeer_dist::{eco_for, harvest_passive_dist, DistConfig, DistLive, DistStats};
+use mlpeer_dist::{eco_for, harvest_passive_dist, DistConfig, DistStats};
 
 /// Deterministic xorshift64* generator.
 struct Rng(u64);
@@ -193,97 +187,4 @@ fn single_worker_config_is_in_process_and_serial_equal() {
     assert_eq!(sink.1.finalize(&prep.conn), serial.1.finalize(&prep.conn));
     let snap = stats.snapshot();
     assert_eq!((snap.spawned, snap.frames), (0, 0));
-}
-
-/// Live mode: the IXP-partitioned worker fleet, ticked with centrally
-/// decoded churn, stays byte-identical to one serial `LiveInferencer`
-/// over the same stream — links, canonical observations, and the
-/// changed flag — across several ticks. Serial live state in turn
-/// equals `full_harvest` of the churned ecosystem (core's invariant),
-/// transitively anchoring the distributed fold to it.
-#[test]
-fn dist_live_matches_serial_inferencer_under_churn() {
-    let seed = 909u64;
-    let mut eco = eco_for("tiny", seed).unwrap();
-    let mut serial = LiveInferencer::from_ecosystem(&eco);
-
-    let cfg = DistConfig {
-        workers: 3,
-        timeout: Duration::from_secs(120),
-        max_retries: 2,
-        worker_cmd: Some(worker_cmd()),
-        faults: Vec::new(),
-    };
-    let stats = Arc::new(DistStats::new(3));
-    let mut dist = DistLive::new(&eco, cfg, Arc::clone(&stats));
-
-    // Boot states agree before any churn.
-    let (links, observations) = dist.state();
-    assert_eq!(&links, serial.current());
-    assert_eq!(observations, serial.observations());
-    assert!(dist.proc_shards() >= 1, "real live workers must be running");
-
-    let mut churn = ChurnGen::new(
-        &eco,
-        ChurnConfig {
-            seed: seed ^ 0xC,
-            ..ChurnConfig::default()
-        },
-    );
-    let mut clock = 0u64;
-    for _tick in 0..5 {
-        // Centrally decode one tick's worth of churn into live events.
-        let mut events = Vec::new();
-        for _ in 0..12 {
-            let event = churn.next_event(&eco);
-            eco.apply_churn(&event);
-            let ixp = event.ixp();
-            let scheme = &eco.ixp(ixp).scheme;
-            for msg in event_messages(&eco, &event, clock) {
-                events.extend(decode_message(ixp, scheme, &msg));
-            }
-            clock += 1;
-        }
-
-        // Serial fold.
-        let before = serial.state_version();
-        let mut serial_delta = LinkDelta::default();
-        for e in &events {
-            serial_delta.merge(serial.apply(e));
-        }
-        let serial_changed = !serial_delta.is_empty() || serial.state_version() != before;
-
-        // Distributed fold.
-        let outcome = dist.tick(&events);
-        assert_eq!(&outcome.links, serial.current(), "links diverged");
-        assert_eq!(
-            outcome.observations,
-            serial.observations(),
-            "canonical observations diverged"
-        );
-        assert_eq!(outcome.changed, serial_changed, "publish gating diverged");
-
-        // The folded delta carries the same net link moves (entry
-        // order differs across shards; the sets must not).
-        let mut dist_added = outcome.delta.added.clone();
-        let mut dist_removed = outcome.delta.removed.clone();
-        dist_added.sort_unstable();
-        dist_removed.sort_unstable();
-        let mut serial_added = serial_delta.added.clone();
-        let mut serial_removed = serial_delta.removed.clone();
-        serial_added.sort_unstable();
-        serial_removed.sort_unstable();
-        assert_eq!(dist_added, serial_added);
-        assert_eq!(dist_removed, serial_removed);
-    }
-    // And the end-state anchor: the distributed fold equals a
-    // from-scratch full harvest of the churned ecosystem, not just the
-    // serial inferencer it tracked along the way.
-    let fresh = LiveInferencer::from_ecosystem(&eco);
-    let (links, observations) = dist.state();
-    assert_eq!(&links, fresh.current(), "dist != full_harvest after churn");
-    assert_eq!(observations, fresh.observations());
-
-    assert_eq!(stats.snapshot().degraded, 0, "happy path must not degrade");
-    dist.shutdown();
 }

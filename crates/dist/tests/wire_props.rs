@@ -5,17 +5,14 @@
 
 use std::collections::BTreeSet;
 
-use mlpeer::infer::{InferEntry, InferState, MlpLinkSet, Observation, ObservationSource};
-use mlpeer::live::{LinkDelta, LiveEvent};
+use mlpeer::infer::{InferEntry, InferState, Observation, ObservationSource};
 use mlpeer::passive::{PassiveStats, WorkUnit};
 use mlpeer_bgp::{Asn, Prefix};
 use mlpeer_dist::wire::{
-    decode_frame, encode_frame, read_frame, Frame, FrameKind, LiveAck, LiveBatch, PassiveJob,
-    PassiveResult, WireError,
+    decode_frame, encode_frame, read_frame, Frame, FrameKind, PassiveJob, PassiveResult, WireError,
 };
 use mlpeer_dist::Fault;
 use mlpeer_ixp::ixp::IxpId;
-use mlpeer_ixp::policy::ExportPolicy;
 use mlpeer_ixp::scheme::RsAction;
 
 /// Deterministic xorshift64* generator — no external RNG crates.
@@ -153,67 +150,6 @@ fn rand_result(rng: &mut Rng) -> PassiveResult {
     }
 }
 
-fn rand_event(rng: &mut Rng) -> LiveEvent {
-    let ixp = IxpId(rng.below(16) as u16);
-    let member = rand_asn(rng);
-    match rng.below(4) {
-        0 => LiveEvent::Join { ixp, member },
-        1 => LiveEvent::Leave { ixp, member },
-        2 => LiveEvent::Announce {
-            ixp,
-            member,
-            prefix: rand_prefix(rng),
-            actions: rand_actions(rng),
-        },
-        _ => LiveEvent::Withdraw {
-            ixp,
-            member,
-            prefix: rand_prefix(rng),
-        },
-    }
-}
-
-fn rand_links(rng: &mut Rng) -> MlpLinkSet {
-    let mut links = MlpLinkSet::default();
-    for _ in 0..rng.below(4) {
-        let ixp = IxpId(rng.below(16) as u16);
-        let pairs: BTreeSet<(Asn, Asn)> = (0..rng.below(5))
-            .map(|_| {
-                let (a, b) = (rand_asn(rng), rand_asn(rng));
-                (a.min(b), a.max(b))
-            })
-            .collect();
-        links.per_ixp.insert(ixp, pairs);
-        links.covered.insert(ixp, rand_asn_set(rng));
-        links.policies.insert(
-            (ixp, rand_asn(rng)),
-            match rng.below(4) {
-                0 => ExportPolicy::AllMembers,
-                1 => ExportPolicy::AllExcept(rand_asn_set(rng)),
-                2 => ExportPolicy::OnlyTo(rand_asn_set(rng)),
-                _ => ExportPolicy::Nobody,
-            },
-        );
-    }
-    links
-}
-
-fn rand_ack(rng: &mut Rng) -> LiveAck {
-    LiveAck {
-        changed: rng.chance(50),
-        delta: LinkDelta {
-            added: (0..rng.below(4))
-                .map(|_| (IxpId(rng.below(16) as u16), rand_asn(rng), rand_asn(rng)))
-                .collect(),
-            removed: (0..rng.below(4))
-                .map(|_| (IxpId(rng.below(16) as u16), rand_asn(rng), rand_asn(rng)))
-                .collect(),
-        },
-        links: rand_links(rng),
-        observations: (0..rng.below(8)).map(|_| rand_observation(rng)).collect(),
-    }
-}
-
 /// Every message kind round-trips exactly through payload codec +
 /// frame layer, across many seeds.
 #[test]
@@ -226,15 +162,6 @@ fn round_trip_across_seeds() {
 
         let result = rand_result(&mut rng);
         assert_eq!(PassiveResult::decode(&result.encode()).unwrap(), result);
-
-        let batch = LiveBatch {
-            events: (0..rng.below(12)).map(|_| rand_event(&mut rng)).collect(),
-            fault: rand_fault(&mut rng),
-        };
-        assert_eq!(LiveBatch::decode(&batch.encode()).unwrap(), batch);
-
-        let ack = rand_ack(&mut rng);
-        assert_eq!(LiveAck::decode(&ack.encode()).unwrap(), ack);
 
         // And through the frame layer, preserving kind and seq.
         let seq = rng.next() as u32;
@@ -274,13 +201,8 @@ fn truncation_at_every_cut_is_detected() {
 fn single_byte_corruption_is_always_detected() {
     for seed in 1..=10u64 {
         let mut rng = Rng::new(seed);
-        let batch = LiveBatch {
-            events: (0..1 + rng.below(8))
-                .map(|_| rand_event(&mut rng))
-                .collect(),
-            fault: Fault::None,
-        };
-        let bytes = encode_frame(FrameKind::LiveTick, seed as u32, &batch.encode());
+        let job = rand_job(&mut rng);
+        let bytes = encode_frame(FrameKind::PassiveJob, seed as u32, &job.encode());
         for i in 0..bytes.len() {
             for flip in [0x01u8, 0x80, 0xFF] {
                 let mut corrupt = bytes.clone();
@@ -302,8 +224,8 @@ fn single_byte_corruption_is_always_detected() {
 #[test]
 fn random_double_corruption_never_yields_a_frame() {
     let mut rng = Rng::new(0xDEADBEEF);
-    let ack = rand_ack(&mut rng);
-    let bytes = encode_frame(FrameKind::LiveAck, 9, &ack.encode());
+    let result = rand_result(&mut rng);
+    let bytes = encode_frame(FrameKind::PassiveResult, 9, &result.encode());
     for _ in 0..2_000 {
         let mut corrupt = bytes.clone();
         let a = rng.below(corrupt.len() as u64) as usize;
@@ -327,14 +249,16 @@ fn random_double_corruption_never_yields_a_frame() {
 /// exactly there.
 #[test]
 fn framing_boundaries_are_exact() {
-    let payload = LiveBatch {
-        events: vec![],
+    let payload = PassiveJob {
+        scale: "tiny".into(),
+        seed: 1,
+        units: vec![],
         fault: Fault::None,
     }
     .encode();
-    let one = encode_frame(FrameKind::Shutdown, 1, &payload);
+    let one = encode_frame(FrameKind::PassiveJob, 1, &payload);
     let mut two = one.clone();
-    two.extend_from_slice(&encode_frame(FrameKind::Shutdown, 2, &payload));
+    two.extend_from_slice(&encode_frame(FrameKind::PassiveJob, 2, &payload));
 
     assert!(decode_frame(&one).is_ok());
     assert!(

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! mlpeer-serve [tiny|small|medium|large|paper] [--addr=HOST:PORT] [--seed=N]
-//!              [--shards=N] [--max-conns=N] [--idle-ms=N] [--workers=N]
+//!              [--max-conns=N] [--idle-ms=N] [--workers=N]
 //!              [--live] [--live-tick-ms=N] [--churn-per-tick=N]
 //!              [--churn-seed=N] [--delta-ring=N] [--data-dir=PATH]
 //!              [--drain-ms=N] [--admission=N]
@@ -13,18 +13,18 @@
 //! pipeline is deterministic in (scale, seed), so the snapshot stays
 //! current until a `--live` loop changes the ecosystem under it.
 //!
-//! The front end is the epoll **reactor** (`--shards` event-loop
-//! threads, `--max-conns` connections each, `--idle-ms` keep-alive
-//! read deadline) with long-poll and SSE push on `/v1/changes`.
+//! The front end is the epoll **reactor**: one event-loop thread,
+//! `--max-conns` connections, an `--idle-ms` keep-alive read deadline,
+//! and long-poll and SSE push on `/v1/changes`.
 //!
-//! With `--workers=N` (N > 1) the inference fold itself is distributed:
-//! the coordinator re-execs this binary as `--dist-worker` processes,
-//! ships work over checksummed pipes, and folds the results — byte-
-//! identically to a single-process run, degrading gracefully to
+//! With `--workers=N` (N > 1) a batch boot distributes its passive
+//! harvest: the coordinator re-execs this binary as `--dist-worker`
+//! processes, ships work over checksummed pipes, and folds the results
+//! — byte-identically to a single-process run, degrading gracefully to
 //! in-process execution when spawning fails (see `mlpeer_dist`).
-//! `/v1/stats` then surfaces the coordinator's `dist` counters. Works
-//! in both batch (sharded passive harvest) and `--live` (IXP-
-//! partitioned tick fold) modes.
+//! `/v1/stats` then surfaces the coordinator's `dist` counters.
+//! `--workers` applies to batch boots only: `--live` with `--workers=N`
+//! (N > 1) exits with status 2 before generating anything.
 //!
 //! With `--live` an incremental loop runs beside the server: the
 //! initial snapshot comes from the route-server-state harvest, a
@@ -72,8 +72,8 @@ use mlpeer::pipeline::Scale;
 use mlpeer_data::churn::ChurnConfig;
 use mlpeer_ixp::Ecosystem;
 use mlpeer_serve::{
-    bootstrap, spawn_live_refresher, spawn_live_refresher_dist, spawn_reactor, LiveConfig,
-    LiveStats, ReactorConfig, Snapshot, SnapshotStore,
+    bootstrap, spawn_live_refresher, spawn_reactor, LiveConfig, LiveStats, ReactorConfig, Snapshot,
+    SnapshotStore,
 };
 
 fn main() {
@@ -111,8 +111,6 @@ fn main() {
             seed = v.parse().expect("--seed=N");
         } else if let Some(v) = arg.strip_prefix("--workers=") {
             workers = v.parse().expect("--workers=N");
-        } else if let Some(v) = arg.strip_prefix("--shards=") {
-            reactor_cfg.shards = v.parse().expect("--shards=N");
         } else if let Some(v) = arg.strip_prefix("--max-conns=") {
             reactor_cfg.max_conns = v.parse().expect("--max-conns=N");
         } else if let Some(v) = arg.strip_prefix("--idle-ms=") {
@@ -137,12 +135,18 @@ fn main() {
             eprintln!("unknown argument: {arg}");
             eprintln!(
                 "usage: mlpeer-serve [tiny|small|medium|large|paper] [--addr=HOST:PORT] \
-                 [--seed=N] [--shards=N] [--max-conns=N] [--idle-ms=N] [--workers=N] \
+                 [--seed=N] [--max-conns=N] [--idle-ms=N] [--workers=N] \
                  [--live] [--live-tick-ms=N] [--churn-per-tick=N] [--churn-seed=N] \
                  [--delta-ring=N] [--data-dir=PATH] [--drain-ms=N] [--admission=N]"
             );
             std::process::exit(2);
         }
+    }
+    if live && workers > 1 {
+        eprintln!(
+            "--live cannot run with --workers={workers}: --workers applies to batch boots only"
+        );
+        std::process::exit(2);
     }
     reactor_cfg.drain_grace = Duration::from_millis(drain_ms);
 
@@ -185,9 +189,10 @@ fn main() {
     let shutdown = Arc::new(AtomicBool::new(false));
     let mut refresher = None;
 
-    // Multi-process inference: re-exec this binary as `--dist-worker`
-    // frames-over-pipes workers. Falls back to the sibling worker
-    // binary (or in-process degradation) if re-exec is unavailable.
+    // Multi-process passive harvest (batch boots only): re-exec this
+    // binary as `--dist-worker` frames-over-pipes workers. Falls back
+    // to the sibling worker binary (or in-process degradation) if
+    // re-exec is unavailable.
     let dist = (workers > 1).then(|| {
         let worker_cmd = std::env::current_exe()
             .map(|exe| (exe, vec!["--dist-worker".to_string()]))
@@ -251,28 +256,14 @@ fn main() {
             scale: scale_word,
             seed,
         };
-        refresher = Some(if let Some((cfg, dist_stats)) = dist {
-            store.set_dist_stats(Arc::clone(&dist_stats));
-            let fleet = mlpeer_dist::DistLive::new(&eco, cfg, dist_stats);
-            drop(inferencer);
-            spawn_live_refresher_dist(
-                Arc::clone(&store),
-                eco,
-                fleet,
-                live_cfg,
-                stats,
-                Arc::clone(&shutdown),
-            )
-        } else {
-            spawn_live_refresher(
-                Arc::clone(&store),
-                eco,
-                inferencer,
-                live_cfg,
-                stats,
-                Arc::clone(&shutdown),
-            )
-        });
+        refresher = Some(spawn_live_refresher(
+            Arc::clone(&store),
+            eco,
+            inferencer,
+            live_cfg,
+            stats,
+            Arc::clone(&shutdown),
+        ));
         eprintln!(
             "# live churn: {churn_per_tick} events every {live_tick_ms}ms \
              (seed {churn_seed}, ring {delta_ring})"
@@ -333,15 +324,10 @@ fn main() {
     if let Err(e) = polling::signal::install_term_handler() {
         eprintln!("# warning: no signal handlers ({e}); drain on request only");
     }
-    let shards = reactor_cfg.shards.max(1);
     let mut server = spawn_reactor(Arc::clone(&store), &addr, reactor_cfg).expect("bind address");
-    eprintln!(
-        "# serving on http://{} (reactor, {shards} shard{})",
-        server.addr,
-        if shards == 1 { "" } else { "s" }
-    );
+    eprintln!("# serving on http://{} (reactor)", server.addr);
     eprintln!("#   try: curl http://{}/healthz", server.addr);
-    // Wait for SIGTERM/SIGINT (or the serve threads exiting on their
+    // Wait for SIGTERM/SIGINT (or the serve thread exiting on its
     // own), then drain: stop accepting, finish in-flight work under
     // the --drain-ms grace, stop the live loop, land the parked epochs,
     // flush + fsync the active durable segment, exit 0.

@@ -17,9 +17,6 @@
 //!   the loop restarted with backoff
 //!   (see [`crate::live::spawn_live_refresher`]); the registry reports
 //!   `live-refresher` until a restarted tick completes cleanly.
-//! * **Dist degradation** — the `--workers=N` fleet falling back to
-//!   in-process execution reports `dist-workers` until a tick runs
-//!   without new degradation.
 //! * **Draining** — a SIGTERM/SIGINT drain in progress reports
 //!   `draining` (and 503) so load balancers stop routing while
 //!   in-flight requests finish.
@@ -45,7 +42,6 @@ pub struct HealthState {
     durable_recoveries: AtomicU64,
     probe_running: AtomicBool,
     live_restarting: AtomicBool,
-    dist_degraded: AtomicBool,
 }
 
 impl HealthState {
@@ -132,12 +128,6 @@ impl HealthState {
         self.live_restarting.store(restarting, Ordering::SeqCst);
     }
 
-    /// Mark the dist fleet as freshly degraded (`true`) or running a
-    /// clean tick again (`false`).
-    pub fn set_dist_degraded(&self, degraded: bool) {
-        self.dist_degraded.store(degraded, Ordering::SeqCst);
-    }
-
     /// The active degradation reasons, stable slugs for `/readyz`.
     pub fn reasons(&self) -> Vec<&'static str> {
         let mut reasons = Vec::new();
@@ -146,9 +136,6 @@ impl HealthState {
         }
         if self.live_restarting.load(Ordering::SeqCst) {
             reasons.push("live-refresher");
-        }
-        if self.dist_degraded.load(Ordering::SeqCst) {
-            reasons.push("dist-workers");
         }
         reasons
     }
@@ -209,11 +196,11 @@ mod tests {
     fn reasons_compose_and_draining_dominates() {
         let h = HealthState::new();
         h.set_live_restarting(true);
-        h.set_dist_degraded(true);
-        assert_eq!(h.reasons(), vec!["live-refresher", "dist-workers"]);
+        h.trip_durable_breaker();
+        assert_eq!(h.reasons(), vec!["durable-append", "live-refresher"]);
         assert_eq!(h.status(), "degraded");
         h.set_live_restarting(false);
-        assert_eq!(h.reasons(), vec!["dist-workers"]);
+        assert_eq!(h.reasons(), vec!["durable-append"]);
         h.set_draining();
         assert_eq!(h.status(), "draining");
     }

@@ -21,7 +21,7 @@
 //!   body and the ETag corpus straight into bytes, in the canonical
 //!   pretty format, with no intermediate value tree;
 //! * **one HTTP/1.1 front end** — the epoll [`reactor`] (one event
-//!   loop per shard, vectored zero-copy writes, massive keep-alive
+//!   loop, vectored zero-copy writes, massive keep-alive
 //!   concurrency, push delivery for `/v1/changes`) behind a
 //!   [`ServerHandle`], exposing the JSON endpoints documented in the
 //!   README: `/healthz`, `/v1/ixps`, `/v1/ixp/{id}/links`,
@@ -71,7 +71,7 @@ pub use cache::BodyCache;
 pub use delta::{ChangeLog, SinceAnswer};
 pub use durable::DurableStore;
 pub use health::HealthState;
-pub use live::{bootstrap, spawn_live_refresher, spawn_live_refresher_dist, LiveConfig, LiveStats};
+pub use live::{bootstrap, spawn_live_refresher, LiveConfig, LiveStats};
 pub use loadgen::{run_hold_load, run_load, HoldConfig, LoadConfig, LoadReport};
 pub use reactor::{spawn_reactor, ReactorConfig, ReactorStats};
 pub use server::{ServerHandle, ServerStats};

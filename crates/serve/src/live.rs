@@ -87,7 +87,6 @@ impl Supervisor {
     /// A tick panicked: count, report, back off (shutdown-aware), grow.
     fn tick_panicked(
         &mut self,
-        tag: &str,
         health: &crate::health::HealthState,
         stats: &LiveStats,
         shutdown: &AtomicBool,
@@ -95,7 +94,7 @@ impl Supervisor {
         let n = stats.restarts.fetch_add(1, Ordering::Relaxed) + 1;
         health.set_live_restarting(true);
         eprintln!(
-            "mlpeer-serve: {tag} tick panicked; restart #{n} in {:?}",
+            "mlpeer-serve: live tick panicked; restart #{n} in {:?}",
             self.backoff
         );
         let mut slept = Duration::ZERO;
@@ -233,120 +232,11 @@ pub fn spawn_live_refresher(
                 }));
                 match tick {
                     Ok(()) => supervisor.tick_ok(store.health()),
-                    Err(_) => supervisor.tick_panicked("live", store.health(), &stats, &shutdown),
+                    Err(_) => supervisor.tick_panicked(store.health(), &stats, &shutdown),
                 }
             }
         })
         .expect("spawn live refresher")
-}
-
-/// [`spawn_live_refresher`] with the inference fold distributed across
-/// worker processes: the coordinator decodes each tick's churn into
-/// live events centrally (schemes retune under churn, so decoding must
-/// see the mutated ecosystem), ships each event to the worker owning
-/// its IXP, and folds the acked deltas into one publishable epoch.
-/// Byte-identical to the serial loop on the same `(eco, cfg)` — the
-/// invariant `tests/dist_faults.rs` proves under fault injection.
-pub fn spawn_live_refresher_dist(
-    store: Arc<SnapshotStore>,
-    mut eco: Ecosystem,
-    mut dist: mlpeer_dist::DistLive,
-    cfg: LiveConfig,
-    stats: Arc<LiveStats>,
-    shutdown: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    let mut churn = ChurnGen::new(&eco, cfg.churn.clone());
-    let names = Snapshot::names_of(&eco);
-    store.set_live_stats(Arc::clone(&stats));
-    std::thread::Builder::new()
-        .name("mlpeer-serve-live-dist".into())
-        .spawn(move || {
-            let interval = cfg.interval.max(Duration::from_millis(1));
-            let mut clock: u64 = 0;
-            let mut supervisor = Supervisor::new();
-            loop {
-                let mut slept = Duration::ZERO;
-                while slept < interval {
-                    if shutdown.load(Ordering::Relaxed) {
-                        dist.shutdown();
-                        return;
-                    }
-                    let step = Duration::from_millis(50).min(interval - slept);
-                    std::thread::sleep(step);
-                    slept += step;
-                }
-                if shutdown.load(Ordering::Relaxed) {
-                    dist.shutdown();
-                    return;
-                }
-
-                // ---- One tick: decode centrally, fold remotely
-                // (supervised, like the serial loop). ----
-                let degraded_before = dist.stats().snapshot().degraded;
-                let tick = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    failpoints::failpoint!("serve::live_tick");
-                    let mut events = Vec::new();
-                    for _ in 0..cfg.events_per_tick {
-                        let event = churn.next_event(&eco);
-                        eco.apply_churn(&event);
-                        let ixp = event.ixp();
-                        let scheme = &eco.ixp(ixp).scheme;
-                        for msg in event_messages(&eco, &event, clock) {
-                            events.extend(decode_message(ixp, scheme, &msg));
-                        }
-                        clock += 1;
-                        stats.events.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let outcome = dist.tick(&events);
-                    stats.ticks.fetch_add(1, Ordering::Relaxed);
-
-                    if !outcome.changed {
-                        return;
-                    }
-                    // Same validation pass as the serial loop, against
-                    // the same churned ecosystem — byte-identity of the
-                    // two loops extends to `/v1/validate`.
-                    let validation = validate_harvest(
-                        &eco,
-                        &outcome.links,
-                        &outcome.observations,
-                        &CorpusConfig::seeded(cfg.seed),
-                    );
-                    let snapshot = Snapshot::build_uncached_validated(
-                        &cfg.scale,
-                        cfg.seed,
-                        names.clone(),
-                        outcome.links,
-                        &outcome.observations,
-                        PassiveStats::default(),
-                        validation,
-                    );
-                    let epoch = store.publish_with_delta(snapshot, outcome.delta);
-                    stats.published.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "# live[dist]: epoch {epoch} after {} events ({} links)",
-                        stats.events.load(Ordering::Relaxed),
-                        store.load().unique_link_count,
-                    );
-                }));
-                // Workers falling back to in-process execution this
-                // tick is answer-preserving (the fault tests prove
-                // byte-identity) but still a capacity loss worth
-                // surfacing: /readyz reports `dist-workers` until a
-                // tick runs without fresh degradation.
-                let degraded_after = dist.stats().snapshot().degraded;
-                store
-                    .health()
-                    .set_dist_degraded(degraded_after > degraded_before);
-                match tick {
-                    Ok(()) => supervisor.tick_ok(store.health()),
-                    Err(_) => {
-                        supervisor.tick_panicked("live[dist]", store.health(), &stats, &shutdown)
-                    }
-                }
-            }
-        })
-        .expect("spawn dist live refresher")
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! The nonblocking reactor serve front end: one epoll event loop per
-//! shard, per-connection state machines, zero-copy vectored writes.
+//! The nonblocking reactor serve front end: one epoll event loop,
+//! per-connection state machines, zero-copy vectored writes.
 //!
 //! A single thread drives thousands of nonblocking connections through
 //! a [`polling::Poller`] (epoll on Linux, `poll(2)` fallback), and a
@@ -37,24 +37,21 @@
 //! the delta ring). With `&wait=1` the request long-polls: it answers
 //! immediately when `since` is behind, otherwise parks until the next
 //! publish (or answers an empty delta at the idle deadline). The
-//! store's publish hook writes one byte down a per-shard self-pipe;
+//! store's publish hook writes one byte down the loop's self-pipe;
 //! the delta JSON is rendered **once per distinct `since`** and fanned
 //! out to every subscriber as a shared slice.
 //!
 //! **Robustness:** per-connection read deadline (idle keep-alive
 //! connections draw a 408 and close, so a slowloris client cannot pin
-//! memory) and a per-shard connection cap with accept backpressure
-//! (the listener is deregistered at the cap and re-registered when a
-//! slot frees; excess clients wait in the kernel backlog).
+//! memory) and a connection cap with accept backpressure (the
+//! listener is deregistered at the cap and re-registered when a slot
+//! frees; excess clients wait in the kernel backlog).
 //!
-//! With `shards > 1` the reactor runs N identical event loops on
-//! `SO_REUSEPORT` listeners sharing one port; the kernel spreads
-//! accepts across them. Counters are surfaced under `/v1/stats`
-//! (see [`ReactorStats`]).
+//! Counters are surfaced under `/v1/stats` (see [`ReactorStats`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,9 +68,9 @@ use crate::store::SnapshotStore;
 
 pub use polling::BackendKind;
 
-/// Poller key of the shard's listener.
+/// Poller key of the listener.
 const KEY_LISTENER: usize = 0;
-/// Poller key of the shard's publish-wake pipe.
+/// Poller key of the publish-wake pipe.
 const KEY_WAKE: usize = 1;
 /// First poller key used for connections (`slab index + KEY_CONN0`).
 const KEY_CONN0: usize = 2;
@@ -95,12 +92,8 @@ Connection: keep-alive\r\n\r\n";
 /// Reactor engine knobs.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Event-loop shards. 1 (the default) runs a single loop on a
-    /// plain listener; N > 1 binds N `SO_REUSEPORT` listeners on the
-    /// same port, one loop each.
-    pub shards: usize,
-    /// Maximum open connections per shard; beyond it the listener is
-    /// paused and new clients wait in the kernel backlog.
+    /// Maximum open connections; beyond it the listener is paused and
+    /// new clients wait in the kernel backlog.
     pub max_conns: usize,
     /// Read deadline for idle keep-alive connections (408 + close) and
     /// the wait cap for parked long-polls (empty delta).
@@ -111,20 +104,19 @@ pub struct ReactorConfig {
     /// Test hook: shrink accepted sockets' send buffers to force
     /// partial writes deterministically.
     pub sndbuf: Option<usize>,
-    /// Global (cross-shard) in-flight response cap. At the cap a new
-    /// request is shed with a pre-rendered 503 + `Retry-After` instead
-    /// of being routed — overload control that keeps latency bounded
-    /// for the requests already admitted.
+    /// In-flight response cap. At the cap a new request is shed with a
+    /// pre-rendered 503 + `Retry-After` instead of being routed —
+    /// overload control that keeps latency bounded for the requests
+    /// already admitted.
     pub admission: usize,
     /// How long a graceful drain lets in-flight work finish before the
-    /// shard exits anyway (`--drain-ms`).
+    /// event loop exits anyway (`--drain-ms`).
     pub drain_grace: Duration,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
-            shards: 1,
             max_conns: 8192,
             idle: Duration::from_secs(10),
             #[cfg(target_os = "linux")]
@@ -149,9 +141,8 @@ pub struct ReactorStats {
     writev_continuations: AtomicU64,
     sse_subscribers: AtomicU64,
     idle_timeouts: AtomicU64,
-    /// Admitted responses queued but not yet fully on the wire —
-    /// global across shards (the stats handle is shared), which is
-    /// what makes the admission cap global.
+    /// Admitted responses queued but not yet fully on the wire — what
+    /// the admission cap counts.
     inflight: AtomicU64,
     shed: AtomicU64,
 }
@@ -293,90 +284,45 @@ enum ReadOutcome {
     Error,
 }
 
-/// Spawn the reactor engine on `addr`: `cfg.shards` event-loop
-/// threads serving the store. Returns once every listener is bound
-/// (use port 0 for an ephemeral test port).
+/// Spawn the reactor engine on `addr`: one event-loop thread serving
+/// the store. Returns once the listener is bound (use port 0 for an
+/// ephemeral test port).
 pub fn spawn_reactor(
     store: Arc<SnapshotStore>,
     addr: &str,
     cfg: ReactorConfig,
 ) -> io::Result<ServerHandle> {
-    let shards = cfg.shards.max(1);
-    let mut listeners: Vec<TcpListener> = Vec::with_capacity(shards);
-    if shards == 1 {
-        listeners.push(TcpListener::bind(addr)?);
-    } else {
-        #[cfg(target_os = "linux")]
-        {
-            // SO_REUSEPORT must be set before bind, which std cannot
-            // do — the vendored shim binds these by hand.
-            let v4: std::net::SocketAddrV4 = addr.parse().map_err(|_| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "sharded reactor needs an IPv4 host:port",
-                )
-            })?;
-            let first = polling::os::bind_reuseport_v4(v4, 1024)?;
-            let bound = match first.local_addr()? {
-                SocketAddr::V4(a) => a,
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("unexpected bound address {other}"),
-                    ))
-                }
-            };
-            listeners.push(first);
-            for _ in 1..shards {
-                listeners.push(polling::os::bind_reuseport_v4(bound, 1024)?);
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        return Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SO_REUSEPORT sharding is Linux-only",
-        ));
-    }
-    let addr = listeners[0].local_addr()?;
+    let listener = TcpListener::bind(addr)?;
+    let addr = listener.local_addr()?;
 
     // Best effort: make room for the configured connection count under
     // environments whose default soft NOFILE limit is 1024.
     #[cfg(target_os = "linux")]
-    let _ = polling::os::raise_nofile_limit((shards * cfg.max_conns) as u64 * 2 + 64);
+    let _ = polling::os::raise_nofile_limit(cfg.max_conns as u64 * 2 + 64);
 
     let stats = Arc::new(ServerStats::default());
     let rstats = Arc::new(ReactorStats::default());
     let shutdown = Arc::new(AtomicBool::new(false));
-    let mut wake_writers = Vec::with_capacity(shards);
-    let mut threads = Vec::with_capacity(shards);
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_rx.set_nonblocking(true)?;
-        wake_writers.push(wake_tx);
-        let shard = Shard::new(
-            listener,
-            wake_rx,
-            Arc::clone(&store),
-            Arc::clone(&stats),
-            Arc::clone(&rstats),
-            cfg.clone(),
-            Arc::clone(&shutdown),
-        )?;
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("mlpeer-serve-reactor-{i}"))
-                .spawn(move || shard.run())?,
-        );
-    }
-    // One publish hook wakes every shard: each parked subscriber lives
-    // on exactly one shard's slab, and a byte down the self-pipe turns
-    // the publish into a poller event there.
+    let (wake_tx, wake_rx) = UnixStream::pair()?;
+    wake_tx.set_nonblocking(true)?;
+    wake_rx.set_nonblocking(true)?;
+    let shard = Shard::new(
+        listener,
+        wake_rx,
+        Arc::clone(&store),
+        Arc::clone(&stats),
+        Arc::clone(&rstats),
+        cfg,
+        Arc::clone(&shutdown),
+    )?;
+    let thread = std::thread::Builder::new()
+        .name("mlpeer-serve-reactor".into())
+        .spawn(move || shard.run())?;
+    // A publish wakes the loop: a byte down the self-pipe turns it into
+    // a poller event, which delivers to every parked subscriber.
     store.on_publish(move |_epoch| {
-        for tx in &wake_writers {
-            // A full pipe already holds a pending wake; ignore it.
-            let _ = (&mut &*tx).write(&[1]);
-        }
+        // A full pipe already holds a pending wake; ignore it.
+        let _ = (&mut &wake_tx).write(&[1]);
     });
     Ok(ServerHandle {
         addr,
@@ -384,12 +330,11 @@ pub fn spawn_reactor(
         reactor_stats: rstats,
         shutdown,
         health: Arc::clone(store.health()),
-        threads,
+        thread: Some(thread),
     })
 }
 
-/// One event-loop shard: a poller, its listener, and the connection
-/// slab.
+/// The event loop: a poller, its listener, and the connection slab.
 struct Shard {
     poller: Poller,
     listener: TcpListener,
@@ -405,7 +350,7 @@ struct Shard {
     listener_paused: bool,
     last_scan: Instant,
     /// `Some` once a graceful drain started: the moment in-flight work
-    /// is abandoned and the shard exits anyway.
+    /// is abandoned and the loop exits anyway.
     drain_deadline: Option<Instant>,
 }
 
@@ -451,7 +396,7 @@ impl Shard {
                 return;
             }
             // A graceful drain: stop accepting, tell subscribers,
-            // finish what is in flight, exit when the shard is empty
+            // finish what is in flight, exit when the loop is empty
             // (or the grace deadline passes).
             if self.drain_deadline.is_none() && self.store.health().is_draining() {
                 self.begin_drain();
@@ -583,7 +528,7 @@ impl Shard {
     /// backlog), push a terminal `shutdown` event to every SSE
     /// subscriber, complete parked long-polls with the current delta,
     /// and let plain keep-alive connections finish their buffered
-    /// requests before closing. The shard then runs on until every
+    /// requests before closing. The loop then runs on until every
     /// connection has flushed and closed, or the grace deadline
     /// passes.
     fn begin_drain(&mut self) {
@@ -1167,6 +1112,7 @@ mod tests {
     use super::*;
     use crate::http::read_response;
     use std::io::BufReader;
+    use std::net::SocketAddr;
 
     fn boot(members: u32, cfg: ReactorConfig) -> (Arc<SnapshotStore>, ServerHandle) {
         let store = SnapshotStore::new(crate::testutil::snapshot_with(members, 7));
@@ -1584,27 +1530,6 @@ mod tests {
         assert!(body.contains("\"sse_subscribers\""), "{body}");
     }
 
-    /// Multiple SO_REUSEPORT shards share one port and all serve.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn sharded_reactor_serves_on_one_port() {
-        let cfg = ReactorConfig {
-            shards: 2,
-            ..ReactorConfig::default()
-        };
-        let (store, mut server) = boot(3, cfg);
-        for _ in 0..8 {
-            let (status, _) = raw_get(server.addr, "/healthz");
-            assert_eq!(status, 200);
-        }
-        // A publish wakes every shard's pipe without incident.
-        store.publish(crate::testutil::snapshot_with(4, 8));
-        let (status, body) = raw_get(server.addr, "/healthz");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"epoch\": 1"), "{body}");
-        server.stop();
-    }
-
     /// A client dribbling header bytes forever cannot hold a
     /// connection open past the idle window: per-byte activity keeps
     /// `last_activity` fresh, but the head-read clock starts at the
@@ -1667,7 +1592,7 @@ mod tests {
 
     /// Draining completes in-flight work: the SSE subscriber gets a
     /// terminal `shutdown` event and a close, the idle keep-alive
-    /// connection closes, and the shard threads exit well before the
+    /// connection closes, and the reactor thread exits well before the
     /// grace deadline.
     #[test]
     fn drain_notifies_sse_and_exits_before_grace() {

@@ -1,6 +1,6 @@
 //! The handle and shared counters of a running server.
 //!
-//! [`crate::reactor::spawn_reactor`] starts the serve threads and
+//! [`crate::reactor::spawn_reactor`] starts the serve thread and
 //! returns a [`ServerHandle`]: the bound address, the [`ServerStats`]
 //! and [`crate::reactor::ReactorStats`] counters that `/v1/stats`
 //! reports, and the stop, drain and join controls.
@@ -76,20 +76,17 @@ pub struct ServerHandle {
     /// The served store's health registry — the drain flag lives here
     /// so `/readyz` and the reactor see the same state.
     pub(crate) health: Arc<crate::health::HealthState>,
-    /// One thread per reactor shard.
-    pub(crate) threads: Vec<std::thread::JoinHandle<()>>,
+    /// The reactor thread, until joined.
+    pub(crate) thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
-    /// Ask the serve threads to exit and join them. Idempotent.
+    /// Ask the serve thread to exit and join it. Idempotent.
     pub fn stop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        // Wake a poller shard with one throwaway connection; remaining
-        // shards notice the flag on their next wait timeout.
+        // Wake the poller with one throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.join();
     }
 
     /// Graceful drain: flip the health registry's drain flag (so
@@ -98,25 +95,23 @@ impl ServerHandle {
     /// `shutdown` SSE event, completes parked long-polls and closes
     /// idle keep-alive connections; grace is bounded by
     /// [`crate::reactor::ReactorConfig::drain_grace`] — and join the
-    /// serve threads. Idempotent.
+    /// serve thread. Idempotent.
     pub fn drain(&mut self) {
         self.health.set_draining();
-        // Wake the poller shards.
+        // Wake the poller.
         let _ = TcpStream::connect(self.addr);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.join();
     }
 
-    /// True once every serve thread has exited — lets a supervisor
-    /// poll for liveness without consuming the handles.
+    /// True once the serve thread has exited — lets a supervisor poll
+    /// for liveness without consuming the handle.
     pub fn is_finished(&self) -> bool {
-        self.threads.iter().all(|t| t.is_finished())
+        self.thread.as_ref().is_none_or(|t| t.is_finished())
     }
 
     /// Block until the server exits (Ctrl-C for the binary).
     pub fn join(&mut self) {
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }

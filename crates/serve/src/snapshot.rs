@@ -117,29 +117,18 @@ impl Snapshot {
         passive_stats: PassiveStats,
         validation: ValidationReport,
     ) -> Snapshot {
-        let index = LinkIndex::build(&links, observations);
-        let etag = content_etag(&links, observations);
-        let unique = links.unique_links();
-        let distinct_asn_count = unique
-            .iter()
-            .flat_map(|&(a, b)| [a, b])
-            .collect::<std::collections::BTreeSet<Asn>>()
-            .len();
-        Snapshot {
+        let announcements = mlpeer::index::scan::announcements(&links, observations);
+        Snapshot::assemble(SnapshotParts {
             epoch: 0,
-            etag,
             scale: scale.to_string(),
             seed,
             names,
             links,
-            index,
+            announcements,
             observation_count: observations.len(),
-            unique_link_count: unique.len(),
-            distinct_asn_count,
             passive_stats,
             validation,
-            cache: crate::cache::BodyCache::default(),
-        }
+        })
     }
 
     /// Rebuild a full serving snapshot from its persisted
@@ -151,6 +140,15 @@ impl Snapshot {
     /// published (the caller re-verifies the stored ETag against the
     /// rebuilt one as the end-to-end integrity check).
     pub fn from_parts(parts: SnapshotParts) -> Snapshot {
+        let mut snapshot = Snapshot::assemble(parts);
+        snapshot.cache = crate::cache::BodyCache::build(&snapshot);
+        snapshot
+    }
+
+    /// The one assembly behind every constructor: the ETag and the
+    /// index from one announcement corpus, the link counts, and an
+    /// empty body cache.
+    fn assemble(parts: SnapshotParts) -> Snapshot {
         let SnapshotParts {
             epoch,
             scale,
@@ -162,15 +160,15 @@ impl Snapshot {
             passive_stats,
             validation,
         } = parts;
-        let index = LinkIndex::build_from_announcements(&links, announcements.iter().copied());
         let etag = etag_of(&links, &announcements);
+        let index = LinkIndex::build_from_announcements(&links, announcements);
         let unique = links.unique_links();
         let distinct_asn_count = unique
             .iter()
             .flat_map(|&(a, b)| [a, b])
-            .collect::<std::collections::BTreeSet<Asn>>()
+            .collect::<BTreeSet<Asn>>()
             .len();
-        let mut snapshot = Snapshot {
+        Snapshot {
             epoch,
             etag,
             scale,
@@ -184,9 +182,7 @@ impl Snapshot {
             passive_stats,
             validation,
             cache: crate::cache::BodyCache::default(),
-        };
-        snapshot.cache = crate::cache::BodyCache::build(&snapshot);
-        snapshot
+        }
     }
 
     /// Convenience: names map from a generated ecosystem.
@@ -283,17 +279,9 @@ pub struct SnapshotParts {
 }
 
 /// The content hash behind the ETag: FxHash over the canonical JSON of
-/// the link set plus the deduplicated announcement corpus.
-fn content_etag(links: &MlpLinkSet, observations: &[Observation]) -> String {
-    etag_of(
-        links,
-        &mlpeer::index::scan::announcements(links, observations),
-    )
-}
-
-/// The same hash over an already-extracted corpus — shared by the
-/// build path (above) and the durable-store recovery path, so the two
-/// can never drift.
+/// the link set plus the deduplicated announcement corpus. Every
+/// constructor reaches it through [`Snapshot::assemble`], so the build
+/// and recovery paths can never drift.
 ///
 /// The corpus is the pair `(links, announcements)` in the serde
 /// derive's shapes:
@@ -302,7 +290,7 @@ fn content_etag(links: &MlpLinkSet, observations: &[Observation]) -> String {
 /// writer hands its whole 8-byte words to the hasher, which gives the
 /// hash of the document in one piece because `FxHasher::write` pads
 /// only the last partial word of each call.
-pub(crate) fn etag_of(links: &MlpLinkSet, announcements: &BTreeSet<Announcement>) -> String {
+fn etag_of(links: &MlpLinkSet, announcements: &BTreeSet<Announcement>) -> String {
     let mut h = FxHasher::default();
     let mut w = JsonWriter::with_capacity(ETAG_FLUSH + 1024);
     let mut flush = |w: &mut JsonWriter| {

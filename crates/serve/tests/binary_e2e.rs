@@ -1,6 +1,6 @@
 //! The real `mlpeer-serve` binary, as cargo builds it for this
-//! package's tests: its batch boot over a data directory and its
-//! signal handling.
+//! package's tests: its batch boot over a data directory, its option
+//! checks and its signal handling.
 //!
 //! * A data dir written at another `(scale, seed)` is history, not the
 //!   answer: the new run publishes a bridge epoch over it, and a third
@@ -8,6 +8,8 @@
 //! * The validation report rides the durable log (record version 3),
 //!   so its verdicts are byte-stable across `kill -9` and a reboot
 //!   from the same `--data-dir`.
+//! * `--workers` applies to batch boots only: `--live --workers=2` is
+//!   refused with exit status 2 before anything is generated or bound.
 //! * A SIGTERM that arrives once `/readyz` answers drains cleanly with
 //!   exit status 0.
 
@@ -200,6 +202,41 @@ fn kill_nine_and_data_dir_recovery_keep_verdicts_byte_stable() {
 
     drop(child);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn live_with_workers_is_refused_before_boot() {
+    let mut child = Running(
+        Command::new(SERVE_BIN)
+            .args(["tiny", "--live", "--workers=2", "--addr=127.0.0.1:0"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn mlpeer-serve"),
+    );
+    let mut lines = BufReader::new(child.0.stderr.take().expect("stderr piped"));
+    let mut stderr = String::new();
+    let mut line = String::new();
+    while lines.read_line(&mut line).expect("read server stderr") > 0 {
+        assert!(
+            !line.starts_with("# serving on"),
+            "--live --workers=2 booted and served:\n{stderr}{line}"
+        );
+        stderr.push_str(&line);
+        line.clear();
+    }
+    let status = child.0.wait().expect("reap");
+    assert_eq!(status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.contains("--live") && l.contains("--workers")),
+        "the refusal must name both flags:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("# generating ecosystem"),
+        "refused only after generating:\n{stderr}"
+    );
 }
 
 /// The signal mask a process catches, from `/proc/<pid>/status`.

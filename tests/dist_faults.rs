@@ -3,23 +3,17 @@
 //! the deadline, made to corrupt frames, and made to double-deliver
 //! results — and in every case the coordinator retries, dedups, or
 //! degrades such that the final snapshot's content ETag is
-//! byte-identical to the single-process run. The same invariant is
-//! driven through live mode: a worker killed between ticks is respawned
-//! and reseeded, and the folded stream stays equal to one serial
-//! `LiveInferencer`.
+//! byte-identical to the single-process run.
 //!
 //! The ETag is the content hash over the link set and the observation
 //! corpus, and every `/v1/*` body renders from exactly those — so ETag
 //! equality here is body equality over HTTP (`tests/serve_e2e.rs`
 //! pins that correspondence).
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use mlpeer::live::{decode_message, LiveInferencer};
 use mlpeer_bench::Scale;
-use mlpeer_data::churn::{event_messages, ChurnConfig, ChurnGen};
-use mlpeer_dist::{default_worker_cmd, DistConfig, DistLive, DistStats, Fault};
+use mlpeer_dist::{default_worker_cmd, DistConfig, DistStats, Fault};
 use mlpeer_ixp::Ecosystem;
 use mlpeer_serve::Snapshot;
 
@@ -138,70 +132,4 @@ fn etag_equality_holds_across_scales_and_worker_counts() {
         assert_eq!(snap.degraded, 0, "{snap:?}");
         assert!(snap.spawned >= 1, "{snap:?}");
     }
-}
-
-/// Live mode under `kill -9`: a worker process killed between ticks is
-/// respawned and reseeded on the next tick touching its shard, and the
-/// folded link set, observation corpus, and publish gating stay equal
-/// to one serial `LiveInferencer` over the same event stream.
-#[test]
-fn live_worker_killed_between_ticks_recovers_byte_identically() {
-    let seed = 31337u64;
-    let mut eco = Ecosystem::generate(Scale::Tiny.config(seed));
-    let mut serial = LiveInferencer::from_ecosystem(&eco);
-
-    let stats = Arc::new(DistStats::new(3));
-    let mut dist = DistLive::new(&eco, dist_cfg(3, Vec::new()), Arc::clone(&stats));
-    assert!(dist.proc_shards() >= 1, "live workers must be processes");
-
-    let mut churn = ChurnGen::new(
-        &eco,
-        ChurnConfig {
-            seed: seed ^ 0xF00D,
-            ..ChurnConfig::default()
-        },
-    );
-    let mut clock = 0u64;
-    for tick in 0..6 {
-        if tick == 2 || tick == 4 {
-            // SIGKILL a live worker between ticks; the next tick that
-            // routes an event to its shard must respawn and reseed it.
-            dist.kill_worker(tick % dist.shard_count());
-        }
-        let mut events = Vec::new();
-        for _ in 0..15 {
-            let event = churn.next_event(&eco);
-            eco.apply_churn(&event);
-            let ixp = event.ixp();
-            let scheme = &eco.ixp(ixp).scheme;
-            for msg in event_messages(&eco, &event, clock) {
-                events.extend(decode_message(ixp, scheme, &msg));
-            }
-            clock += 1;
-        }
-        for e in &events {
-            serial.apply(e);
-        }
-        let outcome = dist.tick(&events);
-        assert_eq!(&outcome.links, serial.current(), "tick {tick}: links");
-        assert_eq!(
-            outcome.observations,
-            serial.observations(),
-            "tick {tick}: observations"
-        );
-    }
-    let snap = stats.snapshot();
-    assert!(
-        snap.retried >= 1,
-        "killed workers must be respawned, not ignored: {snap:?}"
-    );
-    assert_eq!(snap.degraded, 0, "respawn must succeed: {snap:?}");
-
-    // End anchor: the distributed state equals a from-scratch harvest
-    // of the churned ecosystem.
-    let fresh = LiveInferencer::from_ecosystem(&eco);
-    let (links, observations) = dist.state();
-    assert_eq!(&links, fresh.current());
-    assert_eq!(observations, fresh.observations());
-    dist.shutdown();
 }

@@ -14,6 +14,10 @@
 //!   `Ecosystem::all_ground_truth_links` (precision), and mutual links
 //!   recovered out of `Ecosystem::all_mutual_links` (recall).
 //!
+//! The pinned ETags also hold for `Snapshot::of_pipeline` at 1, 2 and
+//! 4 threads, so the served answer does not depend on the thread
+//! count.
+//!
 //! An optimisation that silently changes inference fails here even if
 //! the ETag were regenerated. Deliberate changes regenerate the fixture
 //! with `MLPEER_REGEN_GOLDEN=1 cargo test --test pipeline_golden`.
@@ -117,6 +121,37 @@ fn pipeline_outputs_and_ground_truth_counts_are_pinned() {
             "golden mismatch — if the change is deliberate, regenerate with \
              MLPEER_REGEN_GOLDEN=1 cargo test --test pipeline_golden"
         );
+    }
+}
+
+/// The ETag the fixture pins for one `(scale, seed)` cell.
+fn pinned_etag(scale: Scale, seed: u64) -> &'static str {
+    GOLDEN
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .find(|f| f.len() == 11 && f[0] == scale.word() && f[1] == seed.to_string())
+        .map(|f| f[6])
+        .unwrap_or_else(|| panic!("no fixture line for {} {seed}", scale.word()))
+}
+
+#[test]
+fn served_etag_is_pinned_at_every_thread_count() {
+    for (scale, seed) in [(Scale::Tiny, 7), (Scale::Small, 20130501)] {
+        let pinned = pinned_etag(scale, seed);
+        let eco = Ecosystem::generate(scale.config(seed));
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let snap = pool.install(|| Snapshot::of_pipeline(&eco, scale, seed));
+            assert_eq!(
+                snap.etag,
+                pinned,
+                "{} {seed} at {threads} threads",
+                scale.word()
+            );
+        }
     }
 }
 
