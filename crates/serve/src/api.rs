@@ -31,10 +31,11 @@
 //! `/v1/changes` answers from the bounded [`ChangeLog`] ring first;
 //! when the ring has evicted `since`, the durable epoch log (when the
 //! process runs with `--data-dir`) folds the stored per-epoch deltas
-//! instead, so arbitrarily deep `since` values answer without a
-//! resync. Only a span genuinely missing delta information — compacted
-//! away, published without a delta, or no data dir at all — draws the
-//! documented full-resync signal: **HTTP 410 Gone** with
+//! instead, so `since` values back to the first stored epoch answer
+//! without a resync. Only a span missing delta information — an epoch
+//! not in the log (it predates the data dir, or was dropped while the
+//! durability breaker was open), one published without a delta, or no
+//! data dir at all — draws the documented full-resync signal: **HTTP 410 Gone** with
 //! `"resync": true`, telling the client to re-fetch the full resource
 //! set and restart from the current epoch. A malformed or missing
 //! `since` is a 400; a `since` ahead of the served snapshot's epoch is
@@ -48,8 +49,9 @@
 //! that epoch's recovered snapshot (the live epoch answers from the
 //! in-memory snapshot and its publish-time body cache; historical
 //! epochs rebuild on demand from the log). An epoch beyond the current
-//! one is a 400; an epoch whose full snapshot is gone — never stored,
-//! compacted away, or no `--data-dir` — is a 410.
+//! one is a 400; an epoch that is not in the log — no `--data-dir`, an
+//! epoch that predates it, or one dropped while the durability breaker
+//! was open — is a 410.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -192,9 +194,9 @@ fn snapshot_addressed(path: &str) -> bool {
 /// Resolve `?at=<epoch>`: `Ok(None)` means "the live epoch — serve the
 /// in-memory snapshot", `Ok(Some(snap))` is a revived historical
 /// epoch, and `Err` is the response to send instead (400 for epochs
-/// ahead of the present or malformed values; 410 when the epoch's full
-/// snapshot is genuinely gone — never stored, compacted away, or no
-/// durable store attached).
+/// ahead of the present or malformed values; 410 when the epoch is not
+/// in the log — no durable store attached, an epoch that predates it,
+/// or one dropped while the durability breaker was open).
 fn resolve_at(
     raw: &str,
     snap: &Arc<Snapshot>,
@@ -1128,7 +1130,7 @@ mod tests {
 
     /// The 410-contract fix: a `since` the in-memory ring evicted but
     /// the durable log still covers is served as a normal delta — 410
-    /// is reserved for epochs genuinely compacted away.
+    /// is reserved for spans the log does not cover.
     #[test]
     fn changes_fall_back_to_durable_history_beyond_the_ring() {
         let (durable, dir) = durable_history();

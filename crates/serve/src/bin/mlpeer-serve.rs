@@ -157,10 +157,9 @@ fn main() {
         });
         let st = d.stats();
         eprintln!(
-            "# durable log {}: {} records ({} full) in {} segment(s), {} bytes",
+            "# durable log {}: {} records in {} segment(s), {} bytes",
             dir.display(),
             st.records,
-            st.full_records,
             st.segments,
             st.bytes
         );

@@ -31,7 +31,7 @@ use std::sync::Mutex;
 use mlpeer::live::LinkDelta;
 use mlpeer_bgp::Asn;
 use mlpeer_ixp::ixp::IxpId;
-use mlpeer_store::{CompactStats, EpochLog, LogStats, PersistedSnapshot, StoreConfig};
+use mlpeer_store::{EpochLog, LogStats, PersistedSnapshot, StoreConfig};
 
 use crate::snapshot::{Snapshot, SnapshotParts};
 
@@ -44,13 +44,8 @@ impl DurableStore {
     /// Open (or create) the log under `dir` with default tuning,
     /// running crash recovery (torn-tail truncation) as a side effect.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<DurableStore> {
-        Self::open_with(dir, StoreConfig::default())
-    }
-
-    /// [`open`](DurableStore::open) with explicit tuning.
-    pub fn open_with(dir: impl Into<PathBuf>, cfg: StoreConfig) -> io::Result<DurableStore> {
         Ok(DurableStore {
-            log: Mutex::new(EpochLog::open(dir, cfg)?),
+            log: Mutex::new(EpochLog::open(dir, StoreConfig::default())?),
         })
     }
 
@@ -82,22 +77,17 @@ impl DurableStore {
         revive(epoch, persisted)
     }
 
-    /// The newest epoch with any record (full or delta-only).
+    /// The newest epoch with a record.
     pub fn latest_epoch(&self) -> Option<u64> {
         self.lock().latest_epoch()
     }
 
     /// The snapshot that served as `epoch`, revived — the `?at=`
-    /// time-travel read. `None` when the epoch was never stored or its
-    /// full record was compacted away.
+    /// time-travel read. `None` when the epoch is not in the log or its
+    /// record does not read back.
     pub fn snapshot_at(&self, epoch: u64) -> Option<Snapshot> {
         let (persisted, _) = self.lock().snapshot_at(epoch)?;
         revive(epoch, persisted)
-    }
-
-    /// Epochs still answerable by [`snapshot_at`](DurableStore::snapshot_at).
-    pub fn full_epochs(&self) -> Vec<u64> {
-        self.lock().full_epochs()
     }
 
     /// The net link diff from `since` to `current`, folded over stored
@@ -119,12 +109,9 @@ impl DurableStore {
         self.lock().oldest_since(current)
     }
 
-    /// Run a compaction pass over sealed segments.
-    pub fn compact(&self) -> io::Result<CompactStats> {
-        self.lock().compact()
-    }
-
-    /// Log counters, for `/v1/stats` and operational checks.
+    /// Log counters (segments, records, bytes, epoch range, torn-tail
+    /// bytes). The boot line prints them; `/v1/stats` does not carry
+    /// them.
     pub fn stats(&self) -> LogStats {
         self.lock().stats()
     }

@@ -42,8 +42,10 @@
 //!   published epoch persists (snapshot parts + delta), a restart
 //!   recovers the full history byte-identically (ETags included),
 //!   snapshot-addressed endpoints answer `?at=<epoch>` time-travel
-//!   queries, and `/v1/changes?since=N` reaches arbitrarily far back —
-//!   410 is reserved for epochs genuinely compacted away.
+//!   queries, and `/v1/changes?since=N` reaches back to the first
+//!   stored epoch — a 410 means the epoch is not in the log (no
+//!   `--data-dir`, an epoch that predates it, or one dropped while the
+//!   durability breaker was open).
 //!
 //! The `mlpeer-serve` binary boots the whole stack at any
 //! [`mlpeer::pipeline::Scale`]: by default it runs (or, from a data

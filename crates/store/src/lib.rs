@@ -17,15 +17,15 @@
 //!   `serde_json` stand-in cannot parse JSON back, so JSON is not an
 //!   option for durable state).
 //! * [`log`] — record framing, segment files, [`log::EpochLog`]
-//!   (append / recover / read / fold / compact).
+//!   (append / recover / read / fold).
 //!
 //! The crate is I/O + encoding only: it knows nothing about HTTP,
 //! ETags, or body caches. `mlpeer-serve` owns the mapping between its
 //! `Snapshot` type and [`codec::PersistedSnapshot`], and wraps
-//! [`log::EpochLog`] (which takes `&mut self`) in its own lock.
+//! [`log::EpochLog`] (whose appends take `&mut self`) in its own lock.
 //!
-//! All `unsafe` lives in the vendored `mmap` shim this crate reads
-//! sealed segments through; see `vendor/README.md`.
+//! Segments are read with positional reads (`FileExt::read_exact_at`),
+//! so the crate needs no `unsafe`.
 
 #![forbid(unsafe_code)]
 
@@ -33,4 +33,4 @@ pub mod codec;
 pub mod log;
 
 pub use codec::{CodecError, PersistedSnapshot, Reader, Writer};
-pub use log::{CompactStats, EpochLog, LogStats, RecordKind, StoreConfig};
+pub use log::{EpochLog, LogStats, StoreConfig};

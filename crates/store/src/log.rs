@@ -2,7 +2,7 @@
 //!
 //! ```text
 //!  data-dir/
-//!    seg-00000000000000000000.log   ← sealed (read via mmap)
+//!    seg-00000000000000000000.log   ← sealed
 //!    seg-00000000000000000041.log   ← sealed
 //!    seg-00000000000000000087.log   ← active (append handle)
 //!
@@ -16,41 +16,40 @@
 //! * **Append-only**: every published epoch appends exactly one record
 //!   to the active segment; nothing is ever rewritten in place. When
 //!   the active segment crosses the configured size threshold it is
-//!   *sealed* (immutable from then on, read through the vendored
-//!   [`mmap`] shim) and a new active segment named after its first
-//!   epoch starts.
+//!   *sealed* (fsynced, immutable from then on) and a new active
+//!   segment named after its first epoch starts.
+//! * **One record kind**: every record carries a complete
+//!   [`PersistedSnapshot`], optionally preceded by the epoch's
+//!   [`LinkDelta`] (flag bit 0). The kind byte is always `1`; a record
+//!   with any other kind byte reads as invalid.
 //! * **Checksummed**: the trailing u64 is an FxHash over everything
 //!   between magic and checksum. Recovery re-verifies it per record.
-//! * **Torn-tail recovery**: [`EpochLog::open`] replays every segment
-//!   in order; the first invalid record (bad magic/version/checksum,
-//!   truncated frame, non-monotone epoch) truncates the log right
-//!   there — the file is cut back to the last valid record boundary
-//!   and later segments are discarded. A crash mid-append therefore
-//!   loses at most the record being written, never the log.
-//! * **Record kinds**: [`RecordKind::Full`] carries a complete
-//!   [`PersistedSnapshot`] (optionally preceded by the epoch's
-//!   [`LinkDelta`], flag bit 0); [`RecordKind::DeltaOnly`] carries only
-//!   the delta — the shape compaction leaves behind for epochs whose
-//!   full snapshot was dropped.
-//! * **Compaction**: [`EpochLog::compact`] rewrites *sealed* segments,
-//!   keeping every `compact_keep_every`-th full snapshot (and the
-//!   latest one) and demoting the rest to delta-only records, so disk
-//!   stays bounded while `?since=` history stays complete. The active
-//!   segment is never touched.
+//! * **Torn-tail recovery**: [`EpochLog::open`] scans every segment in
+//!   order, record by record; the first invalid record (bad
+//!   magic/version/kind/checksum, truncated frame, non-monotone epoch)
+//!   truncates the log right there — the file is cut back to the last
+//!   valid record boundary and later segments are discarded. A crash
+//!   mid-append therefore loses at most the record being written,
+//!   never the log.
+//! * **Positional reads**: a read opens the record's segment file and
+//!   reads just the bytes it decodes at their recorded offset, so
+//!   sealed and active segments read alike.
 //!
 //! Durability is flush-on-append (`File::flush`), not fsync-per-record:
 //! a kernel crash can lose the tail, which recovery then truncates —
 //! exactly the torn-tail contract above.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::hash::Hasher;
 use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use mlpeer::hash::FxHasher;
 use mlpeer::live::LinkDelta;
-use mmap::Mmap;
+use mlpeer_bgp::Asn;
+use mlpeer_ixp::ixp::IxpId;
 
 use crate::codec::{get_delta, put_delta, PersistedSnapshot, Reader, Writer};
 
@@ -66,56 +65,31 @@ pub const RECORD_MAGIC: [u8; 4] = *b"MLPS";
 ///
 /// [`ValidationReport`]: mlpeer::validate::cross::ValidationReport
 pub const RECORD_VERSION: u8 = 3;
+/// The kind byte every record carries: a full snapshot.
+const RECORD_KIND: u8 = 1;
 /// Bytes before the payload (magic + version + kind + flags + epoch +
 /// payload_len).
 const HEADER_LEN: usize = 4 + 1 + 1 + 1 + 8 + 4;
 /// Trailing checksum bytes.
 const TRAILER_LEN: usize = 8;
-/// Flag bit 0: a `Full` record's payload is prefixed with the epoch's
-/// delta (u32 length + delta bytes) before the snapshot bytes.
+/// Flag bit 0: the payload is prefixed with the epoch's delta (u32
+/// length + delta bytes) before the snapshot bytes.
 const FLAG_HAS_DELTA: u8 = 1;
 
-/// What one record holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    /// A complete snapshot (and, usually, the delta that produced it).
-    Full,
-    /// Only the epoch's delta — a compacted epoch.
-    DeltaOnly,
-}
-
-impl RecordKind {
-    fn to_u8(self) -> u8 {
-        match self {
-            RecordKind::Full => 1,
-            RecordKind::DeltaOnly => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<RecordKind> {
-        match v {
-            1 => Some(RecordKind::Full),
-            2 => Some(RecordKind::DeltaOnly),
-            _ => None,
-        }
-    }
-}
+/// One link of a [`LinkDelta`]: (IXP, lower ASN, higher ASN).
+type Link = (IxpId, Asn, Asn);
 
 /// Tuning knobs of the on-disk log.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Seal the active segment once it crosses this size (bytes).
     pub segment_bytes: u64,
-    /// Compaction keeps every `k`-th epoch's full snapshot (plus the
-    /// latest full in the log); the rest are demoted to delta-only.
-    pub compact_keep_every: u64,
 }
 
 impl Default for StoreConfig {
     fn default() -> StoreConfig {
         StoreConfig {
             segment_bytes: 4 * 1024 * 1024,
-            compact_keep_every: 8,
         }
     }
 }
@@ -128,9 +102,7 @@ struct RecordEntry {
     offset: u64,
     /// Payload length.
     payload_len: u32,
-    kind: RecordKind,
-    /// Does the record carry the epoch's delta (always true for
-    /// `DeltaOnly`)?
+    /// Does the payload start with the epoch's delta?
     has_delta: bool,
 }
 
@@ -139,9 +111,6 @@ struct Segment {
     path: PathBuf,
     /// Total file bytes (valid records only, post-recovery).
     bytes: u64,
-    /// Sealed segments are immutable; their mapping is cached.
-    sealed: bool,
-    map: Option<Mmap>,
 }
 
 /// Summary counters of an open log.
@@ -151,31 +120,14 @@ pub struct LogStats {
     pub segments: usize,
     /// Records across all segments.
     pub records: usize,
-    /// Full-snapshot records among them.
-    pub full_records: usize,
     /// Total valid bytes on disk.
     pub bytes: u64,
-    /// The oldest epoch with any record.
+    /// The oldest epoch with a record.
     pub oldest_epoch: Option<u64>,
-    /// The newest epoch with any record.
+    /// The newest epoch with a record.
     pub latest_epoch: Option<u64>,
     /// Bytes the last [`EpochLog::open`] cut off as a torn tail.
     pub truncated_tail_bytes: u64,
-}
-
-/// What a [`EpochLog::compact`] pass did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CompactStats {
-    /// Sealed segments rewritten.
-    pub segments_rewritten: usize,
-    /// Full records demoted to delta-only.
-    pub fulls_demoted: usize,
-    /// Full records dropped entirely (no delta information to keep).
-    pub fulls_dropped: usize,
-    /// Disk bytes before the pass.
-    pub bytes_before: u64,
-    /// Disk bytes after the pass.
-    pub bytes_after: u64,
 }
 
 /// The append-only, segmented, checksummed epoch log.
@@ -196,61 +148,63 @@ fn record_checksum(body: &[u8]) -> u64 {
     h.finish()
 }
 
-/// One record parsed out of a raw segment at `offset`; `None` when the
-/// bytes there are not a valid record (torn tail, corruption).
+/// The header fields of one valid record.
 struct Scanned {
     epoch: u64,
-    kind: RecordKind,
     has_delta: bool,
     payload_len: u32,
-    total_len: usize,
+    total_len: u64,
 }
 
-fn scan_record(buf: &[u8], offset: usize) -> Option<Scanned> {
-    let rest = buf.get(offset..)?;
-    if rest.len() < HEADER_LEN + TRAILER_LEN {
-        return None;
+/// Read and verify the record at `offset` of a segment `len` bytes
+/// long, reusing `buf` for its bytes; `Ok(None)` when the bytes there
+/// are not a valid record (torn tail, corruption).
+fn scan_record(
+    file: &File,
+    len: u64,
+    offset: u64,
+    buf: &mut Vec<u8>,
+) -> io::Result<Option<Scanned>> {
+    let rest = len - offset;
+    if rest < (HEADER_LEN + TRAILER_LEN) as u64 {
+        return Ok(None);
     }
-    if rest[..4] != RECORD_MAGIC || rest[4] != RECORD_VERSION {
-        return None;
+    buf.resize(HEADER_LEN, 0);
+    file.read_exact_at(buf, offset)?;
+    if buf[..4] != RECORD_MAGIC || buf[4] != RECORD_VERSION || buf[5] != RECORD_KIND {
+        return Ok(None);
     }
-    let kind = RecordKind::from_u8(rest[5])?;
-    let flags = rest[6];
+    let flags = buf[6];
     if flags & !FLAG_HAS_DELTA != 0 {
-        return None;
+        return Ok(None);
     }
-    let epoch = u64::from_le_bytes(rest[7..15].try_into().unwrap());
-    let payload_len = u32::from_le_bytes(rest[15..19].try_into().unwrap());
+    let epoch = u64::from_le_bytes(buf[7..15].try_into().unwrap());
+    let payload_len = u32::from_le_bytes(buf[15..19].try_into().unwrap());
     let total = HEADER_LEN + payload_len as usize + TRAILER_LEN;
-    if rest.len() < total {
-        return None;
+    if rest < total as u64 {
+        return Ok(None);
     }
-    let stored = u64::from_le_bytes(rest[total - TRAILER_LEN..total].try_into().unwrap());
-    if record_checksum(&rest[4..total - TRAILER_LEN]) != stored {
-        return None;
+    buf.resize(total, 0);
+    file.read_exact_at(&mut buf[HEADER_LEN..], offset + HEADER_LEN as u64)?;
+    let stored = u64::from_le_bytes(buf[total - TRAILER_LEN..].try_into().unwrap());
+    if record_checksum(&buf[4..total - TRAILER_LEN]) != stored {
+        return Ok(None);
     }
-    // A DeltaOnly record implicitly carries its delta.
-    let has_delta = kind == RecordKind::DeltaOnly || flags & FLAG_HAS_DELTA != 0;
-    Some(Scanned {
+    Ok(Some(Scanned {
         epoch,
-        kind,
-        has_delta,
+        has_delta: flags & FLAG_HAS_DELTA != 0,
         payload_len,
-        total_len: total,
-    })
+        total_len: total as u64,
+    }))
 }
 
 /// Serialize one record (header + payload + checksum).
-fn frame_record(epoch: u64, kind: RecordKind, has_delta: bool, payload: &[u8]) -> Vec<u8> {
+fn frame_record(epoch: u64, has_delta: bool, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
     out.extend_from_slice(&RECORD_MAGIC);
     out.push(RECORD_VERSION);
-    out.push(kind.to_u8());
-    out.push(if has_delta && kind == RecordKind::Full {
-        FLAG_HAS_DELTA
-    } else {
-        0
-    });
+    out.push(RECORD_KIND);
+    out.push(if has_delta { FLAG_HAS_DELTA } else { 0 });
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
@@ -290,6 +244,9 @@ impl EpochLog {
         let mut truncated_tail: u64 = 0;
         let mut last_epoch: Option<u64> = None;
         let mut corrupted = false;
+        // One buffer holds each record in turn while its checksum is
+        // verified.
+        let mut buf: Vec<u8> = Vec::new();
 
         for path in names {
             if corrupted {
@@ -299,11 +256,11 @@ impl EpochLog {
                 continue;
             }
             let file = File::open(&path)?;
-            let map = Mmap::map(&file)?;
+            let len = file.metadata()?.len();
             let seg_idx = segments.len();
-            let mut offset = 0usize;
-            while offset < map.len() {
-                let Some(rec) = scan_record(&map, offset) else {
+            let mut offset = 0u64;
+            while offset < len {
+                let Some(rec) = scan_record(&file, len, offset, &mut buf)? else {
                     corrupted = true;
                     break;
                 };
@@ -319,19 +276,18 @@ impl EpochLog {
                     rec.epoch,
                     RecordEntry {
                         seg: seg_idx,
-                        offset: offset as u64,
+                        offset,
                         payload_len: rec.payload_len,
-                        kind: rec.kind,
                         has_delta: rec.has_delta,
                     },
                 );
                 offset += rec.total_len;
             }
-            drop(map);
+            drop(file);
             if corrupted {
-                truncated_tail += std::fs::metadata(&path)?.len() - offset as u64;
+                truncated_tail += len - offset;
                 let f = OpenOptions::new().write(true).open(&path)?;
-                f.set_len(offset as u64)?;
+                f.set_len(offset)?;
                 f.sync_all()?;
             }
             if offset == 0 && corrupted {
@@ -341,19 +297,14 @@ impl EpochLog {
             }
             segments.push(Segment {
                 path,
-                bytes: offset as u64,
-                sealed: true, // demoted to active below if last
-                map: None,
+                bytes: offset,
             });
         }
 
         // The last surviving segment is the active one (append target);
         // all earlier segments are sealed.
-        let active = match segments.last_mut() {
-            Some(seg) => {
-                seg.sealed = false;
-                Some(OpenOptions::new().append(true).open(&seg.path)?)
-            }
+        let active = match segments.last() {
+            Some(seg) => Some(OpenOptions::new().append(true).open(&seg.path)?),
             None => None,
         };
 
@@ -372,24 +323,14 @@ impl EpochLog {
         &self.dir
     }
 
-    /// The newest epoch with any record.
+    /// The newest epoch with a record.
     pub fn latest_epoch(&self) -> Option<u64> {
         self.index.keys().next_back().copied()
     }
 
-    /// The oldest epoch with any record.
+    /// The oldest epoch with a record.
     pub fn oldest_epoch(&self) -> Option<u64> {
         self.index.keys().next().copied()
-    }
-
-    /// Epochs that still have a full snapshot on disk (answerable by
-    /// `?at=`), ascending.
-    pub fn full_epochs(&self) -> Vec<u64> {
-        self.index
-            .iter()
-            .filter(|(_, e)| e.kind == RecordKind::Full)
-            .map(|(&epoch, _)| epoch)
-            .collect()
     }
 
     /// Append one published epoch: its full snapshot and (when the
@@ -418,20 +359,14 @@ impl EpochLog {
             let mut sw = Writer::new();
             snapshot.encode_into(&mut sw);
             payload.extend_from_slice(&sw.into_bytes());
-            self.append_record(epoch, RecordKind::Full, true, &payload)
+            self.append_record(epoch, true, &payload)
         } else {
             snapshot.encode_into(&mut w);
-            self.append_record(epoch, RecordKind::Full, false, &w.into_bytes())
+            self.append_record(epoch, false, &w.into_bytes())
         }
     }
 
-    fn append_record(
-        &mut self,
-        epoch: u64,
-        kind: RecordKind,
-        has_delta: bool,
-        payload: &[u8],
-    ) -> io::Result<()> {
+    fn append_record(&mut self, epoch: u64, has_delta: bool, payload: &[u8]) -> io::Result<()> {
         failpoints::failpoint!("store::append", |msg: String| Err(io::Error::other(
             format!("failpoint store::append: {msg}")
         )));
@@ -444,9 +379,6 @@ impl EpochLog {
             failpoints::failpoint!("store::seal", |msg: String| Err(io::Error::other(format!(
                 "failpoint store::seal: {msg}"
             ))));
-            if let Some(seg) = self.segments.last_mut() {
-                seg.sealed = true;
-            }
             if let Some(f) = self.active.take() {
                 failpoints::failpoint!("store::fsync", |msg: String| Err(io::Error::other(
                     format!("failpoint store::fsync: {msg}")
@@ -458,18 +390,13 @@ impl EpochLog {
                 .create_new(true)
                 .append(true)
                 .open(&path)?;
-            self.segments.push(Segment {
-                path,
-                bytes: 0,
-                sealed: false,
-                map: None,
-            });
+            self.segments.push(Segment { path, bytes: 0 });
             self.active = Some(file);
         }
         let seg_idx = self.segments.len() - 1;
         let seg = &mut self.segments[seg_idx];
         let offset = seg.bytes;
-        let frame = frame_record(epoch, kind, has_delta, payload);
+        let frame = frame_record(epoch, has_delta, payload);
         let file = self.active.as_mut().expect("active segment open");
         file.write_all(&frame)?;
         file.flush()?;
@@ -480,8 +407,7 @@ impl EpochLog {
                 seg: seg_idx,
                 offset,
                 payload_len: payload.len() as u32,
-                kind,
-                has_delta: kind == RecordKind::DeltaOnly || has_delta,
+                has_delta,
             },
         );
         Ok(())
@@ -502,37 +428,27 @@ impl EpochLog {
         }
     }
 
-    /// The raw payload bytes of one record. Sealed segments answer out
-    /// of a cached mapping; the active segment is mapped fresh per read
-    /// (its tail grows, so the cache would go stale).
-    fn payload_bytes(&mut self, epoch: u64) -> Option<Vec<u8>> {
-        failpoints::failpoint!("store::mmap_open", |_msg| None);
-        let entry = *self.index.get(&epoch)?;
-        let seg = &mut self.segments[entry.seg];
-        let start = entry.offset as usize + HEADER_LEN;
-        let end = start + entry.payload_len as usize;
-        if seg.sealed {
-            if seg.map.is_none() {
-                let file = File::open(&seg.path).ok()?;
-                seg.map = Some(Mmap::map(&file).ok()?);
-            }
-            seg.map.as_ref()?.get(start..end).map(<[u8]>::to_vec)
-        } else {
-            let file = File::open(&seg.path).ok()?;
-            let map = Mmap::map(&file).ok()?;
-            map.get(start..end).map(<[u8]>::to_vec)
+    /// `len` bytes of a record's payload starting `at` bytes in, read
+    /// from its segment file; `None` when the span overruns the payload
+    /// or the read fails.
+    fn read_payload(&self, entry: &RecordEntry, at: u32, len: u32) -> Option<Vec<u8>> {
+        failpoints::failpoint!("store::read", |_msg| None);
+        if at.checked_add(len)? > entry.payload_len {
+            return None;
         }
+        let file = File::open(&self.segments[entry.seg].path).ok()?;
+        let mut bytes = vec![0; len as usize];
+        let pos = entry.offset + HEADER_LEN as u64 + u64::from(at);
+        file.read_exact_at(&mut bytes, pos).ok()?;
+        Some(bytes)
     }
 
     /// The full snapshot stored for `epoch`, with its delta when the
-    /// record carries one. `None` when the epoch has no record or was
-    /// compacted down to delta-only.
-    pub fn snapshot_at(&mut self, epoch: u64) -> Option<(PersistedSnapshot, Option<LinkDelta>)> {
+    /// record carries one. `None` when the epoch has no record or its
+    /// record does not read back.
+    pub fn snapshot_at(&self, epoch: u64) -> Option<(PersistedSnapshot, Option<LinkDelta>)> {
         let entry = *self.index.get(&epoch)?;
-        if entry.kind != RecordKind::Full {
-            return None;
-        }
-        let payload = self.payload_bytes(epoch)?;
+        let payload = self.read_payload(&entry, 0, entry.payload_len)?;
         let mut r = Reader::new(&payload);
         let delta = if entry.has_delta {
             let len = r.u32().ok()? as usize;
@@ -550,60 +466,39 @@ impl EpochLog {
         Some((snap, delta))
     }
 
-    /// The newest epoch whose full snapshot is on disk, decoded — what
-    /// recovery boots from.
-    pub fn latest_full(&mut self) -> Option<(u64, PersistedSnapshot)> {
-        let epoch = self
-            .index
-            .iter()
-            .rev()
-            .find(|(_, e)| e.kind == RecordKind::Full)
-            .map(|(&epoch, _)| epoch)?;
+    /// The newest epoch's snapshot, decoded — what recovery boots from.
+    pub fn latest_full(&self) -> Option<(u64, PersistedSnapshot)> {
+        let epoch = self.latest_epoch()?;
         let (snap, _) = self.snapshot_at(epoch)?;
         Some((epoch, snap))
     }
 
-    /// The delta that produced `epoch`, from either record kind.
-    pub fn delta_of(&mut self, epoch: u64) -> Option<LinkDelta> {
+    /// The delta that produced `epoch`, read without the snapshot bytes
+    /// behind it.
+    pub fn delta_of(&self, epoch: u64) -> Option<LinkDelta> {
         let entry = *self.index.get(&epoch)?;
         if !entry.has_delta {
             return None;
         }
-        let payload = self.payload_bytes(epoch)?;
-        let mut r = Reader::new(&payload);
-        match entry.kind {
-            RecordKind::DeltaOnly => {
-                let d = get_delta(&mut r).ok()?;
-                r.is_done().then_some(d)
-            }
-            RecordKind::Full => {
-                let len = r.u32().ok()? as usize;
-                let mut dr = Reader::new(payload.get(4..4 + len)?);
-                let d = get_delta(&mut dr).ok()?;
-                dr.is_done().then_some(d)
-            }
-        }
+        let len = self.read_payload(&entry, 0, 4)?;
+        let len = u32::from_le_bytes(len.try_into().ok()?);
+        let bytes = self.read_payload(&entry, 4, len)?;
+        let mut r = Reader::new(&bytes);
+        let d = get_delta(&mut r).ok()?;
+        r.is_done().then_some(d)
     }
 
     /// The net link-level diff from `since` to `current`, folded over
     /// the stored per-epoch deltas with add/remove cancellation —
-    /// `None` when any epoch in `since+1 ..= current` lacks delta
-    /// information (compacted away entirely, or published without a
-    /// delta). `since == current` is the empty diff.
-    #[allow(clippy::type_complexity)]
-    pub fn fold_since(
-        &mut self,
-        since: u64,
-        current: u64,
-    ) -> Option<(
-        std::collections::BTreeSet<(mlpeer_ixp::ixp::IxpId, mlpeer_bgp::Asn, mlpeer_bgp::Asn)>,
-        std::collections::BTreeSet<(mlpeer_ixp::ixp::IxpId, mlpeer_bgp::Asn, mlpeer_bgp::Asn)>,
-    )> {
+    /// `None` when any epoch in `since+1 ..= current` lacks a stored
+    /// delta (never stored, or published without one). `since ==
+    /// current` is the empty diff.
+    pub fn fold_since(&self, since: u64, current: u64) -> Option<(BTreeSet<Link>, BTreeSet<Link>)> {
         if since > current {
             return None;
         }
-        let mut added = std::collections::BTreeSet::new();
-        let mut removed = std::collections::BTreeSet::new();
+        let mut added = BTreeSet::new();
+        let mut removed = BTreeSet::new();
         for epoch in since + 1..=current {
             let d = self.delta_of(epoch)?;
             for l in d.added {
@@ -636,114 +531,11 @@ impl EpochLog {
         s
     }
 
-    /// Rewrite sealed segments so disk stays bounded: every
-    /// `compact_keep_every`-th epoch (and the newest full in the log)
-    /// keeps its full snapshot; other full records are demoted to
-    /// delta-only (or dropped entirely when they carry no delta). The
-    /// active segment is never touched. The in-memory index is rebuilt
-    /// from disk afterwards, so a compaction is also a self-check.
-    pub fn compact(&mut self) -> io::Result<CompactStats> {
-        let keep_every = self.cfg.compact_keep_every.max(1);
-        let latest_full = self
-            .index
-            .iter()
-            .rev()
-            .find(|(_, e)| e.kind == RecordKind::Full)
-            .map(|(&epoch, _)| epoch);
-        let mut stats = CompactStats {
-            bytes_before: self.segments.iter().map(|s| s.bytes).sum(),
-            ..CompactStats::default()
-        };
-
-        let sealed: Vec<usize> = (0..self.segments.len())
-            .filter(|&i| self.segments[i].sealed)
-            .collect();
-        for seg_idx in sealed {
-            // Records of this segment, in offset order.
-            let epochs: Vec<(u64, RecordEntry)> = self
-                .index
-                .iter()
-                .filter(|(_, e)| e.seg == seg_idx)
-                .map(|(&epoch, &e)| (epoch, e))
-                .collect();
-            let droppable = epochs.iter().any(|(epoch, e)| {
-                e.kind == RecordKind::Full && epoch % keep_every != 0 && Some(*epoch) != latest_full
-            });
-            if !droppable {
-                continue;
-            }
-            let mut out: Vec<u8> = Vec::new();
-            for (epoch, entry) in &epochs {
-                let keep_full = *epoch % keep_every == 0 || Some(*epoch) == latest_full;
-                match entry.kind {
-                    RecordKind::Full if !keep_full => {
-                        match self.delta_of(*epoch) {
-                            Some(d) => {
-                                let mut w = Writer::new();
-                                put_delta(&mut w, &d);
-                                out.extend_from_slice(&frame_record(
-                                    *epoch,
-                                    RecordKind::DeltaOnly,
-                                    true,
-                                    &w.into_bytes(),
-                                ));
-                                stats.fulls_demoted += 1;
-                            }
-                            None => {
-                                // No delta information to preserve:
-                                // the epoch is genuinely gone (the 410
-                                // case).
-                                stats.fulls_dropped += 1;
-                            }
-                        }
-                    }
-                    _ => {
-                        // Keep the record verbatim.
-                        let start = entry.offset as usize;
-                        let end = start + HEADER_LEN + entry.payload_len as usize + TRAILER_LEN;
-                        let seg = &mut self.segments[entry.seg];
-                        if seg.map.is_none() {
-                            let file = File::open(&seg.path)?;
-                            seg.map = Some(Mmap::map(&file)?);
-                        }
-                        let map = seg.map.as_ref().expect("mapped above");
-                        out.extend_from_slice(&map[start..end]);
-                    }
-                }
-            }
-            // Atomic replace: write the rewritten segment beside the
-            // original, fsync, rename over it.
-            let seg = &mut self.segments[seg_idx];
-            let tmp = seg.path.with_extension("log.tmp");
-            {
-                let mut f = File::create(&tmp)?;
-                f.write_all(&out)?;
-                f.sync_all()?;
-            }
-            std::fs::rename(&tmp, &seg.path)?;
-            seg.map = None;
-            seg.bytes = out.len() as u64;
-            stats.segments_rewritten += 1;
-        }
-
-        // Rebuild the index (and re-verify every surviving record) by
-        // reopening from disk.
-        let reopened = EpochLog::open(self.dir.clone(), self.cfg.clone())?;
-        stats.bytes_after = reopened.segments.iter().map(|s| s.bytes).sum();
-        *self = reopened;
-        Ok(stats)
-    }
-
     /// Summary counters.
     pub fn stats(&self) -> LogStats {
         LogStats {
             segments: self.segments.len(),
             records: self.index.len(),
-            full_records: self
-                .index
-                .values()
-                .filter(|e| e.kind == RecordKind::Full)
-                .count(),
             bytes: self.segments.iter().map(|s| s.bytes).sum(),
             oldest_epoch: self.oldest_epoch(),
             latest_epoch: self.latest_epoch(),
@@ -800,7 +592,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let mut log = EpochLog::open(&dir, StoreConfig::default()).unwrap();
+        let log = EpochLog::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(log.latest_epoch(), Some(5));
         assert_eq!(log.oldest_epoch(), Some(0));
         assert_eq!(log.stats().truncated_tail_bytes, 0);
@@ -820,7 +612,6 @@ mod tests {
         let dir = temp_dir("roll");
         let cfg = StoreConfig {
             segment_bytes: 512, // tiny: every few records rolls
-            ..StoreConfig::default()
         };
         let mut log = EpochLog::open(&dir, cfg.clone()).unwrap();
         for e in 0..20u64 {
@@ -832,12 +623,12 @@ mod tests {
             "tiny threshold must roll: {:?}",
             log.stats()
         );
-        // Reads hit sealed (mmap-cached) and active segments alike.
+        // Reads hit sealed and active segments alike.
         for e in 0..20u64 {
             assert_eq!(log.snapshot_at(e).unwrap().0, snap(e));
         }
         // And a reopen agrees byte for byte.
-        let mut again = EpochLog::open(&dir, cfg).unwrap();
+        let again = EpochLog::open(&dir, cfg).unwrap();
         assert_eq!(again.stats(), log.stats());
         for e in 0..20u64 {
             assert_eq!(again.snapshot_at(e).unwrap().0, snap(e));
@@ -869,7 +660,7 @@ mod tests {
         assert_eq!(log.snapshot_at(3).unwrap().0, snap(3));
         // The log keeps appending cleanly after the cut.
         log.append_full(4, &snap(4), Some(&delta(4))).unwrap();
-        let mut again = EpochLog::open(&dir, StoreConfig::default()).unwrap();
+        let again = EpochLog::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(again.latest_epoch(), Some(4));
         assert_eq!(again.snapshot_at(4).unwrap().0, snap(4));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -891,12 +682,43 @@ mod tests {
         let hit = bytes.len() / 2;
         bytes[hit] ^= 0xff;
         std::fs::write(&seg, &bytes).unwrap();
-        let mut log = EpochLog::open(&dir, StoreConfig::default()).unwrap();
+        let log = EpochLog::open(&dir, StoreConfig::default()).unwrap();
         let latest = log.latest_epoch().expect("a valid prefix survives");
         assert!(latest < 4, "corruption must cut the tail");
         for e in 0..=latest {
             assert_eq!(log.snapshot_at(e).unwrap().0, snap(e), "epoch {e}");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn other_kind_bytes_read_as_invalid() {
+        let dir = temp_dir("kind");
+        {
+            let mut log = EpochLog::open(&dir, StoreConfig::default()).unwrap();
+            for e in 0..=2u64 {
+                log.append_full(e, &snap(e), None).unwrap();
+            }
+        }
+        // A well-formed, correctly checksummed record whose kind byte
+        // is not `1`.
+        let mut frame = frame_record(3, false, &snap(3).encode());
+        frame[5] = 2;
+        let end = frame.len() - TRAILER_LEN;
+        let sum = record_checksum(&frame[4..end]);
+        frame[end..].copy_from_slice(&sum.to_le_bytes());
+        let seg = segment_path(&dir, 0);
+        let valid_len = std::fs::metadata(&seg).unwrap().len();
+        OpenOptions::new()
+            .append(true)
+            .open(&seg)
+            .unwrap()
+            .write_all(&frame)
+            .unwrap();
+        let log = EpochLog::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(log.latest_epoch(), Some(2));
+        assert_eq!(log.stats().truncated_tail_bytes, frame.len() as u64);
+        assert_eq!(std::fs::metadata(&seg).unwrap().len(), valid_len);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -938,58 +760,6 @@ mod tests {
         assert_eq!(gappy.oldest_since(6), 5);
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(gappy.dir()).unwrap();
-    }
-
-    #[test]
-    fn compaction_keeps_every_kth_full_and_all_deltas() {
-        let dir = temp_dir("compact");
-        let cfg = StoreConfig {
-            segment_bytes: 600,
-            compact_keep_every: 4,
-        };
-        let mut log = EpochLog::open(&dir, cfg).unwrap();
-        log.append_full(0, &snap(0), None).unwrap();
-        for e in 1..=16u64 {
-            log.append_full(e, &snap(e), Some(&delta(e as u32)))
-                .unwrap();
-        }
-        let before = log.stats();
-        assert!(before.segments > 2);
-        let cstats = log.compact().unwrap();
-        assert!(cstats.segments_rewritten > 0);
-        assert!(cstats.fulls_demoted > 0);
-        assert!(cstats.bytes_after < cstats.bytes_before);
-        // Every epoch still has delta info ⇒ deep since still answers.
-        assert_eq!(log.oldest_since(16), 0);
-        let (added, _) = log.fold_since(0, 16).unwrap();
-        assert_eq!(added.len(), 16);
-        // Multiples of 4 (and the sealed-segment survivors + active
-        // tail) keep their fulls; demoted epochs answer None for ?at=.
-        let fulls = log.full_epochs();
-        for e in fulls.iter() {
-            assert_eq!(log.snapshot_at(*e).unwrap().0, snap(*e));
-        }
-        for e in [0u64, 4, 8, 12] {
-            assert!(fulls.contains(&e), "kept multiple {e} in {fulls:?}");
-        }
-        assert!(
-            fulls.contains(&16),
-            "the latest full must survive compaction"
-        );
-        let demoted: Vec<u64> = (0..=16).filter(|e| !fulls.contains(e)).collect();
-        assert!(!demoted.is_empty());
-        for e in &demoted {
-            assert!(log.snapshot_at(*e).is_none(), "epoch {e} demoted");
-            assert!(log.delta_of(*e).is_some(), "epoch {e} keeps its delta");
-        }
-        // Idempotent: a second pass rewrites nothing.
-        let again = log.compact().unwrap();
-        assert_eq!(again.segments_rewritten, 0);
-        // And a reopen agrees.
-        let mut re = EpochLog::open(log.dir().to_path_buf(), StoreConfig::default()).unwrap();
-        assert_eq!(re.full_epochs(), fulls);
-        assert_eq!(re.fold_since(0, 16).unwrap().0.len(), 16);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

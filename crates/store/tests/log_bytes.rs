@@ -155,7 +155,6 @@ fn segment_files_match_their_pinned_bytes() {
     let dir = temp_dir();
     let cfg = StoreConfig {
         segment_bytes: SEGMENT_BYTES,
-        ..StoreConfig::default()
     };
     {
         let mut log = EpochLog::open(&dir, cfg).unwrap();

@@ -164,7 +164,6 @@ fn arbitrary_sequences_round_trip_across_reopen() {
         let dir = temp_dir("seq");
         let cfg = StoreConfig {
             segment_bytes: rng.gen_range(256..4096u64),
-            ..StoreConfig::default()
         };
         let mut expected: Vec<(u64, PersistedSnapshot, Option<LinkDelta>)> = Vec::new();
         {
@@ -178,7 +177,7 @@ fn arbitrary_sequences_round_trip_across_reopen() {
                 epoch += rng.gen_range(1..3u64); // occasional epoch gaps
             }
         }
-        let mut log = EpochLog::open(&dir, cfg).unwrap();
+        let log = EpochLog::open(&dir, cfg).unwrap();
         assert_eq!(
             log.stats().records,
             expected.len(),
@@ -207,7 +206,6 @@ fn arbitrary_single_byte_corruption_never_yields_wrong_data() {
         let dir = temp_dir("corrupt");
         let cfg = StoreConfig {
             segment_bytes: rng.gen_range(256..2048u64),
-            ..StoreConfig::default()
         };
         let n = rng.gen_range(2..12u64);
         let mut originals: BTreeMap<u64, PersistedSnapshot> = BTreeMap::new();
@@ -266,7 +264,6 @@ fn arbitrary_torn_tail_truncates_to_a_valid_prefix() {
         let dir = temp_dir("torn");
         let cfg = StoreConfig {
             segment_bytes: u64::MAX, // single segment: the tear hits it
-            ..StoreConfig::default()
         };
         let n = rng.gen_range(1..10u64);
         let mut boundaries: Vec<(u64, u64)> = Vec::new(); // (bytes after epoch e, e)
@@ -315,51 +312,11 @@ fn arbitrary_torn_tail_truncates_to_a_valid_prefix() {
         let next = expected_latest.map_or(0, |e| e + 1);
         log.append_full(next, &arb_snapshot(&mut rng), None)
             .unwrap();
-        let mut re = EpochLog::open(&dir, cfg).unwrap();
+        let re = EpochLog::open(&dir, cfg).unwrap();
         assert_eq!(re.latest_epoch(), Some(next));
         assert!(
             re.snapshot_at(next).is_some(),
             "case {case}: post-tear append"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-/// Compaction on arbitrary histories preserves the full `?since=`
-/// answer: fold_since(0, latest) before == after, byte for byte.
-#[test]
-fn compaction_preserves_fold_since_on_arbitrary_histories() {
-    for case in 0..12u64 {
-        let mut rng = StdRng::seed_from_u64(0x5e9_0004 ^ (case << 8));
-        let dir = temp_dir("compactprop");
-        let cfg = StoreConfig {
-            segment_bytes: rng.gen_range(400..1600u64),
-            compact_keep_every: rng.gen_range(2..6u64),
-        };
-        let n = rng.gen_range(6..20u64);
-        let mut log = EpochLog::open(&dir, cfg).unwrap();
-        log.append_full(0, &arb_snapshot(&mut rng), None).unwrap();
-        for e in 1..n {
-            log.append_full(e, &arb_snapshot(&mut rng), Some(&arb_delta(&mut rng)))
-                .unwrap();
-        }
-        let latest = log.latest_epoch().unwrap();
-        let before: Vec<_> = (0..latest).map(|s| log.fold_since(s, latest)).collect();
-        let kept_fulls = log.full_epochs();
-        log.compact().unwrap();
-        let after: Vec<_> = (0..latest).map(|s| log.fold_since(s, latest)).collect();
-        assert_eq!(before, after, "case {case}: compaction changed history");
-        // Fulls that compaction kept still decode.
-        for e in log.full_epochs() {
-            assert!(log.snapshot_at(e).is_some(), "case {case} epoch {e}");
-        }
-        assert!(
-            log.full_epochs().len() <= kept_fulls.len(),
-            "case {case}: compaction never adds fulls"
-        );
-        assert!(
-            log.full_epochs().contains(&latest),
-            "case {case}: the latest full survives"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

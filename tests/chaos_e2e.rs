@@ -332,6 +332,71 @@ fn fsync_failpoint_fails_explicit_sync_then_clears() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A failing record read (the `store::read` failpoint) makes the log's
+/// reads answer nothing: `snapshot_at` and `latest()` return `None`,
+/// `?at=` a past epoch draws a 410, and the live epoch keeps serving
+/// from memory. Once the failpoint is removed, both reads return the
+/// stored epochs with their ETags again.
+#[test]
+fn read_failpoint_hides_the_log_but_not_the_live_epoch() {
+    let _guard = chaos_guard();
+    let dir = temp_dir("read");
+    let durable = Arc::new(DurableStore::open(&dir).unwrap());
+    let store = SnapshotStore::new(epoch_snapshot(0));
+    store.attach_durable(Arc::clone(&durable)).unwrap();
+    for e in 1..=2u64 {
+        store.publish_with_delta(epoch_snapshot(e), epoch_delta(e));
+    }
+    let live = store.load();
+    assert_eq!(durable.latest_epoch(), Some(live.epoch));
+    let past = epoch_snapshot(1);
+    let stats = mlpeer_serve::ServerStats::default();
+    let get = |query: &str| {
+        let req = mlpeer_serve::http::Request {
+            method: "GET".into(),
+            path: "/v1/ixps".into(),
+            query: query.into(),
+            ..Default::default()
+        };
+        mlpeer_serve::api::route(
+            &req,
+            &store.load(),
+            &stats,
+            store.changes(),
+            Some(durable.as_ref()),
+            None,
+            None,
+            None,
+            Some(store.health().as_ref()),
+        )
+    };
+    let etag_of = |r: &mlpeer_serve::http::Response| {
+        r.headers
+            .iter()
+            .find(|(name, _)| name == "ETag")
+            .map(|(_, value)| value.clone())
+    };
+
+    failpoints::cfg("store::read", "return(chaos: EIO)").unwrap();
+    assert!(durable.snapshot_at(1).is_none(), "armed reads return None");
+    assert!(durable.latest().is_none(), "armed reads return None");
+    assert!(failpoints::hits("store::read") >= 2);
+    let r = get("");
+    assert_eq!(r.status, 200, "the live epoch keeps serving");
+    assert_eq!(etag_of(&r), Some(format!("\"{}\"", live.etag)));
+    assert_eq!(get("at=1").status, 410, "a past epoch cannot be read");
+
+    failpoints::remove("store::read");
+    let revived = durable.snapshot_at(1).expect("epoch 1 reads again");
+    assert_eq!((revived.epoch, &revived.etag), (1, &past.etag));
+    let latest = durable.latest().expect("the newest epoch reads again");
+    assert_eq!((latest.epoch, &latest.etag), (live.epoch, &live.etag));
+    let r = get("at=1");
+    assert_eq!(r.status, 200);
+    assert_eq!(etag_of(&r), Some(format!("\"{}\"", past.etag)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A panicking live tick is caught and restarted with backoff: the
 /// restart counter moves, `/readyz` reports `live-refresher`, and once
 /// the failpoint clears the loop publishes again and health returns to

@@ -201,7 +201,7 @@ fn torn_log_tail_recovers_to_last_valid_epoch() {
     );
     // The torn epoch rewound history: it is the *future* again from
     // the recovered epoch's point of view, so `?at=` draws 400 (the
-    // 410 is reserved for retained-range epochs compacted away).
+    // 410 is reserved for past epochs that are not in the log).
     let (status, _, body) = get(addr, &format!("/v1/ixps?at={final_epoch}"));
     assert_eq!(status, 400, "torn epoch is ahead of the clock: {body}");
 
