@@ -6,9 +6,9 @@
 //! * [`run_load`] — the closed-loop sweep: one thread per connection,
 //!   each issuing a fixed request count. Right for small connection
 //!   counts (the bench's latency sweeps).
-//! * [`run_hold_load`] — the keep-alive *hold* mode: open `connections`
-//!   sockets first, **hold every one of them open for the whole run**,
-//!   and drive them from a bounded worker pool. That separates "how
+//! * [`run_hold_load`] — the keep-alive *hold* mode: a bounded worker
+//!   pool opens `connections` sockets, each worker its own share, and
+//!   drives them, **holding every one of them open for the whole run**. That separates "how
 //!   many connections does the server hold" from "how many client
 //!   threads exist", so a single machine can hold thousands of
 //!   keep-alive connections against the reactor engine without
@@ -158,8 +158,8 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> LoadReport {
 /// What the keep-alive hold mode throws at the server.
 #[derive(Debug, Clone)]
 pub struct HoldConfig {
-    /// Keep-alive connections opened up front and held for the whole
-    /// run.
+    /// Keep-alive connections held for the whole run; each worker
+    /// opens its share before its first request.
     pub connections: usize,
     /// Worker threads driving requests across the held connections.
     pub client_threads: usize,
@@ -199,14 +199,42 @@ fn connect_held(addr: SocketAddr) -> Option<TcpStream> {
     }
 }
 
-/// Hold-mode run: open `cfg.connections` keep-alive sockets, then let
-/// `cfg.client_threads` workers round-robin requests over their share
-/// of the held connections. Every connection stays open until the run
-/// ends, so the server holds the full population for the whole
-/// measurement — the point of the `connections` scaling axis.
+/// A held keep-alive connection: the write half and the buffered read
+/// half of one socket.
+type Held = (TcpStream, BufReader<TcpStream>);
+
+/// One GET on a held connection: the response status, or `None` on a
+/// transport error.
+fn get_held(conn: &mut Held, target: &str) -> Option<u16> {
+    let (writer, reader) = conn;
+    write!(writer, "GET {target} HTTP/1.1\r\nHost: loadgen\r\n\r\n").ok()?;
+    read_response(reader).ok().map(|parts| parts.status)
+}
+
+/// Open one held connection and confirm it with one request to
+/// `target`, so the server has accepted it before the caller connects
+/// again. A burst of unanswered connects overflows the listener's
+/// accept queue while the server is busy, and the dropped ones stall
+/// for a SYN retransmit (a second or more).
+fn open_held(addr: SocketAddr, target: &str) -> Option<Held> {
+    let s = connect_held(addr)?;
+    let mut conn = (s.try_clone().ok()?, BufReader::new(s));
+    matches!(get_held(&mut conn, target)?, 200..=299 | 304).then_some(conn)
+}
+
+/// Hold-mode run: `cfg.client_threads` workers each open their share
+/// of `cfg.connections` keep-alive sockets, then round-robin requests
+/// over that share. Every connection stays open until the run ends, so
+/// the server holds the full population for the whole measurement —
+/// the point of the `connections` scaling axis.
 ///
-/// The wall clock starts *after* the connections are open: the report
-/// measures steady-state keep-alive throughput, not connect storms.
+/// A worker starts its requests as soon as its own share is open, so
+/// no connection idles through the other workers' connects (a slow
+/// connect phase would otherwise outlast the server's idle deadline).
+/// Opening a connection includes one confirming request (see
+/// [`open_held`]) that the report does not count. The wall clock runs
+/// from the first counted request to the last response: the report
+/// measures keep-alive throughput, not connect storms.
 pub fn run_hold_load(addr: SocketAddr, cfg: &HoldConfig) -> LoadReport {
     let connections = cfg.connections.max(1);
     let threads = cfg.client_threads.max(1).min(connections);
@@ -215,68 +243,73 @@ pub fn run_hold_load(addr: SocketAddr, cfg: &HoldConfig) -> LoadReport {
     #[cfg(target_os = "linux")]
     let _ = polling::os::raise_nofile_limit(connections as u64 * 2 + 64);
 
-    let mut conns: Vec<(TcpStream, BufReader<TcpStream>)> = Vec::with_capacity(connections);
-    let mut failed_connects = 0usize;
-    for _ in 0..connections {
-        match connect_held(addr).and_then(|s| {
-            let writer = s.try_clone().ok()?;
-            Some((writer, BufReader::new(s)))
-        }) {
-            Some(pair) => conns.push(pair),
-            None => failed_connects += 1,
-        }
-    }
-
-    // Split the held connections into one contiguous chunk per worker;
-    // each worker cycles its chunk so every connection sees traffic.
-    let per_thread = conns.len().div_ceil(threads);
-    let requests_each = cfg.requests_total / threads.max(1);
-    let t0 = Instant::now();
-    let reports: Vec<LoadReport> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut rest = conns;
-        while !rest.is_empty() {
-            let mut chunk: Vec<_> = rest.drain(..per_thread.min(rest.len())).collect();
-            let targets = &cfg.targets;
-            handles.push(scope.spawn(move || {
-                let mut report = LoadReport::default();
-                for i in 0..requests_each {
-                    let slot = i % chunk.len();
-                    let (writer, reader) = &mut chunk[slot];
-                    let target = &targets[i % targets.len()];
-                    let t0 = Instant::now();
-                    report.requests += 1;
-                    let sent =
-                        write!(writer, "GET {target} HTTP/1.1\r\nHost: loadgen\r\n\r\n").is_ok();
-                    match sent.then(|| read_response(reader)) {
-                        Some(Ok(parts)) => {
-                            report.latencies_us.push(t0.elapsed().as_micros() as u64);
-                            match parts.status {
-                                200..=299 => report.ok += 1,
-                                304 => report.not_modified += 1,
-                                _ => report.errors += 1,
+    // One contiguous share of the connections per worker; each worker
+    // cycles its share so every connection sees traffic.
+    let per_thread = connections.div_ceil(threads);
+    let requests_each = cfg.requests_total / threads;
+    let workers: Vec<(LoadReport, Option<(Instant, Instant)>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..connections)
+            .step_by(per_thread)
+            .map(|start| {
+                let share = per_thread.min(connections - start);
+                let targets = &cfg.targets;
+                scope.spawn(move || {
+                    let mut report = LoadReport::default();
+                    let mut chunk: Vec<Held> = Vec::with_capacity(share);
+                    for _ in 0..share {
+                        match open_held(addr, &targets[0]) {
+                            Some(conn) => chunk.push(conn),
+                            None => {
+                                report.requests += 1;
+                                report.errors += 1;
                             }
                         }
-                        _ => report.errors += 1,
                     }
-                }
-                // `chunk` drops here: connections stay open (held) for
-                // the entire run and close together at the end.
-                report
-            }));
-        }
+                    if chunk.is_empty() {
+                        return (report, None);
+                    }
+                    let first = Instant::now();
+                    for i in 0..requests_each {
+                        let slot = i % chunk.len();
+                        let target = &targets[i % targets.len()];
+                        let t0 = Instant::now();
+                        report.requests += 1;
+                        match get_held(&mut chunk[slot], target) {
+                            Some(status) => {
+                                report.latencies_us.push(t0.elapsed().as_micros() as u64);
+                                match status {
+                                    200..=299 => report.ok += 1,
+                                    304 => report.not_modified += 1,
+                                    _ => report.errors += 1,
+                                }
+                            }
+                            None => report.errors += 1,
+                        }
+                    }
+                    // `chunk` drops here: connections stay open (held)
+                    // until this worker's last response.
+                    (report, Some((first, Instant::now())))
+                })
+            })
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("hold-load worker panicked"))
             .collect()
     });
+    let first = workers
+        .iter()
+        .filter_map(|(_, span)| span.map(|s| s.0))
+        .min();
+    let last = workers
+        .iter()
+        .filter_map(|(_, span)| span.map(|s| s.1))
+        .max();
     let mut merged = LoadReport {
-        elapsed: t0.elapsed(),
-        errors: failed_connects,
-        requests: failed_connects,
+        elapsed: first.zip(last).map_or(Duration::ZERO, |(f, l)| l - f),
         ..LoadReport::default()
     };
-    for r in reports {
+    for (r, _) in workers {
         merged.requests += r.requests;
         merged.ok += r.ok;
         merged.not_modified += r.not_modified;
