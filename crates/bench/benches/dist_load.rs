@@ -6,7 +6,7 @@
 //! harvest over an already-built dataset — the number the `procs: 1`
 //! floor is held against (that configuration short-circuits to the
 //! thread-sharded fold, so it must stay ≥ 1.0x serial within a 2 %
-//! measurement tolerance, mirroring `passive_sharding`'s floor).
+//! measurement tolerance, mirroring `harvest_hot`'s sharded floor).
 //! `cold_ms` is dataset build + harvest, which is the honest comparand
 //! for `procs > 1`: each worker process regenerates its dataset from
 //! `(scale, seed)` — that is what makes the wire format compact and the
@@ -159,7 +159,7 @@ fn bench_scale(scale: Scale, seed: u64, cpus: usize) -> serde_json::Value {
 
     // Floor: procs=1 is the in-process sharded fold — it must not
     // regress below serial (2% tolerance). Alternating re-measurement
-    // rounds squeeze out shared-core jitter, as in passive_sharding.
+    // rounds squeeze out shared-core jitter, as in harvest_hot.
     let mut floor = serial_ns / dist1_ns;
     for round in 0..4 {
         if floor >= 0.98 {

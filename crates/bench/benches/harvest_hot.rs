@@ -8,9 +8,10 @@
 //!    [`LinkInferencer`], which memoizes the per-run intern resolution
 //!    and appends to a flat key/action log instead of probing hash
 //!    tables per observation. The acceptance floor is **≥ 1.1×**.
-//! 2. **serial vs sharded harvest** — with the 1-thread serial
+//! 2. **serial vs sharded harvest** — after asserting that the two
+//!    lanes' stats and links are equal, and with the 1-thread serial
 //!    fallback in place, sharded must hold **≥ 0.98×** serial on one
-//!    thread (`BENCH_passive` once measured 0.92× there).
+//!    thread (a one-thread record once measured 0.92× there).
 //!
 //! `MLPEER_BENCH_SMOKE=1` switches to `Scale::Small` only and skips the
 //! JSON write — the CI bench-smoke job uses it to keep both floors
@@ -250,6 +251,32 @@ fn bench_scale(c: &mut Criterion, scale: Scale, seed: u64) -> serde_json::Value 
     );
 
     // ---- 2. serial vs sharded (the 1-thread fallback floor). ----
+    // Both lanes must do identical work before either is timed.
+    let mut serial = LinkInferencer::default();
+    let serial_stats = harvest_passive(
+        &inputs.dataset,
+        &inputs.dict,
+        &inputs.conn,
+        &inputs.rels,
+        &cfg,
+        &mut serial,
+    );
+    let (sharded, sharded_stats) = harvest_passive_sharded::<LinkInferencer>(
+        &inputs.dataset,
+        &inputs.dict,
+        &inputs.conn,
+        &inputs.rels,
+        &cfg,
+    );
+    assert_eq!(
+        serial_stats, sharded_stats,
+        "sharded stats must merge to serial"
+    );
+    assert_eq!(
+        serial.finalize(&inputs.conn),
+        sharded.finalize(&inputs.conn),
+        "sharded inference state must match serial"
+    );
     // Measured in alternating rounds, keeping each side's minimum: on
     // a shared core, back-to-back scheduling jitter between the two
     // otherwise-identical 1-thread code paths would dominate the 2%

@@ -6,10 +6,12 @@
 //! results to the per-figure analyses (§5). The `experiments` binary
 //! renders every table and figure of the paper; the Criterion benches
 //! are `benches/benches.rs` (codecs, RS engine, planner, pipeline),
-//! `benches/passive_sharding.rs` (serial vs sharded harvest →
-//! `BENCH_passive.json`), `benches/live_churn.rs` (live-mode delta
-//! apply vs full re-harvest → `BENCH_live.json`) and
-//! `benches/dist_load.rs` (multi-process harvest → `BENCH_dist.json`).
+//! `benches/harvest_hot.rs` (interned fold and serial vs sharded
+//! harvest → `BENCH_hot.json`), `benches/live_churn.rs` (live-mode
+//! delta apply vs full re-harvest → `BENCH_live.json`),
+//! `benches/dist_load.rs` (multi-process harvest → `BENCH_dist.json`)
+//! and `benches/validate_load.rs` (IRR/RPKI corpus parse and scoring →
+//! `BENCH_validate.json`).
 //!
 //! The serving pipeline lives in [`mlpeer::pipeline`] (shared with
 //! `mlpeer-serve` and the multi-process coordinator); this crate wraps

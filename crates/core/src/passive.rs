@@ -15,7 +15,8 @@
 //! observation vectors — to exactly the serial [`harvest_passive`]
 //! result. On a single thread the sharded entry point runs the serial
 //! fold directly: shard/merge overhead cannot be amortized without
-//! parallelism (the `BENCH_passive.json` regression this fixes).
+//! parallelism (a one-thread record once measured the fan-out at
+//! 0.92× serial).
 //!
 //! Both walk the decoded [`MrtArchive`]s of a [`PassiveDataset`]
 //! (`MrtRibEntry` / `RouteAttrs` per route) through one route
@@ -193,7 +194,7 @@ where
     S: ObservationSink + MergeSink + Default + Send,
 {
     // One worker means the fan-out can only add shard/merge overhead
-    // (BENCH_passive measured 0.92x at 1 thread): take the serial path.
+    // (once measured at 0.92x serial on 1 thread): take the serial path.
     if rayon::current_num_threads() <= 1 {
         let mut sink = S::default();
         let stats = harvest_passive(dataset, dict, conn, rels, cfg, &mut sink);
