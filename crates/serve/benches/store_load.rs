@@ -72,7 +72,7 @@ fn median_us(addr: SocketAddr, path: &str, n: usize, expect: u16) -> u64 {
 }
 
 /// A tiny synthetic delta so every appended epoch carries one — the
-/// shape `fold_since` and compaction work over.
+/// shape `fold_since` works over.
 fn nudge_delta(e: u64) -> LinkDelta {
     use mlpeer_bgp::Asn;
     use mlpeer_ixp::ixp::IxpId;

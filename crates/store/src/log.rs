@@ -157,8 +157,9 @@ struct Scanned {
 }
 
 /// Read and verify the record at `offset` of a segment `len` bytes
-/// long, reusing `buf` for its bytes; `Ok(None)` when the bytes there
-/// are not a valid record (torn tail, corruption).
+/// long into the front of `buf`, which only grows, so the bytes are
+/// never zeroed again; `Ok(None)` when the bytes there are not a valid
+/// record (torn tail, corruption).
 fn scan_record(
     file: &File,
     len: u64,
@@ -169,8 +170,10 @@ fn scan_record(
     if rest < (HEADER_LEN + TRAILER_LEN) as u64 {
         return Ok(None);
     }
-    buf.resize(HEADER_LEN, 0);
-    file.read_exact_at(buf, offset)?;
+    if buf.len() < HEADER_LEN {
+        buf.resize(HEADER_LEN, 0);
+    }
+    file.read_exact_at(&mut buf[..HEADER_LEN], offset)?;
     if buf[..4] != RECORD_MAGIC || buf[4] != RECORD_VERSION || buf[5] != RECORD_KIND {
         return Ok(None);
     }
@@ -184,9 +187,11 @@ fn scan_record(
     if rest < total as u64 {
         return Ok(None);
     }
-    buf.resize(total, 0);
-    file.read_exact_at(&mut buf[HEADER_LEN..], offset + HEADER_LEN as u64)?;
-    let stored = u64::from_le_bytes(buf[total - TRAILER_LEN..].try_into().unwrap());
+    if buf.len() < total {
+        buf.resize(total, 0);
+    }
+    file.read_exact_at(&mut buf[HEADER_LEN..total], offset + HEADER_LEN as u64)?;
+    let stored = u64::from_le_bytes(buf[total - TRAILER_LEN..total].try_into().unwrap());
     if record_checksum(&buf[4..total - TRAILER_LEN]) != stored {
         return Ok(None);
     }
