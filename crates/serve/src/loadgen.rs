@@ -8,11 +8,11 @@
 //!   counts (the bench's latency sweeps).
 //! * [`run_hold_load`] — the keep-alive *hold* mode: a bounded worker
 //!   pool opens `connections` sockets, each worker its own share, and
-//!   drives them, **holding every one of them open for the whole run**. That separates "how
-//!   many connections does the server hold" from "how many client
-//!   threads exist", so a single machine can hold thousands of
-//!   keep-alive connections against the reactor engine without
-//!   spawning thousands of threads. The bench's `connections` axis in
+//!   drives them, **holding every one of them open while it runs**.
+//!   That separates "how many connections does the server hold" from
+//!   "how many client threads exist", so a single machine can hold
+//!   thousands of keep-alive connections against the reactor engine
+//!   without spawning thousands of threads. The bench's `connections` axis in
 //!   `BENCH_serve.json` is measured this way.
 //!
 //! The `serve_load` bench boots a real server and records this
@@ -224,17 +224,18 @@ fn open_held(addr: SocketAddr, target: &str) -> Option<Held> {
 
 /// Hold-mode run: `cfg.client_threads` workers each open their share
 /// of `cfg.connections` keep-alive sockets, then round-robin requests
-/// over that share. Every connection stays open until the run ends, so
-/// the server holds the full population for the whole measurement —
-/// the point of the `connections` scaling axis.
+/// over that share. A worker holds every connection it opened until its
+/// last response, so the server holds the full population while the
+/// workers run — the point of the `connections` scaling axis.
 ///
 /// A worker starts its requests as soon as its own share is open, so
 /// no connection idles through the other workers' connects (a slow
 /// connect phase would otherwise outlast the server's idle deadline).
-/// Opening a connection includes one confirming request (see
-/// [`open_held`]) that the report does not count. The wall clock runs
-/// from the first counted request to the last response: the report
-/// measures keep-alive throughput, not connect storms.
+/// Opening a connection includes one confirming request, which the
+/// report does not count: it proves the server accepted the connection
+/// before the worker connects again. The wall clock runs from the first
+/// counted request to the last response: the report measures
+/// keep-alive throughput, not connect storms.
 pub fn run_hold_load(addr: SocketAddr, cfg: &HoldConfig) -> LoadReport {
     let connections = cfg.connections.max(1);
     let threads = cfg.client_threads.max(1).min(connections);
