@@ -12,8 +12,8 @@
 //!   That separates "how many connections does the server hold" from
 //!   "how many client threads exist", so a single machine can hold
 //!   thousands of keep-alive connections against the reactor engine
-//!   without spawning thousands of threads. The bench's `connections` axis in
-//!   `BENCH_serve.json` is measured this way.
+//!   without spawning thousands of threads. The bench's `connections`
+//!   axis in `BENCH_serve.json` is measured this way.
 //!
 //! The `serve_load` bench boots a real server and records this
 //! generator's report to `BENCH_serve.json`; the CI smoke job and the
@@ -158,8 +158,8 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> LoadReport {
 /// What the keep-alive hold mode throws at the server.
 #[derive(Debug, Clone)]
 pub struct HoldConfig {
-    /// Keep-alive connections held for the whole run; each worker
-    /// opens its share before its first request.
+    /// Keep-alive connections held open while the workers run; each
+    /// worker opens its share before its first request.
     pub connections: usize,
     /// Worker threads driving requests across the held connections.
     pub client_threads: usize,

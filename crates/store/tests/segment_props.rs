@@ -190,6 +190,11 @@ fn arbitrary_sequences_round_trip_across_reopen() {
                 .unwrap_or_else(|| panic!("case {case}: epoch {epoch} missing"));
             assert_eq!(&got_snap, snap, "case {case} epoch {epoch}");
             assert_eq!(&got_delta, delta, "case {case} epoch {epoch} delta");
+            assert_eq!(
+                &log.delta_of(*epoch),
+                delta,
+                "case {case} epoch {epoch} delta read"
+            );
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
