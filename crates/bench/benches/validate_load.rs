@@ -9,6 +9,13 @@
 //!    the inferred link set: links scored per second.
 //! 3. **end-to-end** — [`validate_harvest`] (derive + parse + scan +
 //!    score), the exact pass `Snapshot::of_pipeline` pays per publish.
+//! 4. **live ticks** — 12 ticks of 100 churn events, as `mlpeer-serve
+//!    --live` runs them: per tick, the [`LiveValidation`] update
+//!    (remove, apply, add back per event) plus its report, against
+//!    [`validate_harvest`] over the same churned ecosystem. The two
+//!    reports must be equal after every tick. Ticks mutate the
+//!    ecosystem, so each is timed once with a wall clock, and the
+//!    medians are recorded.
 //!
 //! `MLPEER_BENCH_SMOKE=1` switches to `Scale::Small` only, asserts the
 //! throughput floors, and skips the JSON write — the CI bench-smoke job
@@ -16,20 +23,33 @@
 //! (shared-core CI noise swings ±20%): they catch an accidental
 //! quadratic blowup, not a few-percent regression.
 
+use std::time::{Duration, Instant};
+
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mlpeer::infer::{LinkInferencer, MlpLinkSet, Observation};
+use mlpeer::live::{decode_message, LiveInferencer};
 use mlpeer::sink::ObservationSink;
 use mlpeer::validate::cross::{
-    derive_corpus, parse_corpus, score_links, validate_harvest, CorpusConfig,
+    derive_corpus, parse_corpus, score_links, validate_harvest, CorpusConfig, LiveValidation,
 };
 use mlpeer_bench::Scale;
+use mlpeer_data::churn::{event_messages, ChurnConfig, ChurnGen};
 use mlpeer_ixp::Ecosystem;
 
 /// Observations-per-second floor for the corpus parser in smoke mode.
 const PARSE_FLOOR_OBJS_PER_SEC: f64 = 50_000.0;
 /// Links-per-second floor for the scoring pass in smoke mode.
 const SCORE_FLOOR_LINKS_PER_SEC: f64 = 10_000.0;
+/// Smoke-mode ceiling on a live tick's validation cost, as a share of
+/// `validate_harvest` over the same tick.
+const TICK_CEILING_SHARE: f64 = 0.5;
+/// Ticks replayed per scale, and churn events per tick (the serving
+/// binary's defaults).
+const TICKS: usize = 12;
+const EVENTS_PER_TICK: usize = 100;
+/// The serving binary's default churn seed.
+const CHURN_SEED: u64 = 20131007;
 
 /// Run one measurement three times and keep the fastest estimate
 /// (same jitter-squeezing idiom as `harvest_hot`).
@@ -52,6 +72,65 @@ fn harvest(eco: &Ecosystem) -> (MlpLinkSet, Vec<Observation>) {
         inferencer.push(o.clone());
     }
     (inferencer.finalize(&conn), observations)
+}
+
+fn median_ms(mut samples: Vec<Duration>) -> f64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2].as_secs_f64() * 1e3
+}
+
+/// Replay [`TICKS`] live ticks and time the state's update plus report
+/// against `validate_harvest` on each. Returns the median ms per tick
+/// of both.
+fn bench_ticks(scale: Scale, seed: u64) -> (f64, f64) {
+    let mut eco = Ecosystem::generate(scale.config(seed));
+    let cfg = CorpusConfig::seeded(seed);
+    let mut li = LiveInferencer::from_ecosystem(&eco);
+    let mut state = LiveValidation::new(&eco, cfg.clone());
+    let mut churn = ChurnGen::new(
+        &eco,
+        ChurnConfig {
+            seed: CHURN_SEED,
+            ..ChurnConfig::default()
+        },
+    );
+    let (mut live, mut full) = (Vec::new(), Vec::new());
+    let mut clock = 0u64;
+    for tick in 0..TICKS {
+        let mut update = Duration::ZERO;
+        for _ in 0..EVENTS_PER_TICK {
+            let event = churn.next_event(&eco);
+            let (ixp, asn) = (event.ixp(), event.asn());
+            let t = Instant::now();
+            state.remove(&eco, ixp, asn);
+            update += t.elapsed();
+            eco.apply_churn(&event);
+            let t = Instant::now();
+            state.add(&eco, ixp, asn);
+            update += t.elapsed();
+            let scheme = &eco.ixp(ixp).scheme;
+            for msg in event_messages(&eco, &event, clock) {
+                for live_event in decode_message(ixp, scheme, &msg) {
+                    li.apply(&live_event);
+                }
+            }
+            clock += 1;
+        }
+        let observations = li.observations();
+        let t = Instant::now();
+        let report = state.report(li.current(), &observations);
+        live.push(update + t.elapsed());
+        let t = Instant::now();
+        let expected = validate_harvest(&eco, li.current(), &observations, &cfg);
+        full.push(t.elapsed());
+        assert_eq!(
+            report,
+            expected,
+            "{} tick {tick}: the live state must report what validate_harvest does",
+            scale.word()
+        );
+    }
+    (median_ms(live), median_ms(full))
 }
 
 fn bench_scale(c: &mut Criterion, scale: Scale, seed: u64, smoke: bool) -> serde_json::Value {
@@ -99,7 +178,16 @@ fn bench_scale(c: &mut Criterion, scale: Scale, seed: u64, smoke: bool) -> serde
             .total() as usize
     });
 
+    // ---- 4. live ticks. ----
+    let (tick_live_ms, tick_full_ms) = bench_ticks(scale, seed);
+
     if smoke {
+        assert!(
+            tick_live_ms <= TICK_CEILING_SHARE * tick_full_ms,
+            "acceptance: a live tick's validation must cost ≤{TICK_CEILING_SHARE}× \
+             validate_harvest at {} (measured {tick_live_ms:.2} vs {tick_full_ms:.2} ms)",
+            scale.word()
+        );
         assert!(
             objects_per_sec >= PARSE_FLOOR_OBJS_PER_SEC,
             "acceptance: corpus parse must sustain ≥{PARSE_FLOOR_OBJS_PER_SEC} \
@@ -117,7 +205,8 @@ fn bench_scale(c: &mut Criterion, scale: Scale, seed: u64, smoke: bool) -> serde
     println!(
         "{}: parse {:.2} ms ({objects_per_sec:.0} objects/s); \
          score {:.2} ms ({links_per_sec:.0} links/s); \
-         end-to-end {:.2} ms",
+         end-to-end {:.2} ms; live tick {tick_live_ms:.2} ms vs \
+         validate_harvest {tick_full_ms:.2} ms",
         scale.word(),
         parse_ns / 1e6,
         score_ns / 1e6,
@@ -139,6 +228,14 @@ fn bench_scale(c: &mut Criterion, scale: Scale, seed: u64, smoke: bool) -> serde
             "links_per_sec": links_per_sec,
         }),
         "end_to_end_ms": e2e_ns / 1e6,
+        "tick": serde_json::json!({
+            "ticks": TICKS,
+            "events_per_tick": EVENTS_PER_TICK,
+            "churn_seed": CHURN_SEED,
+            "live_state_ms": tick_live_ms,
+            "validate_harvest_ms": tick_full_ms,
+            "share": tick_live_ms / tick_full_ms,
+        }),
     })
 }
 
@@ -159,8 +256,12 @@ fn bench_validate_load(c: &mut Criterion) {
         return;
     }
     let report = serde_json::json!({
-        "bench": "IRR/RPKI cross-validation: corpus parse, link scoring, end-to-end validate_harvest",
+        "bench": "IRR/RPKI cross-validation: corpus parse, link scoring, end-to-end \
+                  validate_harvest, live ticks against the maintained state",
         "seed": seed,
+        "cpus": std::thread::available_parallelism().map_or(1, |n| n.get()),
+        // Every timed pass runs on one thread.
+        "threads": 1,
         "scales": results,
     });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_validate.json");

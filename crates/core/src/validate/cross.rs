@@ -35,17 +35,17 @@ use std::hash::Hasher;
 
 use mlpeer_bgp::{Asn, Prefix};
 use mlpeer_data::irr::{IrrDatabase, PolicyLine, RpslObject, Source};
-use mlpeer_data::roa::{Roa, RoaOutcome, RoaTable};
-use mlpeer_ixp::ixp::IxpId;
-use mlpeer_ixp::Ecosystem;
+use mlpeer_data::roa::{Roa, RoaTable};
+use mlpeer_ixp::ixp::{Ixp, IxpId};
+use mlpeer_ixp::{Ecosystem, IxpMember};
 
-use crate::hash::{FxHashMap, FxHashSet, FxHasher};
+use crate::hash::{FxHashMap, FxHasher};
 use crate::index::Announcement;
 use crate::infer::{MlpLinkSet, Observation};
 
 /// Noise knobs for corpus derivation. All decisions are hash-seeded —
 /// the same config always yields the same corpus text.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusConfig {
     /// Seed folded into every noise decision.
     pub seed: u64,
@@ -135,6 +135,90 @@ fn source_of(asn: Asn) -> Source {
     }
 }
 
+/// The noise model: every registry defect is one seeded decision, and
+/// [`derive_corpus`] and [`LiveValidation`] both ask these, so the
+/// corpus text and the maintained fold cannot disagree on one.
+impl CorpusConfig {
+    /// Did `asn`'s registration at `ixp` go stale?
+    fn stale(&self, ixp: IxpId, asn: Asn) -> bool {
+        chance(
+            self.seed,
+            TAG_STALE,
+            ixp.0 as u64,
+            asn.value() as u64,
+            self.stale_registration,
+        )
+    }
+
+    /// Does `asn` register per-peer filters at `ixp`?
+    fn filters(&self, ixp: IxpId, asn: Asn) -> bool {
+        chance(
+            self.seed,
+            TAG_FILTER,
+            ixp.0 as u64,
+            asn.value() as u64,
+            self.filter_frac,
+        )
+    }
+
+    /// The `(export, import)` filter lines `member` registers toward
+    /// `peer` at `ixp`: its true policy, each line flipped by noise.
+    fn peer_lines(&self, ixp: IxpId, member: &IxpMember, peer: Asn) -> (PolicyLine, PolicyLine) {
+        let salt = ((ixp.0 as u64) << 32) | member.asn.value() as u64;
+        let flip = |tag| chance(self.seed, tag, salt, peer.value() as u64, self.policy_flip);
+        (
+            PolicyLine {
+                peer,
+                allow: member.export.allows(peer) != flip(TAG_FLIP_EXPORT),
+            },
+            PolicyLine {
+                peer,
+                allow: member.import.accepts(peer) != flip(TAG_FLIP_IMPORT),
+            },
+        )
+    }
+
+    /// The origin the route object for an announced `(prefix, origin)`
+    /// pair registers; `None` when the object is missing.
+    fn route_origin(&self, prefix: Prefix, origin: Asn) -> Option<Asn> {
+        let (ps, os) = (prefix_salt(prefix), origin.value() as u64);
+        if chance(self.seed, TAG_ROUTE_MISS, ps, os, self.route_missing) {
+            return None;
+        }
+        Some(
+            if chance(self.seed, TAG_ROUTE_WRONG, ps, os, self.route_contradict) {
+                wrong_origin(origin)
+            } else {
+                origin
+            },
+        )
+    }
+
+    /// The ROA issued for an announced `(prefix, origin)` pair; `None`
+    /// when none was.
+    fn roa(&self, prefix: Prefix, origin: Asn) -> Option<Roa> {
+        let (ps, os) = (prefix_salt(prefix), origin.value() as u64);
+        if chance(self.seed, TAG_ROA_MISS, ps, os, self.roa_missing) {
+            return None;
+        }
+        // Operators issue maxLength slack to keep their own
+        // de-aggregation Valid — without it, every more-specific whose
+        // own ROA fell to `roa_missing` would read as an RFC 6811
+        // Invalid under the covering aggregate and the contradicted
+        // rate would swamp the report.
+        Some(Roa {
+            prefix,
+            max_length: prefix.len().saturating_add(8).min(32),
+            origin: if chance(self.seed, TAG_ROA_WRONG, ps, os, self.roa_contradict) {
+                wrong_origin(origin)
+            } else {
+                origin
+            },
+            expired: chance(self.seed, TAG_ROA_EXPIRE, ps, os, self.roa_expired),
+        })
+    }
+}
+
 /// 16-hex FxHash over a block's body — the `sig:` line's value.
 fn block_sig(body: &str) -> String {
     let mut h = FxHasher::default();
@@ -174,16 +258,6 @@ pub fn derive_corpus(eco: &Ecosystem, cfg: &CorpusConfig) -> String {
     let mut objects: u64 = 0;
     let mut roas: u64 = 0;
 
-    let stale = |ixp: IxpId, asn: Asn| {
-        chance(
-            cfg.seed,
-            TAG_STALE,
-            ixp.0 as u64,
-            asn.value() as u64,
-            cfg.stale_registration,
-        )
-    };
-
     // ---- IXP headers + published as-sets. ----
     for ixp in &eco.ixps {
         let set_name = ixp
@@ -205,7 +279,7 @@ pub fn derive_corpus(eco: &Ecosystem, cfg: &CorpusConfig) -> String {
             let members: Vec<Asn> = ixp
                 .rs_member_asns()
                 .into_iter()
-                .filter(|&a| !stale(ixp.id, a))
+                .filter(|&a| !cfg.stale(ixp.id, a))
                 .collect();
             let set = RpslObject::AsSet {
                 name,
@@ -223,7 +297,7 @@ pub fn derive_corpus(eco: &Ecosystem, cfg: &CorpusConfig) -> String {
     for ixp in &eco.ixps {
         for asn in ixp.rs_member_asns() {
             let (imports, exports) = policies.entry(asn).or_default();
-            if !stale(ixp.id, asn) {
+            if !cfg.stale(ixp.id, asn) {
                 let rs = ixp.route_server.asn;
                 imports.push(PolicyLine {
                     peer: rs,
@@ -234,14 +308,7 @@ pub fn derive_corpus(eco: &Ecosystem, cfg: &CorpusConfig) -> String {
                     allow: true,
                 });
             }
-            let filters = chance(
-                cfg.seed,
-                TAG_FILTER,
-                ixp.id.0 as u64,
-                asn.value() as u64,
-                cfg.filter_frac,
-            );
-            if !filters {
+            if !cfg.filters(ixp.id, asn) {
                 continue;
             }
             let member = ixp.member(asn).expect("rs member exists");
@@ -249,28 +316,9 @@ pub fn derive_corpus(eco: &Ecosystem, cfg: &CorpusConfig) -> String {
                 if peer == asn {
                     continue;
                 }
-                let flip_e = chance(
-                    cfg.seed,
-                    TAG_FLIP_EXPORT,
-                    ((ixp.id.0 as u64) << 32) | asn.value() as u64,
-                    peer.value() as u64,
-                    cfg.policy_flip,
-                );
-                let flip_i = chance(
-                    cfg.seed,
-                    TAG_FLIP_IMPORT,
-                    ((ixp.id.0 as u64) << 32) | asn.value() as u64,
-                    peer.value() as u64,
-                    cfg.policy_flip,
-                );
-                exports.push(PolicyLine {
-                    peer,
-                    allow: member.export.allows(peer) != flip_e,
-                });
-                imports.push(PolicyLine {
-                    peer,
-                    allow: member.import.accepts(peer) != flip_i,
-                });
+                let (export, import) = cfg.peer_lines(ixp.id, member, peer);
+                exports.push(export);
+                imports.push(import);
             }
         }
     }
@@ -306,46 +354,21 @@ pub fn derive_corpus(eco: &Ecosystem, cfg: &CorpusConfig) -> String {
         }
     }
     for &(prefix, origin) in &pairs {
-        let (ps, os) = (prefix_salt(prefix), origin.value() as u64);
-        if chance(cfg.seed, TAG_ROUTE_MISS, ps, os, cfg.route_missing) {
-            continue;
+        if let Some(registered) = cfg.route_origin(prefix, origin) {
+            let route = RpslObject::Route {
+                prefix,
+                origin: registered,
+                source: source_of(origin),
+            };
+            push_block(&mut out, &route.to_rpsl());
+            objects += 1;
         }
-        let registered = if chance(cfg.seed, TAG_ROUTE_WRONG, ps, os, cfg.route_contradict) {
-            wrong_origin(origin)
-        } else {
-            origin
-        };
-        let route = RpslObject::Route {
-            prefix,
-            origin: registered,
-            source: source_of(origin),
-        };
-        push_block(&mut out, &route.to_rpsl());
-        objects += 1;
     }
     for &(prefix, origin) in &pairs {
-        let (ps, os) = (prefix_salt(prefix), origin.value() as u64);
-        if chance(cfg.seed, TAG_ROA_MISS, ps, os, cfg.roa_missing) {
-            continue;
+        if let Some(roa) = cfg.roa(prefix, origin) {
+            push_block(&mut out, &roa.to_text());
+            roas += 1;
         }
-        let authorized = if chance(cfg.seed, TAG_ROA_WRONG, ps, os, cfg.roa_contradict) {
-            wrong_origin(origin)
-        } else {
-            origin
-        };
-        // Operators issue maxLength slack to keep their own
-        // de-aggregation Valid — without it, every more-specific whose
-        // own ROA fell to `roa_missing` would read as an RFC 6811
-        // Invalid under the covering aggregate and the contradicted
-        // rate would swamp the report.
-        let roa = Roa {
-            prefix,
-            max_length: prefix.len().saturating_add(8).min(32),
-            origin: authorized,
-            expired: chance(cfg.seed, TAG_ROA_EXPIRE, ps, os, cfg.roa_expired),
-        };
-        push_block(&mut out, &roa.to_text());
-        roas += 1;
     }
 
     push_block(
@@ -713,6 +736,312 @@ struct Coverage {
     route_mismatch: u32,
 }
 
+// Bits of a `(from, to)` entry in [`CorpusFold`]: which kinds of
+// aut-num line `from` registers toward `to`.
+const EXPORT_ALLOW: u8 = 1;
+const EXPORT_DENY: u8 = 2;
+const IMPORT_ALLOW: u8 = 4;
+const IMPORT_DENY: u8 = 8;
+
+fn export_bit(allow: bool) -> u8 {
+    if allow {
+        EXPORT_ALLOW
+    } else {
+        EXPORT_DENY
+    }
+}
+
+fn import_bit(allow: bool) -> u8 {
+    if allow {
+        IMPORT_ALLOW
+    } else {
+        IMPORT_DENY
+    }
+}
+
+/// One IXP header as scoring reads it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Roster {
+    /// The RS ASN an aut-num export registers toward.
+    rs_asn: Asn,
+    /// The members the IXP's as-set resolves to (empty when the IXP
+    /// publishes none).
+    as_set: BTreeSet<Asn>,
+}
+
+/// Everything [`score_links`] reads of a corpus, folded: which aut-num
+/// lines exist per `(ASN, peer)`, each IXP's RS ASN and as-set roster,
+/// the route objects and ROAs per prefix, and the corpus health.
+/// [`CorpusFold::of`] folds a parsed corpus; [`LiveValidation`] keeps
+/// one in step with churn. Equal folds score every link the same way.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CorpusFold {
+    /// `(from, to)` → the `EXPORT_*` / `IMPORT_*` bits of the lines
+    /// `from`'s aut-num holds toward `to`.
+    lines: FxHashMap<(Asn, Asn), u8>,
+    /// Per IXP header.
+    rosters: BTreeMap<IxpId, Roster>,
+    /// Prefix → registered route origin → route objects.
+    routes: FxHashMap<Prefix, BTreeMap<Asn, u32>>,
+    /// Prefix → `(origin, max_length, expired)` → ROAs, ordered by
+    /// prefix for the coverage sweep.
+    roas: BTreeMap<Prefix, BTreeMap<(Asn, u8, bool), u32>>,
+    /// Parse health.
+    stats: CorpusStats,
+}
+
+impl CorpusFold {
+    /// Fold a parsed corpus.
+    pub fn of(corpus: &ParsedCorpus) -> CorpusFold {
+        let mut fold = CorpusFold {
+            stats: corpus.stats.clone(),
+            ..CorpusFold::default()
+        };
+        for obj in &corpus.irr.objects {
+            match obj {
+                RpslObject::AutNum {
+                    asn,
+                    imports,
+                    exports,
+                    ..
+                } => {
+                    for l in exports {
+                        *fold.lines.entry((*asn, l.peer)).or_default() |= export_bit(l.allow);
+                    }
+                    for l in imports {
+                        *fold.lines.entry((*asn, l.peer)).or_default() |= import_bit(l.allow);
+                    }
+                }
+                RpslObject::Route { prefix, origin, .. } => {
+                    fold.count_route(*prefix, *origin, true)
+                }
+                RpslObject::AsSet { .. } => {}
+            }
+        }
+        for roa in corpus.roas.roas() {
+            fold.count_roa(roa, true);
+        }
+        for (&id, meta) in &corpus.ixps {
+            let as_set = meta
+                .rs_set
+                .as_deref()
+                .map(|name| corpus.irr.resolve_as_set(name).into_iter().collect())
+                .unwrap_or_default();
+            fold.rosters.insert(
+                id,
+                Roster {
+                    rs_asn: meta.rs_asn,
+                    as_set,
+                },
+            );
+        }
+        fold
+    }
+
+    /// The health of the corpus this fold came from.
+    pub fn stats(&self) -> &CorpusStats {
+        &self.stats
+    }
+
+    /// The line bits `from`'s aut-num holds toward `to`.
+    fn bits(&self, from: Asn, to: Asn) -> u8 {
+        self.lines.get(&(from, to)).copied().unwrap_or(0)
+    }
+
+    /// Is `asn` registered under `roster`, by the as-set or by an
+    /// aut-num export toward the RS ASN?
+    fn registered(&self, roster: Option<&Roster>, asn: Asn) -> bool {
+        roster.is_some_and(|r| {
+            r.as_set.contains(&asn) || self.bits(asn, r.rs_asn) & EXPORT_ALLOW != 0
+        })
+    }
+
+    /// Count one route object in or out.
+    fn count_route(&mut self, prefix: Prefix, origin: Asn, up: bool) {
+        if count(self.routes.entry(prefix).or_default(), origin, up) {
+            self.routes.remove(&prefix);
+        }
+    }
+
+    /// Count one ROA in or out.
+    fn count_roa(&mut self, roa: &Roa, up: bool) {
+        let key = (roa.origin, roa.max_length, roa.expired);
+        if count(self.roas.entry(roa.prefix).or_default(), key, up) {
+            self.roas.remove(&roa.prefix);
+        }
+    }
+
+    /// Score every link against the fold, handing each verdict to
+    /// `each` in `(ixp, a, b)` order.
+    fn score(
+        &self,
+        links: &MlpLinkSet,
+        announcements: &BTreeSet<Announcement>,
+        mut each: impl FnMut(LinkVerdict),
+    ) -> ValidationReport {
+        // ---- Origin coverage per (IXP, member), one announcement scan.
+        // Announcements and ROA prefixes are both ordered by (address,
+        // length), where a prefix precedes everything it covers, so one
+        // merged sweep keeps the chain of ROA prefixes covering the
+        // current announcement on a stack, and each prefix's evidence
+        // is gathered once. ----
+        let mut coverage: FxHashMap<(IxpId, Asn), Coverage> = FxHashMap::default();
+        let mut roa_prefixes = self.roas.iter().peekable();
+        let mut chain: Vec<(Prefix, &BTreeMap<(Asn, u8, bool), u32>)> = Vec::new();
+        let mut current = None;
+        // The unexpired ROAs covering the current prefix, as `(origin,
+        // max_length)`.
+        let mut covering: Vec<(Asn, u8)> = Vec::new();
+        let mut origins = None;
+        for &(prefix, ixp, member) in announcements {
+            if current != Some(prefix) {
+                current = Some(prefix);
+                while let Some((&p, roas)) = roa_prefixes.next_if(|(&p, _)| p <= prefix) {
+                    while chain.last().is_some_and(|(q, _)| !q.covers(&p)) {
+                        chain.pop();
+                    }
+                    chain.push((p, roas));
+                }
+                while chain.last().is_some_and(|(q, _)| !q.covers(&prefix)) {
+                    chain.pop();
+                }
+                covering.clear();
+                for (_, roas) in &chain {
+                    covering.extend(
+                        roas.keys()
+                            .filter(|&&(_, _, expired)| !expired)
+                            .map(|&(origin, max_length, _)| (origin, max_length)),
+                    );
+                }
+                origins = self.routes.get(&prefix);
+            }
+            let cov = coverage.entry((ixp, member)).or_default();
+            // RFC 6811: Valid when a covering ROA authorizes the
+            // announcement, Invalid when ROAs cover it but none does.
+            if covering
+                .iter()
+                .any(|&(origin, max_length)| origin == member && prefix.len() <= max_length)
+            {
+                cov.roa_valid += 1;
+            } else if !covering.is_empty() {
+                cov.roa_invalid += 1;
+            }
+            if let Some(origins) = origins {
+                if origins.contains_key(&member) {
+                    cov.route_match += 1;
+                } else {
+                    cov.route_mismatch += 1;
+                }
+            }
+        }
+
+        // ---- The ladder, per link. ----
+        let mut report = ValidationReport {
+            corpus: self.stats.clone(),
+            ..ValidationReport::default()
+        };
+        let mut reasons = [0u64; Reason::ALL.len()];
+        for (&ixp, pairs) in links.per_ixp.iter().filter(|(_, pairs)| !pairs.is_empty()) {
+            let roster = self.rosters.get(&ixp);
+            let tally = report.per_ixp.entry(ixp).or_default();
+            for &(a, b) in pairs {
+                let cov_a = coverage.get(&(ixp, a)).copied().unwrap_or_default();
+                let cov_b = coverage.get(&(ixp, b)).copied().unwrap_or_default();
+                let reason = self.ladder(roster, a, b, cov_a, cov_b);
+                let verdict = reason.verdict();
+                report.totals.bump(verdict);
+                tally.bump(verdict);
+                reasons[reason.tag() as usize] += 1;
+                each(LinkVerdict { ixp, a, b, reason });
+            }
+        }
+        for reason in Reason::ALL {
+            let n = reasons[reason.tag() as usize];
+            if n > 0 {
+                report.reasons.insert(reason, n);
+            }
+        }
+        report
+    }
+
+    /// The verdict ladder for one link at the IXP `roster` describes:
+    /// the first rung that applies wins.
+    fn ladder(
+        &self,
+        roster: Option<&Roster>,
+        a: Asn,
+        b: Asn,
+        cov_a: Coverage,
+        cov_b: Coverage,
+    ) -> Reason {
+        let (ab, ba) = (self.bits(a, b), self.bits(b, a));
+        // An endpoint refuses the other when its aut-num holds a deny
+        // line toward it with no allow line of the same kind: an allow
+        // anywhere overrides a deny toward the same peer (registries
+        // accumulate; openness wins over a stale deny).
+        let only = |bits: u8, deny: u8, allow: u8| bits & deny != 0 && bits & allow == 0;
+        let refuses = |bits: u8| {
+            only(bits, EXPORT_DENY, EXPORT_ALLOW) || only(bits, IMPORT_DENY, IMPORT_ALLOW)
+        };
+        // Majority rules, not single-route vetoes: real tables carry
+        // stray RFC 6811 Invalids (a specific's ROA lapsed under
+        // someone's covering aggregate) and stray route-object
+        // mismatches, and relying parties don't de-peer over one. The
+        // registry contradicts an endpoint only when its bad evidence
+        // outweighs its good.
+        let roa_bad = |c: Coverage| c.roa_invalid > c.roa_valid;
+        let route_bad = |c: Coverage| c.route_mismatch > c.route_match;
+        if refuses(ab) || refuses(ba) {
+            Reason::PolicyDenied
+        } else if roa_bad(cov_a) || roa_bad(cov_b) {
+            Reason::RoaOriginMismatch
+        } else if route_bad(cov_a) || route_bad(cov_b) {
+            Reason::RouteOriginMismatch
+        } else if self.stats.degraded() {
+            Reason::CorpusDegraded
+        } else if !self.registered(roster, a) || !self.registered(roster, b) {
+            Reason::Unregistered
+        } else if ab & ba & EXPORT_ALLOW != 0 {
+            Reason::MutualFilters
+        } else if cov_a.roa_valid > 0 && cov_b.roa_valid > 0 {
+            Reason::RoaValidBoth
+        } else if cov_a.route_match > 0 && cov_b.route_match > 0 {
+            Reason::RouteMatchBoth
+        } else if cov_a.roa_valid > 0
+            || cov_b.roa_valid > 0
+            || cov_a.route_match > 0
+            || cov_b.route_match > 0
+        {
+            Reason::PartialCoverage
+        } else {
+            Reason::NoCoverage
+        }
+    }
+}
+
+/// Count `key` in or out of `keys`, dropping it at zero so equal
+/// contents compare equal; true when `keys` is left empty.
+fn count<K: Ord>(keys: &mut BTreeMap<K, u32>, key: K, up: bool) -> bool {
+    if up {
+        *keys.entry(key).or_default() += 1;
+    } else if let Some(n) = keys.get_mut(&key) {
+        *n -= 1;
+        if *n == 0 {
+            keys.remove(&key);
+        }
+    }
+    keys.is_empty()
+}
+
+/// Step a corpus count up or down.
+fn step(n: &mut u64, up: bool) {
+    if up {
+        *n += 1;
+    } else {
+        *n -= 1;
+    }
+}
+
 /// Score every inferred link against a parsed corpus. Returns the
 /// aggregate report and the per-link verdicts (ordered by `(ixp, a,
 /// b)`, exactly the iteration order of `links.per_ixp`).
@@ -721,138 +1050,212 @@ pub fn score_links(
     links: &MlpLinkSet,
     announcements: &BTreeSet<Announcement>,
 ) -> (ValidationReport, Vec<LinkVerdict>) {
-    // ---- Fold the aut-num policy lines into (from, to) sets. ----
-    let mut export_allow: FxHashSet<(Asn, Asn)> = FxHashSet::default();
-    let mut export_deny: FxHashSet<(Asn, Asn)> = FxHashSet::default();
-    let mut import_allow: FxHashSet<(Asn, Asn)> = FxHashSet::default();
-    let mut import_deny: FxHashSet<(Asn, Asn)> = FxHashSet::default();
-    let mut route_origins: FxHashMap<Prefix, BTreeSet<Asn>> = FxHashMap::default();
-    for obj in &corpus.irr.objects {
-        match obj {
-            RpslObject::AutNum {
-                asn,
-                imports,
-                exports,
-                ..
-            } => {
-                for l in exports {
-                    let set = if l.allow {
-                        &mut export_allow
-                    } else {
-                        &mut export_deny
-                    };
-                    set.insert((*asn, l.peer));
-                }
-                for l in imports {
-                    let set = if l.allow {
-                        &mut import_allow
-                    } else {
-                        &mut import_deny
-                    };
-                    set.insert((*asn, l.peer));
-                }
-            }
-            RpslObject::Route { prefix, origin, .. } => {
-                route_origins.entry(*prefix).or_default().insert(*origin);
-            }
-            RpslObject::AsSet { .. } => {}
-        }
-    }
-    // An allow line anywhere overrides a deny toward the same peer
-    // (registries accumulate; openness wins over a stale deny).
-    let denied = |from: Asn, to: Asn| {
-        (export_deny.contains(&(from, to)) && !export_allow.contains(&(from, to)))
-            || (import_deny.contains(&(to, from)) && !import_allow.contains(&(to, from)))
-    };
-
-    // ---- Registration rosters per IXP. ----
-    let mut registered: BTreeMap<IxpId, BTreeSet<Asn>> = BTreeMap::new();
-    for (&id, meta) in &corpus.ixps {
-        let mut roster: BTreeSet<Asn> = meta
-            .rs_set
-            .as_deref()
-            .map(|name| corpus.irr.resolve_as_set(name).into_iter().collect())
-            .unwrap_or_default();
-        for &(from, to) in &export_allow {
-            if to == meta.rs_asn {
-                roster.insert(from);
-            }
-        }
-        registered.insert(id, roster);
-    }
-
-    // ---- Origin coverage per (IXP, member), one announcement scan. ----
-    let mut coverage: FxHashMap<(IxpId, Asn), Coverage> = FxHashMap::default();
-    for &(prefix, ixp, member) in announcements {
-        let cov = coverage.entry((ixp, member)).or_default();
-        match corpus.roas.validate(prefix, member) {
-            RoaOutcome::Valid => cov.roa_valid += 1,
-            RoaOutcome::Invalid => cov.roa_invalid += 1,
-            RoaOutcome::NotFound => {}
-        }
-        if let Some(origins) = route_origins.get(&prefix) {
-            if origins.contains(&member) {
-                cov.route_match += 1;
-            } else {
-                cov.route_mismatch += 1;
-            }
-        }
-    }
-
-    // ---- The ladder, per link. ----
-    let degraded = corpus.stats.degraded();
-    let empty = BTreeSet::new();
-    let mut report = ValidationReport {
-        corpus: corpus.stats.clone(),
-        ..ValidationReport::default()
-    };
     let mut verdicts = Vec::new();
-    for (&ixp, pairs) in &links.per_ixp {
-        let roster = registered.get(&ixp).unwrap_or(&empty);
-        for &(a, b) in pairs {
-            let cov_a = coverage.get(&(ixp, a)).copied().unwrap_or_default();
-            let cov_b = coverage.get(&(ixp, b)).copied().unwrap_or_default();
-            // Majority rules, not single-route vetoes: real tables
-            // carry stray RFC 6811 Invalids (a specific's ROA lapsed
-            // under someone's covering aggregate) and stray route-object
-            // mismatches, and relying parties don't de-peer over one.
-            // The registry contradicts an endpoint only when its bad
-            // evidence outweighs its good.
-            let roa_bad = |c: Coverage| c.roa_invalid > c.roa_valid;
-            let route_bad = |c: Coverage| c.route_mismatch > c.route_match;
-            let reason = if denied(a, b) || denied(b, a) {
-                Reason::PolicyDenied
-            } else if roa_bad(cov_a) || roa_bad(cov_b) {
-                Reason::RoaOriginMismatch
-            } else if route_bad(cov_a) || route_bad(cov_b) {
-                Reason::RouteOriginMismatch
-            } else if degraded {
-                Reason::CorpusDegraded
-            } else if !roster.contains(&a) || !roster.contains(&b) {
-                Reason::Unregistered
-            } else if export_allow.contains(&(a, b)) && export_allow.contains(&(b, a)) {
-                Reason::MutualFilters
-            } else if cov_a.roa_valid > 0 && cov_b.roa_valid > 0 {
-                Reason::RoaValidBoth
-            } else if cov_a.route_match > 0 && cov_b.route_match > 0 {
-                Reason::RouteMatchBoth
-            } else if cov_a.roa_valid > 0
-                || cov_b.roa_valid > 0
-                || cov_a.route_match > 0
-                || cov_b.route_match > 0
-            {
-                Reason::PartialCoverage
-            } else {
-                Reason::NoCoverage
-            };
-            let verdict = reason.verdict();
-            report.totals.bump(verdict);
-            report.per_ixp.entry(ixp).or_default().bump(verdict);
-            *report.reasons.entry(reason).or_default() += 1;
-            verdicts.push(LinkVerdict { ixp, a, b, reason });
+    let report = CorpusFold::of(corpus).score(links, announcements, |v| verdicts.push(v));
+    (report, verdicts)
+}
+
+/// The validation state the live loop keeps in step with churn: the
+/// [`CorpusFold`] of the corpus [`derive_corpus`] would render for the
+/// current ecosystem, built without rendering or parsing any text.
+///
+/// Reference counts sit beside the fold, because the corpus merges what
+/// several IXPs contribute: an aut-num holds one line per `(peer,
+/// allow)` however many IXPs register it, and one route object and ROA
+/// stand for an announced `(prefix, origin)` pair however many IXPs it
+/// is announced at. A fold entry appears when its count leaves zero and
+/// goes when it returns there.
+///
+/// Churn keeps it in step one event at a time: for an event about ASN
+/// `A` at IXP `X`, call [`remove`](LiveValidation::remove) before
+/// [`Ecosystem::apply_churn`] and [`add`](LiveValidation::add) after
+/// it. The batch path ([`validate_harvest`]) stays the reference: the
+/// two reports are equal after every event.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LiveValidation {
+    cfg: CorpusConfig,
+    fold: CorpusFold,
+    /// `(from, to)` → how many IXPs register each line kind, indexed
+    /// like the fold's bits (export allow, export deny, import allow,
+    /// import deny).
+    line_refs: FxHashMap<(Asn, Asn), [u16; 4]>,
+    /// Announced `(prefix, origin)` pair → (IXP, announcement) count.
+    pair_refs: FxHashMap<(Prefix, Asn), u32>,
+    /// ASN → IXPs it is an RS member at (its aut-num lives while > 0).
+    autnum_refs: FxHashMap<Asn, u32>,
+}
+
+impl LiveValidation {
+    /// Build the state for `eco` under `cfg`'s noise.
+    pub fn new(eco: &Ecosystem, cfg: CorpusConfig) -> LiveValidation {
+        let mut state = LiveValidation {
+            cfg,
+            fold: CorpusFold::default(),
+            line_refs: FxHashMap::default(),
+            pair_refs: FxHashMap::default(),
+            autnum_refs: FxHashMap::default(),
+        };
+        for ixp in &eco.ixps {
+            // The header, and the as-set where one is published.
+            state.fold.stats.objects += 1 + u64::from(ixp.publishes_member_list);
+            state.fold.rosters.insert(
+                ixp.id,
+                Roster {
+                    rs_asn: ixp.route_server.asn,
+                    as_set: BTreeSet::new(),
+                },
+            );
+            for member in ixp.members.values().filter(|m| m.rs_member) {
+                state.member(ixp, member, true);
+            }
+        }
+        state.fold.stats.complete = true;
+        state
+    }
+
+    /// The noise the state was built under.
+    pub fn config(&self) -> &CorpusConfig {
+        &self.cfg
+    }
+
+    /// The fold scoring reads.
+    pub fn fold(&self) -> &CorpusFold {
+        &self.fold
+    }
+
+    /// Take out what `asn` contributes at `ixp`, and every RS member's
+    /// lines toward it there. Call before applying a churn event about
+    /// `asn` at `ixp`.
+    pub fn remove(&mut self, eco: &Ecosystem, ixp: IxpId, asn: Asn) {
+        self.touch(eco, ixp, asn, false);
+    }
+
+    /// Put back what [`remove`](LiveValidation::remove) took out, from
+    /// the ecosystem's new state. Call after applying the event.
+    pub fn add(&mut self, eco: &Ecosystem, ixp: IxpId, asn: Asn) {
+        self.touch(eco, ixp, asn, true);
+    }
+
+    /// Score `links` with the announcement set `observations` support:
+    /// the report [`validate_harvest`] gives over the same ecosystem.
+    pub fn report(&self, links: &MlpLinkSet, observations: &[Observation]) -> ValidationReport {
+        let announcements = crate::index::scan::announcements(links, observations);
+        self.fold.score(links, &announcements, |_| {})
+    }
+
+    fn touch(&mut self, eco: &Ecosystem, ixp: IxpId, asn: Asn, up: bool) {
+        let Some(ixp) = eco.ixps.get(ixp.0 as usize) else {
+            return;
+        };
+        let Some(member) = ixp.member(asn).filter(|m| m.rs_member) else {
+            return;
+        };
+        self.member(ixp, member, up);
+        for peer in ixp.members.values() {
+            if peer.rs_member && peer.asn != asn && self.cfg.filters(ixp.id, peer.asn) {
+                let (export, import) = self.cfg.peer_lines(ixp.id, peer, asn);
+                self.line(peer.asn, export.peer, export_bit(export.allow), up);
+                self.line(peer.asn, import.peer, import_bit(import.allow), up);
+            }
         }
     }
-    (report, verdicts)
+
+    /// What one RS member contributes at one IXP: its aut-num, its
+    /// as-set entry and RS lines unless stale, its filter lines toward
+    /// every other RS member if it filters there, and its announced
+    /// pairs.
+    fn member(&mut self, ixp: &Ixp, member: &IxpMember, up: bool) {
+        let asn = member.asn;
+        let refs = self.autnum_refs.entry(asn).or_default();
+        if up {
+            *refs += 1;
+        } else {
+            *refs -= 1;
+        }
+        match (*refs, up) {
+            (1, true) => step(&mut self.fold.stats.objects, true),
+            (0, false) => {
+                self.autnum_refs.remove(&asn);
+                step(&mut self.fold.stats.objects, false);
+            }
+            _ => {}
+        }
+        if !self.cfg.stale(ixp.id, asn) {
+            if ixp.publishes_member_list {
+                let roster = self.fold.rosters.get_mut(&ixp.id).expect("roster per IXP");
+                if up {
+                    roster.as_set.insert(asn);
+                } else {
+                    roster.as_set.remove(&asn);
+                }
+            }
+            let rs = ixp.route_server.asn;
+            self.line(asn, rs, IMPORT_ALLOW, up);
+            self.line(asn, rs, EXPORT_ALLOW, up);
+        }
+        if self.cfg.filters(ixp.id, asn) {
+            for peer in ixp.members.values() {
+                if peer.rs_member && peer.asn != asn {
+                    let (export, import) = self.cfg.peer_lines(ixp.id, member, peer.asn);
+                    self.line(asn, peer.asn, export_bit(export.allow), up);
+                    self.line(asn, peer.asn, import_bit(import.allow), up);
+                }
+            }
+        }
+        for ann in &member.announcements {
+            self.pair(ann.prefix, asn, up);
+        }
+    }
+
+    /// Count one registration of a `from → to` line of kind `bit`.
+    fn line(&mut self, from: Asn, to: Asn, bit: u8, up: bool) {
+        let slot = bit.trailing_zeros() as usize;
+        let refs = self.line_refs.entry((from, to)).or_default();
+        if up {
+            refs[slot] += 1;
+            if refs[slot] == 1 {
+                *self.fold.lines.entry((from, to)).or_default() |= bit;
+            }
+            return;
+        }
+        refs[slot] -= 1;
+        if refs[slot] == 0 {
+            if *refs == [0; 4] {
+                self.line_refs.remove(&(from, to));
+            }
+            let bits = self.fold.lines.get_mut(&(from, to)).expect("counted line");
+            *bits &= !bit;
+            if *bits == 0 {
+                self.fold.lines.remove(&(from, to));
+            }
+        }
+    }
+
+    /// Count one announcement of `(prefix, origin)`; its route object
+    /// and ROA enter the fold with the first and leave with the last.
+    fn pair(&mut self, prefix: Prefix, origin: Asn, up: bool) {
+        let refs = self.pair_refs.entry((prefix, origin)).or_default();
+        if up {
+            *refs += 1;
+        } else {
+            *refs -= 1;
+        }
+        match (*refs, up) {
+            (1, true) => {}
+            (0, false) => {
+                self.pair_refs.remove(&(prefix, origin));
+            }
+            _ => return,
+        }
+        if let Some(registered) = self.cfg.route_origin(prefix, origin) {
+            self.fold.count_route(prefix, registered, up);
+            step(&mut self.fold.stats.objects, up);
+        }
+        if let Some(roa) = self.cfg.roa(prefix, origin) {
+            self.fold.count_roa(&roa, up);
+            step(&mut self.fold.stats.roas, up);
+        }
+    }
 }
 
 /// The whole stage in one call: derive the corpus from `eco`, parse it

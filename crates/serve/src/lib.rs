@@ -73,7 +73,7 @@ pub use cache::BodyCache;
 pub use delta::{ChangeLog, SinceAnswer};
 pub use durable::DurableStore;
 pub use health::HealthState;
-pub use live::{bootstrap, spawn_live_refresher, LiveConfig, LiveStats};
+pub use live::{bootstrap, spawn_live_refresher, LiveConfig, LiveLoop, LiveStats};
 pub use loadgen::{run_hold_load, run_load, HoldConfig, LoadConfig, LoadReport};
 pub use reactor::{spawn_reactor, ReactorConfig, ReactorStats};
 pub use server::{ServerHandle, ServerStats};

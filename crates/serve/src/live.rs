@@ -14,6 +14,7 @@
 //! epoch *and* the content ETag stay stable, and conditional GETs keep
 //! revalidating for free.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -21,9 +22,9 @@ use std::time::Duration;
 
 use mlpeer::live::{decode_message, LinkDelta, LiveInferencer};
 use mlpeer::passive::PassiveStats;
-use mlpeer::validate::cross::{validate_harvest, CorpusConfig};
+use mlpeer::validate::cross::{CorpusConfig, LiveValidation};
 use mlpeer_data::churn::{event_messages, ChurnConfig, ChurnGen};
-use mlpeer_ixp::Ecosystem;
+use mlpeer_ixp::{Ecosystem, IxpId};
 
 use crate::snapshot::Snapshot;
 use crate::store::SnapshotStore;
@@ -108,18 +109,19 @@ impl Supervisor {
 }
 
 /// Bootstrap the live state from an ecosystem: the inferencer over the
-/// current route-server state, and the initial snapshot to open the
-/// store on — built from the *same* live harvest, so the first
-/// `/v1/changes` delta composes against exactly what `/v1/*` serves.
-pub fn bootstrap(eco: &Ecosystem, scale: &str, seed: u64) -> (LiveInferencer, Snapshot) {
+/// current route-server state, the validation state over its registry
+/// view, and the initial snapshot to open the store on — built from the
+/// *same* live harvest, so the first `/v1/changes` delta composes
+/// against exactly what `/v1/*` serves.
+pub fn bootstrap(
+    eco: &Ecosystem,
+    scale: &str,
+    seed: u64,
+) -> (LiveInferencer, LiveValidation, Snapshot) {
     let li = LiveInferencer::from_ecosystem(eco);
+    let state = LiveValidation::new(eco, CorpusConfig::seeded(seed));
     let observations = li.observations();
-    let validation = validate_harvest(
-        eco,
-        li.current(),
-        &observations,
-        &CorpusConfig::seeded(seed),
-    );
+    let validation = state.report(li.current(), &observations);
     let snapshot = Snapshot::build_validated(
         scale,
         seed,
@@ -129,29 +131,146 @@ pub fn bootstrap(eco: &Ecosystem, scale: &str, seed: u64) -> (LiveInferencer, Sn
         PassiveStats::default(),
         validation,
     );
-    (li, snapshot)
+    (li, state, snapshot)
 }
 
-/// Spawn the live loop. `eco` and `inferencer` must agree (use
-/// [`bootstrap`]); the loop owns both from here on. Returns the thread
-/// handle; `shutdown` stops it promptly even mid-interval.
+/// What the live loop carries from tick to tick: the churned ecosystem,
+/// the two views kept in step with it (the link inferencer and the
+/// validation state), and the churn schedule.
+pub struct LiveLoop {
+    eco: Ecosystem,
+    inferencer: LiveInferencer,
+    validation: LiveValidation,
+    churn: ChurnGen,
+    clock: u64,
+    names: BTreeMap<IxpId, String>,
+    cfg: LiveConfig,
+}
+
+impl LiveLoop {
+    /// A loop over `eco`; `inferencer` and `validation` must agree with
+    /// it (use [`bootstrap`]).
+    pub fn new(
+        eco: Ecosystem,
+        inferencer: LiveInferencer,
+        validation: LiveValidation,
+        cfg: LiveConfig,
+    ) -> LiveLoop {
+        LiveLoop {
+            churn: ChurnGen::new(&eco, cfg.churn.clone()),
+            names: Snapshot::names_of(&eco),
+            eco,
+            inferencer,
+            validation,
+            clock: 0,
+            cfg,
+        }
+    }
+
+    /// The churned ecosystem.
+    pub fn ecosystem(&self) -> &Ecosystem {
+        &self.eco
+    }
+
+    /// The link inferencer.
+    pub fn inferencer(&self) -> &LiveInferencer {
+        &self.inferencer
+    }
+
+    /// The validation state.
+    pub fn validation(&self) -> &LiveValidation {
+        &self.validation
+    }
+
+    /// One tick: draw each event; take its member's view out of the
+    /// validation state, apply the event, put the view back; render the
+    /// event as BGP messages and decode them into the inferencer. Then
+    /// publish, but only if anything moved. Returns the published
+    /// epoch.
+    pub fn tick(&mut self, store: &SnapshotStore, stats: &LiveStats) -> Option<u64> {
+        failpoints::failpoint!("serve::live_tick");
+        let version_before = self.inferencer.state_version();
+        let mut delta = LinkDelta::default();
+        for _ in 0..self.cfg.events_per_tick {
+            let event = self.churn.next_event(&self.eco);
+            let (ixp, asn) = (event.ixp(), event.asn());
+            self.validation.remove(&self.eco, ixp, asn);
+            self.eco.apply_churn(&event);
+            failpoints::failpoint!("serve::live_apply");
+            self.validation.add(&self.eco, ixp, asn);
+            let scheme = &self.eco.ixp(ixp).scheme;
+            for msg in event_messages(&self.eco, &event, self.clock) {
+                for live_event in decode_message(ixp, scheme, &msg) {
+                    delta.merge(self.inferencer.apply(&live_event));
+                }
+            }
+            self.clock += 1;
+            stats.events.fetch_add(1, Ordering::Relaxed);
+        }
+        stats.ticks.fetch_add(1, Ordering::Relaxed);
+
+        if delta.is_empty() && self.inferencer.state_version() == version_before {
+            // Nothing served changed: no publish, epoch and ETag stay.
+            // The state-version check matters — prefixes and policies
+            // can change without any link moving (e.g. an open member
+            // originating a new prefix), and /v1/prefix must not go
+            // stale; such a tick publishes a new epoch whose link delta
+            // is empty.
+            return None;
+        }
+        // Uncached build: a tick that moved a handful of links must not
+        // pay an O(announcement-corpus) body pre-render — live-mode
+        // GETs render on demand, batch publishes keep the cache.
+        let observations = self.inferencer.observations();
+        let validation = self
+            .validation
+            .report(self.inferencer.current(), &observations);
+        let snapshot = Snapshot::build_uncached_validated(
+            &self.cfg.scale,
+            self.cfg.seed,
+            self.names.clone(),
+            self.inferencer.current().clone(),
+            &observations,
+            PassiveStats::default(),
+            validation,
+        );
+        let epoch = store.publish_with_delta(snapshot, delta);
+        stats.published.fetch_add(1, Ordering::Relaxed);
+        Some(epoch)
+    }
+
+    /// One [`tick`](LiveLoop::tick) under the supervisor's catch. A
+    /// panic can leave the ecosystem ahead of the validation state (an
+    /// event applied whose view was not put back), so after one the
+    /// state is rebuilt from the ecosystem.
+    pub fn supervised_tick(
+        &mut self,
+        store: &SnapshotStore,
+        stats: &LiveStats,
+    ) -> std::thread::Result<Option<u64>> {
+        let tick =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.tick(store, stats)));
+        if tick.is_err() {
+            self.validation = LiveValidation::new(&self.eco, self.validation.config().clone());
+        }
+        tick
+    }
+}
+
+/// Spawn the live loop, which owns `live` from here on. Returns the
+/// thread handle; `shutdown` stops it promptly even mid-interval.
 pub fn spawn_live_refresher(
     store: Arc<SnapshotStore>,
-    mut eco: Ecosystem,
-    mut inferencer: LiveInferencer,
-    cfg: LiveConfig,
+    mut live: LiveLoop,
     stats: Arc<LiveStats>,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
-    let mut churn = ChurnGen::new(&eco, cfg.churn.clone());
-    let names = Snapshot::names_of(&eco);
     store.set_live_stats(Arc::clone(&stats));
     std::thread::Builder::new()
         .name("mlpeer-serve-live".into())
         .spawn(move || {
             // A zero interval must not become a 100% CPU busy-spin.
-            let interval = cfg.interval.max(Duration::from_millis(1));
-            let mut clock: u64 = 0;
+            let interval = live.cfg.interval.max(Duration::from_millis(1));
             let mut supervisor = Supervisor::new();
             loop {
                 let mut slept = Duration::ZERO;
@@ -166,72 +285,19 @@ pub fn spawn_live_refresher(
                 if shutdown.load(Ordering::Relaxed) {
                     return;
                 }
-
-                // ---- One tick: apply a batch of churn (supervised —
-                // a panic anywhere in decode/apply/publish is caught
-                // and the loop restarted after backoff). ----
-                let tick = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    failpoints::failpoint!("serve::live_tick");
-                    let version_before = inferencer.state_version();
-                    let mut delta = LinkDelta::default();
-                    for _ in 0..cfg.events_per_tick {
-                        let event = churn.next_event(&eco);
-                        eco.apply_churn(&event);
-                        let ixp = event.ixp();
-                        let scheme = &eco.ixp(ixp).scheme;
-                        for msg in event_messages(&eco, &event, clock) {
-                            for live_event in decode_message(ixp, scheme, &msg) {
-                                delta.merge(inferencer.apply(&live_event));
-                            }
+                // A panic anywhere in the tick is caught and the loop
+                // restarted after backoff.
+                match live.supervised_tick(&store, &stats) {
+                    Ok(published) => {
+                        supervisor.tick_ok(store.health());
+                        if let Some(epoch) = published {
+                            eprintln!(
+                                "# live: epoch {epoch} after {} events ({} links)",
+                                stats.events.load(Ordering::Relaxed),
+                                store.load().unique_link_count,
+                            );
                         }
-                        clock += 1;
-                        stats.events.fetch_add(1, Ordering::Relaxed);
                     }
-                    stats.ticks.fetch_add(1, Ordering::Relaxed);
-
-                    if delta.is_empty() && inferencer.state_version() == version_before {
-                        // Nothing served changed: no publish, epoch and
-                        // ETag stay. The state-version check matters —
-                        // prefixes and policies can change without any
-                        // link moving (e.g. an open member originating a
-                        // new prefix), and /v1/prefix must not go stale;
-                        // such a tick publishes a new epoch whose link
-                        // delta is empty.
-                        return;
-                    }
-                    // Uncached build: a tick that moved a handful of links
-                    // must not pay an O(announcement-corpus) body
-                    // pre-render — live-mode GETs render on demand (the
-                    // pre-cache behavior), batch publishes keep the cache.
-                    // Validation re-runs against the churned ecosystem:
-                    // the corpus is re-derived from current registry
-                    // state, so verdicts track membership churn.
-                    let observations = inferencer.observations();
-                    let validation = validate_harvest(
-                        &eco,
-                        inferencer.current(),
-                        &observations,
-                        &CorpusConfig::seeded(cfg.seed),
-                    );
-                    let snapshot = Snapshot::build_uncached_validated(
-                        &cfg.scale,
-                        cfg.seed,
-                        names.clone(),
-                        inferencer.current().clone(),
-                        &observations,
-                        PassiveStats::default(),
-                        validation,
-                    );
-                    let epoch = store.publish_with_delta(snapshot, delta);
-                    stats.published.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "# live: epoch {epoch} after {} events ({} links)",
-                        stats.events.load(Ordering::Relaxed),
-                        store.load().unique_link_count,
-                    );
-                }));
-                match tick {
-                    Ok(()) => supervisor.tick_ok(store.health()),
                     Err(_) => supervisor.tick_panicked(store.health(), &stats, &shutdown),
                 }
             }
@@ -258,15 +324,18 @@ mod tests {
         }
     }
 
-    fn boot() -> (Ecosystem, LiveInferencer, Snapshot) {
+    fn boot(events_per_tick: usize) -> (LiveLoop, Snapshot) {
         let eco = Ecosystem::generate(EcosystemConfig::tiny(11));
-        let (li, snap) = bootstrap(&eco, "tiny", 11);
-        (eco, li, snap)
+        let (li, state, snap) = bootstrap(&eco, "tiny", 11);
+        (
+            LiveLoop::new(eco, li, state, live_cfg(events_per_tick)),
+            snap,
+        )
     }
 
     #[test]
     fn live_loop_publishes_deltas_that_compose() {
-        let (eco, li, snap) = boot();
+        let (live, snap) = boot(20);
         let initial_links: std::collections::BTreeSet<(mlpeer_ixp::IxpId, _, _)> = snap
             .links
             .per_ixp
@@ -278,9 +347,7 @@ mod tests {
         let stats = Arc::new(LiveStats::default());
         let handle = spawn_live_refresher(
             Arc::clone(&store),
-            eco,
-            li,
-            live_cfg(20),
+            live,
             Arc::clone(&stats),
             Arc::clone(&shutdown),
         );
@@ -343,7 +410,7 @@ mod tests {
 
     #[test]
     fn noop_ticks_keep_epoch_and_etag_stable() {
-        let (eco, li, snap) = boot();
+        let (live, snap) = boot(0);
         let etag0 = snap.etag.clone();
         let store = SnapshotStore::new(snap);
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -351,9 +418,7 @@ mod tests {
         // events_per_tick = 0: every tick is a no-op delta.
         let handle = spawn_live_refresher(
             Arc::clone(&store),
-            eco,
-            li,
-            live_cfg(0),
+            live,
             Arc::clone(&stats),
             Arc::clone(&shutdown),
         );
@@ -373,7 +438,8 @@ mod tests {
 
     #[test]
     fn bootstrap_snapshot_serves_live_state() {
-        let (_, li, snap) = boot();
+        let (live, snap) = boot(0);
+        let li = live.inferencer();
         assert_eq!(snap.epoch, 0);
         assert_eq!(snap.unique_link_count, li.current().unique_links().len());
         assert!(snap.observation_count > 0);

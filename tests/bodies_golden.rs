@@ -23,20 +23,18 @@
 use std::collections::BTreeSet;
 use std::hash::Hasher;
 use std::sync::Arc;
+use std::time::Duration;
 
 use mlpeer::hash::FxHasher;
-use mlpeer::live::{decode_message, LinkDelta};
-use mlpeer::passive::PassiveStats;
 use mlpeer::pipeline::Scale;
-use mlpeer::validate::cross::{validate_harvest, CorpusConfig};
 use mlpeer_bgp::Prefix;
-use mlpeer_data::churn::{event_messages, ChurnConfig, ChurnGen};
+use mlpeer_data::churn::ChurnConfig;
 use mlpeer_dist::DistStats;
 use mlpeer_ixp::Ecosystem;
 use mlpeer_serve::http::{Request, Response};
 use mlpeer_serve::{
-    api, bootstrap, ChangeLog, HealthState, LiveStats, ReactorStats, ServerStats, Snapshot,
-    SnapshotStore,
+    api, bootstrap, ChangeLog, HealthState, LiveConfig, LiveLoop, LiveStats, ReactorStats,
+    ServerStats, Snapshot, SnapshotStore,
 };
 
 const GOLDEN: &str = include_str!("golden/bodies_golden.txt");
@@ -155,53 +153,27 @@ fn live_lines() -> Vec<String> {
     const SEED: u64 = 7;
     const TICKS: usize = 5;
     const EVENTS: usize = 20;
-    let mut eco = Ecosystem::generate(Scale::Tiny.config(SEED));
-    let names = Snapshot::names_of(&eco);
-    let (mut inferencer, initial) = bootstrap(&eco, "tiny", SEED);
+    let eco = Ecosystem::generate(Scale::Tiny.config(SEED));
+    let (inferencer, validation, initial) = bootstrap(&eco, "tiny", SEED);
     let store = SnapshotStore::new(initial);
-    let mut churn = ChurnGen::new(
-        &eco,
-        ChurnConfig {
-            seed: 20131007,
-            ..ChurnConfig::default()
+    let mut live = LiveLoop::new(
+        eco,
+        inferencer,
+        validation,
+        LiveConfig {
+            interval: Duration::ZERO,
+            events_per_tick: EVENTS,
+            churn: ChurnConfig {
+                seed: 20131007,
+                ..ChurnConfig::default()
+            },
+            scale: "tiny".into(),
+            seed: SEED,
         },
     );
-    let mut clock = 0u64;
+    let stats = LiveStats::default();
     for _ in 0..TICKS {
-        let version_before = inferencer.state_version();
-        let mut delta = LinkDelta::default();
-        for _ in 0..EVENTS {
-            let event = churn.next_event(&eco);
-            eco.apply_churn(&event);
-            let ixp = event.ixp();
-            let scheme = &eco.ixp(ixp).scheme;
-            for msg in event_messages(&eco, &event, clock) {
-                for live_event in decode_message(ixp, scheme, &msg) {
-                    delta.merge(inferencer.apply(&live_event));
-                }
-            }
-            clock += 1;
-        }
-        if delta.is_empty() && inferencer.state_version() == version_before {
-            continue;
-        }
-        let observations = inferencer.observations();
-        let validation = validate_harvest(
-            &eco,
-            inferencer.current(),
-            &observations,
-            &CorpusConfig::seeded(SEED),
-        );
-        let snapshot = Snapshot::build_uncached_validated(
-            "tiny",
-            SEED,
-            names.clone(),
-            inferencer.current().clone(),
-            &observations,
-            PassiveStats::default(),
-            validation,
-        );
-        store.publish_with_delta(snapshot, delta);
+        live.tick(&store, &stats);
     }
     let snap = store.load();
     assert!(snap.epoch > 0, "the live run must publish");

@@ -22,7 +22,8 @@ use mlpeer_data::churn::ChurnConfig;
 use mlpeer_dist::{default_worker_cmd, DistConfig, DistStats};
 use mlpeer_ixp::{Ecosystem, EcosystemConfig, IxpId};
 use mlpeer_serve::{
-    bootstrap, spawn_live_refresher, DurableStore, LiveConfig, LiveStats, Snapshot, SnapshotStore,
+    bootstrap, spawn_live_refresher, DurableStore, LiveConfig, LiveLoop, LiveStats, Snapshot,
+    SnapshotStore,
 };
 
 /// One registry, one test at a time. A poisoned guard (a failed test)
@@ -405,7 +406,7 @@ fn read_failpoint_hides_the_log_but_not_the_live_epoch() {
 fn refresher_panic_restarts_with_backoff_and_recovers() {
     let _guard = chaos_guard();
     let eco = Ecosystem::generate(EcosystemConfig::tiny(77));
-    let (inferencer, snapshot) = bootstrap(&eco, "tiny", 77);
+    let (inferencer, validation, snapshot) = bootstrap(&eco, "tiny", 77);
     let store = SnapshotStore::new(snapshot);
     let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(LiveStats::default());
@@ -413,18 +414,21 @@ fn refresher_panic_restarts_with_backoff_and_recovers() {
     failpoints::cfg("serve::live_tick", "panic(chaos tick)").unwrap();
     let refresher = spawn_live_refresher(
         Arc::clone(&store),
-        eco,
-        inferencer,
-        LiveConfig {
-            interval: Duration::from_millis(10),
-            events_per_tick: 25,
-            churn: ChurnConfig {
-                seed: 3,
-                ..ChurnConfig::default()
+        LiveLoop::new(
+            eco,
+            inferencer,
+            validation,
+            LiveConfig {
+                interval: Duration::from_millis(10),
+                events_per_tick: 25,
+                churn: ChurnConfig {
+                    seed: 3,
+                    ..ChurnConfig::default()
+                },
+                scale: "tiny".into(),
+                seed: 77,
             },
-            scale: "tiny".into(),
-            seed: 77,
-        },
+        ),
         Arc::clone(&stats),
         Arc::clone(&shutdown),
     );
