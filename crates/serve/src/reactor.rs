@@ -61,6 +61,8 @@ use std::time::{Duration, Instant};
 use polling::{Event, Interest, Poller};
 
 use crate::api;
+use crate::delta::ChangeLog;
+use crate::durable::DurableStore;
 use crate::http::{parse_head, Body, Request, Response, MAX_HEAD};
 use crate::server::{count_response, ServerHandle, ServerStats};
 use crate::snapshot::Snapshot;
@@ -296,9 +298,14 @@ pub fn spawn_reactor(
     let addr = listener.local_addr()?;
 
     // Best effort: make room for the configured connection count under
-    // environments whose default soft NOFILE limit is 1024.
+    // environments whose default soft NOFILE limit is 1024, and size
+    // the accept queue from it too (std binds with a backlog of 128; a
+    // burst of connects past a full queue stalls for a second or more).
     #[cfg(target_os = "linux")]
-    let _ = polling::os::raise_nofile_limit(cfg.max_conns as u64 * 2 + 64);
+    {
+        let _ = polling::os::raise_nofile_limit(cfg.max_conns as u64 * 2 + 64);
+        let _ = polling::os::listen(listener.as_raw_fd(), cfg.max_conns);
+    }
 
     let stats = Arc::new(ServerStats::default());
     let rstats = Arc::new(ReactorStats::default());
@@ -802,15 +809,21 @@ impl Shard {
                 Mode::Sse { last_epoch } if last_epoch < epoch => {
                     let (resync, frame) = {
                         let (resync, frame) = frames.entry(last_epoch).or_insert_with(|| {
-                            let r = api::render_changes(
+                            // The publish rendered the frame from the
+                            // previous epoch; any other `since` renders
+                            // here.
+                            if last_epoch + 1 == epoch {
+                                if let Some(frame) = self.store.newest_frame(epoch) {
+                                    return (false, frame);
+                                }
+                            }
+                            let (resync, frame) = changes_frame(
                                 &snap,
                                 self.store.changes(),
                                 self.store.durable(),
                                 last_epoch,
                             );
-                            let resync = r.status != 200;
-                            let event = if resync { "resync" } else { "changes" };
-                            (resync, Arc::new(sse_frame(epoch, event, r.body.as_slice())))
+                            (resync, Arc::new(frame))
                         });
                         (*resync, Arc::clone(frame))
                     };
@@ -1086,6 +1099,20 @@ fn shed_response() -> &'static Arc<Vec<u8>> {
         bytes.extend_from_slice(resp.body.as_slice());
         Arc::new(bytes)
     })
+}
+
+/// The SSE frame that carries `/v1/changes?since=<since>` at `snap`'s
+/// epoch, and whether it is a terminal `resync` event.
+pub(crate) fn changes_frame(
+    snap: &Snapshot,
+    changes: &ChangeLog,
+    history: Option<&DurableStore>,
+    since: u64,
+) -> (bool, Vec<u8>) {
+    let r = api::render_changes(snap, changes, history, since);
+    let resync = r.status != 200;
+    let event = if resync { "resync" } else { "changes" };
+    (resync, sse_frame(snap.epoch, event, r.body.as_slice()))
 }
 
 /// One SSE frame. JSON bodies may be pretty-printed across lines, so
@@ -1457,6 +1484,35 @@ mod tests {
         wait_for("subscriber deregistration", || {
             server.reactor_stats.sse_subscribers() == 0
         });
+    }
+
+    /// The frame a publish renders for subscribers one epoch behind is
+    /// byte for byte what `render_changes` plus `sse_frame` give for the
+    /// same store and epoch, and only the newest epoch keeps one.
+    #[test]
+    fn publish_renders_the_pushed_frame_byte_identically() {
+        use mlpeer::live::LinkDelta;
+        use mlpeer_bgp::Asn;
+        use mlpeer_ixp::ixp::IxpId;
+
+        let store = SnapshotStore::new(crate::testutil::snapshot_with(3, 7));
+        for members in [4, 5] {
+            let epoch = store.publish_with_delta(
+                crate::testutil::snapshot_with(members, 8),
+                LinkDelta {
+                    added: vec![(IxpId(0), Asn(70 + members), Asn(90))],
+                    removed: vec![(IxpId(0), Asn(1), Asn(2))],
+                },
+            );
+            let r = api::render_changes(&store.load(), store.changes(), None, epoch - 1);
+            assert_eq!(r.status, 200);
+            let expected = sse_frame(epoch, "changes", r.body.as_slice());
+            assert_eq!(store.newest_frame(epoch).as_deref(), Some(&expected));
+            assert!(store.newest_frame(epoch - 1).is_none());
+        }
+        // A plain publish resets the ring: no frame to push.
+        let epoch = store.publish(crate::testutil::snapshot_with(2, 9));
+        assert!(store.newest_frame(epoch).is_none());
     }
 
     /// Satellite (d): a `since` that fell off the delta ring draws a

@@ -107,6 +107,11 @@ pub struct SnapshotStore {
     /// Degradation registry behind `/readyz`: the durability breaker,
     /// supervisor flags, and the drain flag all live here.
     health: Arc<crate::health::HealthState>,
+    /// The newest epoch's `/v1/changes` SSE frame from the epoch before
+    /// it, rendered once by its publish so the reactor pushes it to
+    /// every subscriber without rendering it. Only the newest epoch's:
+    /// a frame can run to hundreds of KB.
+    newest_frame: Mutex<Option<(u64, Arc<Vec<u8>>)>>,
     /// Epochs that failed to persist, oldest first: the next publish
     /// lands them before its own epoch, or, once the durability breaker
     /// is open, the recovery probe does; the drain lands what is left
@@ -143,6 +148,7 @@ impl SnapshotStore {
             hooks: Mutex::new(Vec::new()),
             durable: std::sync::OnceLock::new(),
             health: crate::health::HealthState::new(),
+            newest_frame: Mutex::new(None),
             pending_persist: Arc::new(Mutex::new(VecDeque::new())),
         })
     }
@@ -375,10 +381,22 @@ impl SnapshotStore {
         let epoch = self.load().epoch + 1;
         snapshot.epoch = epoch;
         let snapshot = Arc::new(snapshot);
-        match &delta {
-            Some(delta) => self.changes.record(epoch, delta.clone()),
-            None => self.changes.reset(),
-        }
+        let frame = match &delta {
+            Some(delta) => {
+                self.changes.record(epoch, delta.clone());
+                // The ring holds `epoch` now, so it answers the span
+                // from the epoch before without the durable log.
+                match crate::reactor::changes_frame(&snapshot, &self.changes, None, epoch - 1) {
+                    (false, frame) => Some((epoch, Arc::new(frame))),
+                    (true, _) => None,
+                }
+            }
+            None => {
+                self.changes.reset();
+                None
+            }
+        };
+        *self.newest_frame.lock().expect("frame lock never poisoned") = frame;
         let replaced = std::mem::replace(
             &mut *self.current.lock().expect("store lock never poisoned"),
             Arc::clone(&snapshot),
@@ -389,6 +407,16 @@ impl SnapshotStore {
         self.swaps.fetch_add(1, Ordering::Relaxed);
         self.notify(epoch);
         epoch
+    }
+
+    /// The SSE frame carrying the change from `epoch − 1` to `epoch`,
+    /// when `epoch` is the newest published with a delta: the bytes
+    /// the reactor's `changes_frame` renders for `since = epoch − 1`.
+    pub(crate) fn newest_frame(&self, epoch: u64) -> Option<Arc<Vec<u8>>> {
+        match &*self.newest_frame.lock().expect("frame lock never poisoned") {
+            Some((e, frame)) if *e == epoch => Some(Arc::clone(frame)),
+            _ => None,
+        }
     }
 
     /// Number of swaps since the store opened.
