@@ -759,6 +759,10 @@ fn import_bit(allow: bool) -> u8 {
     }
 }
 
+/// The ROAs issued for one prefix: `(origin, max_length, expired)` →
+/// how many.
+type PrefixRoas = BTreeMap<(Asn, u8, bool), u32>;
+
 /// One IXP header as scoring reads it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Roster {
@@ -783,9 +787,8 @@ pub struct CorpusFold {
     rosters: BTreeMap<IxpId, Roster>,
     /// Prefix → registered route origin → route objects.
     routes: FxHashMap<Prefix, BTreeMap<Asn, u32>>,
-    /// Prefix → `(origin, max_length, expired)` → ROAs, ordered by
-    /// prefix for the coverage sweep.
-    roas: BTreeMap<Prefix, BTreeMap<(Asn, u8, bool), u32>>,
+    /// ROAs per prefix, ordered by prefix for the coverage sweep.
+    roas: BTreeMap<Prefix, PrefixRoas>,
     /// Parse health.
     stats: CorpusStats,
 }
@@ -838,11 +841,6 @@ impl CorpusFold {
         fold
     }
 
-    /// The health of the corpus this fold came from.
-    pub fn stats(&self) -> &CorpusStats {
-        &self.stats
-    }
-
     /// The line bits `from`'s aut-num holds toward `to`.
     fn bits(&self, from: Asn, to: Asn) -> u8 {
         self.lines.get(&(from, to)).copied().unwrap_or(0)
@@ -887,7 +885,7 @@ impl CorpusFold {
         // is gathered once. ----
         let mut coverage: FxHashMap<(IxpId, Asn), Coverage> = FxHashMap::default();
         let mut roa_prefixes = self.roas.iter().peekable();
-        let mut chain: Vec<(Prefix, &BTreeMap<(Asn, u8, bool), u32>)> = Vec::new();
+        let mut chain: Vec<(Prefix, &PrefixRoas)> = Vec::new();
         let mut current = None;
         // The unexpired ROAs covering the current prefix, as `(origin,
         // max_length)`.
@@ -1021,20 +1019,31 @@ impl CorpusFold {
 
 /// Count `key` in or out of `keys`, dropping it at zero so equal
 /// contents compare equal; true when `keys` is left empty.
-fn count<K: Ord>(keys: &mut BTreeMap<K, u32>, key: K, up: bool) -> bool {
-    if up {
-        *keys.entry(key).or_default() += 1;
-    } else if let Some(n) = keys.get_mut(&key) {
-        *n -= 1;
-        if *n == 0 {
-            keys.remove(&key);
-        }
+fn count<K: Ord + Copy>(keys: &mut BTreeMap<K, u32>, key: K, up: bool) -> bool {
+    if step(keys.entry(key).or_default(), up) && !up {
+        keys.remove(&key);
     }
     keys.is_empty()
 }
 
+/// Step a reference count up or down; true when it just left zero or
+/// returned to it. A step below zero means the state fell out of step
+/// with the ecosystem, a bug the live loop's supervisor answers by
+/// rebuilding the state, so it panics in every build.
+fn step(n: &mut u32, up: bool) -> bool {
+    if up {
+        *n += 1;
+        *n == 1
+    } else {
+        *n = n
+            .checked_sub(1)
+            .expect("the live validation state removes only what it added");
+        *n == 0
+    }
+}
+
 /// Step a corpus count up or down.
-fn step(n: &mut u64, up: bool) {
+fn tally(n: &mut u64, up: bool) {
     if up {
         *n += 1;
     } else {
@@ -1078,7 +1087,7 @@ pub struct LiveValidation {
     /// `(from, to)` → how many IXPs register each line kind, indexed
     /// like the fold's bits (export allow, export deny, import allow,
     /// import deny).
-    line_refs: FxHashMap<(Asn, Asn), [u16; 4]>,
+    line_refs: FxHashMap<(Asn, Asn), [u32; 4]>,
     /// Announced `(prefix, origin)` pair → (IXP, announcement) count.
     pair_refs: FxHashMap<(Prefix, Asn), u32>,
     /// ASN → IXPs it is an RS member at (its aut-num lives while > 0).
@@ -1166,19 +1175,11 @@ impl LiveValidation {
     /// pairs.
     fn member(&mut self, ixp: &Ixp, member: &IxpMember, up: bool) {
         let asn = member.asn;
-        let refs = self.autnum_refs.entry(asn).or_default();
-        if up {
-            *refs += 1;
-        } else {
-            *refs -= 1;
-        }
-        match (*refs, up) {
-            (1, true) => step(&mut self.fold.stats.objects, true),
-            (0, false) => {
+        if step(self.autnum_refs.entry(asn).or_default(), up) {
+            tally(&mut self.fold.stats.objects, up);
+            if !up {
                 self.autnum_refs.remove(&asn);
-                step(&mut self.fold.stats.objects, false);
             }
-            _ => {}
         }
         if !self.cfg.stale(ixp.id, asn) {
             if ixp.publishes_member_list {
@@ -1209,51 +1210,40 @@ impl LiveValidation {
 
     /// Count one registration of a `from → to` line of kind `bit`.
     fn line(&mut self, from: Asn, to: Asn, bit: u8, up: bool) {
-        let slot = bit.trailing_zeros() as usize;
         let refs = self.line_refs.entry((from, to)).or_default();
-        if up {
-            refs[slot] += 1;
-            if refs[slot] == 1 {
-                *self.fold.lines.entry((from, to)).or_default() |= bit;
-            }
+        if !step(&mut refs[bit.trailing_zeros() as usize], up) {
             return;
         }
-        refs[slot] -= 1;
-        if refs[slot] == 0 {
-            if *refs == [0; 4] {
-                self.line_refs.remove(&(from, to));
-            }
-            let bits = self.fold.lines.get_mut(&(from, to)).expect("counted line");
+        if *refs == [0; 4] {
+            self.line_refs.remove(&(from, to));
+        }
+        let bits = self.fold.lines.entry((from, to)).or_default();
+        if up {
+            *bits |= bit;
+        } else {
             *bits &= !bit;
-            if *bits == 0 {
-                self.fold.lines.remove(&(from, to));
-            }
+        }
+        if *bits == 0 {
+            self.fold.lines.remove(&(from, to));
         }
     }
 
     /// Count one announcement of `(prefix, origin)`; its route object
     /// and ROA enter the fold with the first and leave with the last.
     fn pair(&mut self, prefix: Prefix, origin: Asn, up: bool) {
-        let refs = self.pair_refs.entry((prefix, origin)).or_default();
-        if up {
-            *refs += 1;
-        } else {
-            *refs -= 1;
+        if !step(self.pair_refs.entry((prefix, origin)).or_default(), up) {
+            return;
         }
-        match (*refs, up) {
-            (1, true) => {}
-            (0, false) => {
-                self.pair_refs.remove(&(prefix, origin));
-            }
-            _ => return,
+        if !up {
+            self.pair_refs.remove(&(prefix, origin));
         }
         if let Some(registered) = self.cfg.route_origin(prefix, origin) {
             self.fold.count_route(prefix, registered, up);
-            step(&mut self.fold.stats.objects, up);
+            tally(&mut self.fold.stats.objects, up);
         }
         if let Some(roa) = self.cfg.roa(prefix, origin) {
             self.fold.count_roa(&roa, up);
-            step(&mut self.fold.stats.roas, up);
+            tally(&mut self.fold.stats.roas, up);
         }
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! The batch pipeline is deterministic in (scale, seed), so re-running
 //! it could only republish the same links. Live mode changes the
-//! ecosystem instead, with a churn-driven delta loop: each tick
-//! draws the next batch of seeded churn events, mutates the ecosystem,
-//! renders the events as BGP session traffic
+//! ecosystem instead, with a churn-driven delta loop ([`LiveLoop`]):
+//! each tick draws the next batch of seeded churn events, mutates the
+//! ecosystem while keeping the [`LiveValidation`] state in step with
+//! it, renders the events as BGP session traffic
 //! ([`mlpeer_data::churn::event_messages`]), decodes and folds them
 //! into the [`LiveInferencer`], and then publishes **only if the link
 //! set actually moved** — via
