@@ -1086,8 +1086,9 @@ pub struct LiveValidation {
     fold: CorpusFold,
     /// `(from, to)` → how many IXPs register each line kind, indexed
     /// like the fold's bits (export allow, export deny, import allow,
-    /// import deny).
-    line_refs: FxHashMap<(Asn, Asn), [u32; 4]>,
+    /// import deny). The state's largest map, so its counts are 16-bit
+    /// like `IxpId`.
+    line_refs: FxHashMap<(Asn, Asn), [u16; 4]>,
     /// Announced `(prefix, origin)` pair → (IXP, announcement) count.
     pair_refs: FxHashMap<(Prefix, Asn), u32>,
     /// ASN → IXPs it is an RS member at (its aut-num lives while > 0).
@@ -1211,7 +1212,11 @@ impl LiveValidation {
     /// Count one registration of a `from → to` line of kind `bit`.
     fn line(&mut self, from: Asn, to: Asn, bit: u8, up: bool) {
         let refs = self.line_refs.entry((from, to)).or_default();
-        if !step(&mut refs[bit.trailing_zeros() as usize], up) {
+        let slot = &mut refs[bit.trailing_zeros() as usize];
+        let mut n = u32::from(*slot);
+        let crossed = step(&mut n, up);
+        *slot = u16::try_from(n).expect("a line is registered at fewer than 65,536 IXPs");
+        if !crossed {
             return;
         }
         if *refs == [0; 4] {
