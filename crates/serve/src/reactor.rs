@@ -746,11 +746,10 @@ impl Shard {
     /// catch-up event, then one pushed event per publish. A `since`
     /// that already fell off the ring draws a terminal `resync` event.
     fn subscribe_sse(&mut self, idx: usize, snap: &Arc<Snapshot>, since: u64) {
-        let resp = api::render_changes(snap, self.store.changes(), self.store.durable(), since);
-        count_response(&self.stats, resp.status);
-        let resync = resp.status != 200;
-        let event = if resync { "resync" } else { "changes" };
-        let frame = sse_frame(snap.epoch, event, resp.body.as_slice());
+        let (status, frame) =
+            changes_frame(snap, self.store.changes(), self.store.durable(), since);
+        count_response(&self.stats, status);
+        let resync = status != 200;
         let Some(conn) = self.conns[idx].as_mut() else {
             return;
         };
@@ -817,13 +816,13 @@ impl Shard {
                                     return (false, frame);
                                 }
                             }
-                            let (resync, frame) = changes_frame(
+                            let (status, frame) = changes_frame(
                                 &snap,
                                 self.store.changes(),
                                 self.store.durable(),
                                 last_epoch,
                             );
-                            (resync, Arc::new(frame))
+                            (status != 200, Arc::new(frame))
                         });
                         (*resync, Arc::clone(frame))
                     };
@@ -1102,17 +1101,17 @@ fn shed_response() -> &'static Arc<Vec<u8>> {
 }
 
 /// The SSE frame that carries `/v1/changes?since=<since>` at `snap`'s
-/// epoch, and whether it is a terminal `resync` event.
+/// epoch, with the status a poll would get: anything but 200 makes it
+/// a terminal `resync` event.
 pub(crate) fn changes_frame(
     snap: &Snapshot,
     changes: &ChangeLog,
     history: Option<&DurableStore>,
     since: u64,
-) -> (bool, Vec<u8>) {
+) -> (u16, Vec<u8>) {
     let r = api::render_changes(snap, changes, history, since);
-    let resync = r.status != 200;
-    let event = if resync { "resync" } else { "changes" };
-    (resync, sse_frame(snap.epoch, event, r.body.as_slice()))
+    let event = if r.status == 200 { "changes" } else { "resync" };
+    (r.status, sse_frame(snap.epoch, event, r.body.as_slice()))
 }
 
 /// One SSE frame. JSON bodies may be pretty-printed across lines, so

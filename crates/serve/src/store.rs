@@ -387,8 +387,8 @@ impl SnapshotStore {
                 // The ring holds `epoch` now, so it answers the span
                 // from the epoch before without the durable log.
                 match crate::reactor::changes_frame(&snapshot, &self.changes, None, epoch - 1) {
-                    (false, frame) => Some((epoch, Arc::new(frame))),
-                    (true, _) => None,
+                    (200, frame) => Some((epoch, Arc::new(frame))),
+                    _ => None,
                 }
             }
             None => {
