@@ -23,7 +23,13 @@
 //!    [`Verdict`] (`confirmed | unknown | contradicted`) with a
 //!    [`Reason`] code, folding per-endpoint origin validation (RFC 6811
 //!    over the ROAs, route-object origin matching) together with
-//!    aut-num policy filters and as-set registration.
+//!    aut-num policy filters and as-set registration, all read from the
+//!    corpus's [`CorpusFold`].
+//!
+//! The live loop skips the text: [`LiveValidation`] keeps the fold of
+//! the corpus step 1 would render in step with churn, event by event,
+//! and scores through the same ladder. [`validate_harvest`] stays the
+//! batch path and the reference the live state is tested against.
 //!
 //! The whole stage is a pure function of `(ecosystem, links,
 //! observations)` — no clocks, no RNG state — so serial, thread-sharded
