@@ -10,12 +10,11 @@
 //! 3. **end-to-end** — [`validate_harvest`] (derive + parse + scan +
 //!    score), the exact pass `Snapshot::of_pipeline` pays per publish.
 //! 4. **live ticks** — 12 ticks of 100 churn events, as `mlpeer-serve
-//!    --live` runs them: per tick, the [`LiveValidation`] update
-//!    (remove, apply, add back per event) plus its report, against
-//!    [`validate_harvest`] over the same churned ecosystem. The two
-//!    reports must be equal after every tick. Ticks mutate the
-//!    ecosystem, so each is timed once with a wall clock, and the
-//!    medians are recorded.
+//!    --live` runs them: per tick, [`CorpusFold::derive`] over the
+//!    churned ecosystem plus its report, against [`validate_harvest`]
+//!    over the same ecosystem. The two reports must be equal after
+//!    every tick. Ticks mutate the ecosystem, so each is timed once with
+//!    a wall clock, and the medians are recorded.
 //!
 //! `MLPEER_BENCH_SMOKE=1` switches to `Scale::Small` only, asserts the
 //! throughput floors, and skips the JSON write — the CI bench-smoke job
@@ -31,7 +30,7 @@ use mlpeer::infer::{LinkInferencer, MlpLinkSet, Observation};
 use mlpeer::live::{decode_message, LiveInferencer};
 use mlpeer::sink::ObservationSink;
 use mlpeer::validate::cross::{
-    derive_corpus, parse_corpus, score_links, validate_harvest, CorpusConfig, LiveValidation,
+    derive_corpus, parse_corpus, score_links, validate_harvest, CorpusConfig, CorpusFold,
 };
 use mlpeer_bench::Scale;
 use mlpeer_data::churn::{event_messages, ChurnConfig, ChurnGen};
@@ -79,14 +78,13 @@ fn median_ms(mut samples: Vec<Duration>) -> f64 {
     samples[samples.len() / 2].as_secs_f64() * 1e3
 }
 
-/// Replay [`TICKS`] live ticks and time the state's update plus report
-/// against `validate_harvest` on each. Returns the median ms per tick
-/// of both.
+/// Replay [`TICKS`] live ticks and time the derived fold plus its
+/// report against `validate_harvest` on each. Returns the median ms per
+/// tick of both.
 fn bench_ticks(scale: Scale, seed: u64) -> (f64, f64) {
     let mut eco = Ecosystem::generate(scale.config(seed));
     let cfg = CorpusConfig::seeded(seed);
     let mut li = LiveInferencer::from_ecosystem(&eco);
-    let mut state = LiveValidation::new(&eco, cfg.clone());
     let mut churn = ChurnGen::new(
         &eco,
         ChurnConfig {
@@ -97,17 +95,10 @@ fn bench_ticks(scale: Scale, seed: u64) -> (f64, f64) {
     let (mut live, mut full) = (Vec::new(), Vec::new());
     let mut clock = 0u64;
     for tick in 0..TICKS {
-        let mut update = Duration::ZERO;
         for _ in 0..EVENTS_PER_TICK {
             let event = churn.next_event(&eco);
-            let (ixp, asn) = (event.ixp(), event.asn());
-            let t = Instant::now();
-            state.remove(&eco, ixp, asn);
-            update += t.elapsed();
             eco.apply_churn(&event);
-            let t = Instant::now();
-            state.add(&eco, ixp, asn);
-            update += t.elapsed();
+            let ixp = event.ixp();
             let scheme = &eco.ixp(ixp).scheme;
             for msg in event_messages(&eco, &event, clock) {
                 for live_event in decode_message(ixp, scheme, &msg) {
@@ -118,15 +109,15 @@ fn bench_ticks(scale: Scale, seed: u64) -> (f64, f64) {
         }
         let observations = li.observations();
         let t = Instant::now();
-        let report = state.report(li.current(), &observations);
-        live.push(update + t.elapsed());
+        let report = CorpusFold::derive(&eco, &cfg).report(li.current(), &observations);
+        live.push(t.elapsed());
         let t = Instant::now();
         let expected = validate_harvest(&eco, li.current(), &observations, &cfg);
         full.push(t.elapsed());
         assert_eq!(
             report,
             expected,
-            "{} tick {tick}: the live state must report what validate_harvest does",
+            "{} tick {tick}: the derived fold must report what validate_harvest does",
             scale.word()
         );
     }
@@ -232,7 +223,7 @@ fn bench_scale(c: &mut Criterion, scale: Scale, seed: u64, smoke: bool) -> serde
             "ticks": TICKS,
             "events_per_tick": EVENTS_PER_TICK,
             "churn_seed": CHURN_SEED,
-            "live_state_ms": tick_live_ms,
+            "derived_fold_ms": tick_live_ms,
             "validate_harvest_ms": tick_full_ms,
             "share": tick_live_ms / tick_full_ms,
         }),
@@ -257,7 +248,7 @@ fn bench_validate_load(c: &mut Criterion) {
     }
     let report = serde_json::json!({
         "bench": "IRR/RPKI cross-validation: corpus parse, link scoring, end-to-end \
-                  validate_harvest, live ticks against the maintained state",
+                  validate_harvest, live ticks scored against the derived fold",
         "seed": seed,
         "cpus": std::thread::available_parallelism().map_or(1, |n| n.get()),
         // Every timed pass runs on one thread.

@@ -26,10 +26,10 @@
 //!    aut-num policy filters and as-set registration, all read from the
 //!    corpus's [`CorpusFold`].
 //!
-//! The live loop skips the text: [`LiveValidation`] keeps the fold of
-//! the corpus step 1 would render in step with churn, event by event,
-//! and scores through the same ladder. [`validate_harvest`] stays the
-//! batch path and the reference the live state is tested against.
+//! The live loop skips the text: [`CorpusFold::derive`] builds the fold
+//! of the corpus step 1 would render straight from the ecosystem, and
+//! scores through the same ladder. [`validate_harvest`] stays the batch
+//! path and the reference the derived fold is tested against.
 //!
 //! The whole stage is a pure function of `(ecosystem, links,
 //! observations)` — no clocks, no RNG state — so serial, thread-sharded
@@ -41,11 +41,11 @@ use std::hash::Hasher;
 
 use mlpeer_bgp::{Asn, Prefix};
 use mlpeer_data::irr::{IrrDatabase, PolicyLine, RpslObject, Source};
-use mlpeer_data::roa::{Roa, RoaTable};
-use mlpeer_ixp::ixp::{Ixp, IxpId};
+use mlpeer_data::roa::{Roa, RoaOutcome, RoaTable};
+use mlpeer_ixp::ixp::IxpId;
 use mlpeer_ixp::{Ecosystem, IxpMember};
 
-use crate::hash::{FxHashMap, FxHasher};
+use crate::hash::{FxHashMap, FxHashSet, FxHasher};
 use crate::index::Announcement;
 use crate::infer::{MlpLinkSet, Observation};
 
@@ -142,8 +142,8 @@ fn source_of(asn: Asn) -> Source {
 }
 
 /// The noise model: every registry defect is one seeded decision, and
-/// [`derive_corpus`] and [`LiveValidation`] both ask these, so the
-/// corpus text and the maintained fold cannot disagree on one.
+/// [`derive_corpus`] and [`CorpusFold::derive`] both ask these, so the
+/// corpus text and the derived fold cannot disagree on one.
 impl CorpusConfig {
     /// Did `asn`'s registration at `ixp` go stale?
     fn stale(&self, ixp: IxpId, asn: Asn) -> bool {
@@ -416,8 +416,8 @@ pub struct ParsedCorpus {
     pub ixps: BTreeMap<IxpId, IxpMeta>,
     /// The RPSL side (aut-nums, as-sets, route objects).
     pub irr: IrrDatabase,
-    /// The RPKI side.
-    pub roas: RoaTable,
+    /// The RPKI side, in corpus order.
+    pub roas: Vec<Roa>,
     /// Parse health.
     pub stats: CorpusStats,
 }
@@ -472,12 +472,11 @@ fn parse_end_counts(body: &str) -> Option<(u64, u64)> {
 /// accordingly.
 pub fn parse_corpus(text: &str) -> ParsedCorpus {
     let mut out = ParsedCorpus::default();
-    let mut roas: Vec<Roa> = Vec::new();
     let mut block: Vec<&str> = Vec::new();
     let mut end_counts: Option<(u64, u64)> = None;
     let mut after_end = false;
 
-    let mut dispatch = |body: String, out: &mut ParsedCorpus, roas: &mut Vec<Roa>| {
+    let mut dispatch = |body: String, out: &mut ParsedCorpus| {
         if after_end {
             // Content after the trailer: the stream is not the one the
             // trailer described.
@@ -500,7 +499,7 @@ pub fn parse_corpus(text: &str) -> ParsedCorpus {
             },
             "roa" => match Roa::parse(&body) {
                 Some(roa) => {
-                    roas.push(roa);
+                    out.roas.push(roa);
                     out.stats.roas += 1;
                 }
                 None => out.stats.quarantined += 1,
@@ -528,7 +527,7 @@ pub fn parse_corpus(text: &str) -> ParsedCorpus {
             let body = block.join("\n");
             let claimed = line.split_once(':').expect("checked above").1.trim();
             if !block.is_empty() && claimed == block_sig(&body) {
-                dispatch(body, &mut out, &mut roas);
+                dispatch(body, &mut out);
             } else {
                 out.stats.quarantined += 1;
             }
@@ -549,7 +548,6 @@ pub fn parse_corpus(text: &str) -> ParsedCorpus {
         out.stats.quarantined += 1;
     }
 
-    out.roas = RoaTable::new(roas);
     out.stats.complete =
         out.stats.quarantined == 0 && end_counts == Some((out.stats.objects, out.stats.roas));
     out
@@ -765,10 +763,6 @@ fn import_bit(allow: bool) -> u8 {
     }
 }
 
-/// The ROAs issued for one prefix: `(origin, max_length, expired)` →
-/// how many.
-type PrefixRoas = BTreeMap<(Asn, u8, bool), u32>;
-
 /// One IXP header as scoring reads it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Roster {
@@ -781,9 +775,10 @@ struct Roster {
 
 /// Everything [`score_links`] reads of a corpus, folded: which aut-num
 /// lines exist per `(ASN, peer)`, each IXP's RS ASN and as-set roster,
-/// the route objects and ROAs per prefix, and the corpus health.
-/// [`CorpusFold::of`] folds a parsed corpus; [`LiveValidation`] keeps
-/// one in step with churn. Equal folds score every link the same way.
+/// the route origins per prefix, the ROAs, and the corpus health.
+/// [`CorpusFold::of`] folds a parsed corpus; [`CorpusFold::derive`]
+/// folds the corpus [`derive_corpus`] would render, without rendering
+/// it. Equal folds score every link the same way.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CorpusFold {
     /// `(from, to)` → the `EXPORT_*` / `IMPORT_*` bits of the lines
@@ -791,10 +786,10 @@ pub struct CorpusFold {
     lines: FxHashMap<(Asn, Asn), u8>,
     /// Per IXP header.
     rosters: BTreeMap<IxpId, Roster>,
-    /// Prefix → registered route origin → route objects.
-    routes: FxHashMap<Prefix, BTreeMap<Asn, u32>>,
-    /// ROAs per prefix, ordered by prefix for the coverage sweep.
-    roas: BTreeMap<Prefix, PrefixRoas>,
+    /// Prefix → the origins its route objects register.
+    routes: FxHashMap<Prefix, BTreeSet<Asn>>,
+    /// The ROAs, in corpus order.
+    roas: RoaTable,
     /// Parse health.
     stats: CorpusStats,
 }
@@ -803,6 +798,7 @@ impl CorpusFold {
     /// Fold a parsed corpus.
     pub fn of(corpus: &ParsedCorpus) -> CorpusFold {
         let mut fold = CorpusFold {
+            roas: RoaTable::new(corpus.roas.clone()),
             stats: corpus.stats.clone(),
             ..CorpusFold::default()
         };
@@ -822,13 +818,10 @@ impl CorpusFold {
                     }
                 }
                 RpslObject::Route { prefix, origin, .. } => {
-                    fold.count_route(*prefix, *origin, true)
+                    fold.routes.entry(*prefix).or_default().insert(*origin);
                 }
                 RpslObject::AsSet { .. } => {}
             }
-        }
-        for roa in corpus.roas.roas() {
-            fold.count_roa(roa, true);
         }
         for (&id, meta) in &corpus.ixps {
             let as_set = meta
@@ -847,6 +840,65 @@ impl CorpusFold {
         fold
     }
 
+    /// Fold the corpus [`derive_corpus`] renders for `eco` under `cfg`
+    /// without rendering or parsing any text: the same noise decisions,
+    /// and the ROAs in the corpus's order.
+    pub fn derive(eco: &Ecosystem, cfg: &CorpusConfig) -> CorpusFold {
+        let mut fold = CorpusFold::default();
+        let mut autnums: FxHashSet<Asn> = FxHashSet::default();
+        let mut pairs: Vec<(Prefix, Asn)> = Vec::new();
+        for ixp in &eco.ixps {
+            // The header, and the as-set where one is published.
+            fold.stats.objects += 1 + u64::from(ixp.publishes_member_list);
+            let rs = ixp.route_server.asn;
+            let members: Vec<&IxpMember> = ixp.members.values().filter(|m| m.rs_member).collect();
+            let mut as_set = BTreeSet::new();
+            for &member in &members {
+                let asn = member.asn;
+                autnums.insert(asn);
+                if !cfg.stale(ixp.id, asn) {
+                    if ixp.publishes_member_list {
+                        as_set.insert(asn);
+                    }
+                    *fold.lines.entry((asn, rs)).or_default() |= IMPORT_ALLOW | EXPORT_ALLOW;
+                }
+                if cfg.filters(ixp.id, asn) {
+                    for peer in members.iter().filter(|p| p.asn != asn) {
+                        let (export, import) = cfg.peer_lines(ixp.id, member, peer.asn);
+                        *fold.lines.entry((asn, peer.asn)).or_default() |=
+                            export_bit(export.allow) | import_bit(import.allow);
+                    }
+                }
+                pairs.extend(member.announcements.iter().map(|ann| (ann.prefix, asn)));
+            }
+            fold.rosters.insert(ixp.id, Roster { rs_asn: rs, as_set });
+        }
+        // One aut-num per RS member, and one route object and ROA per
+        // announced pair, however many IXPs they come from.
+        fold.stats.objects += autnums.len() as u64;
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut roas = Vec::new();
+        for &(prefix, origin) in &pairs {
+            if let Some(registered) = cfg.route_origin(prefix, origin) {
+                fold.routes.entry(prefix).or_default().insert(registered);
+                fold.stats.objects += 1;
+            }
+            roas.extend(cfg.roa(prefix, origin));
+        }
+        fold.stats.roas = roas.len() as u64;
+        fold.roas = RoaTable::new(roas);
+        fold.stats.complete = true;
+        fold
+    }
+
+    /// Score `links` with the announcement set `observations` support:
+    /// for the fold of `validate_harvest`'s corpus, its report.
+    pub fn report(&self, links: &MlpLinkSet, observations: &[Observation]) -> ValidationReport {
+        let announcements = crate::index::scan::announcements(links, observations);
+        self.score(links, &announcements, |_| {})
+    }
+
     /// The line bits `from`'s aut-num holds toward `to`.
     fn bits(&self, from: Asn, to: Asn) -> u8 {
         self.lines.get(&(from, to)).copied().unwrap_or(0)
@@ -860,21 +912,6 @@ impl CorpusFold {
         })
     }
 
-    /// Count one route object in or out.
-    fn count_route(&mut self, prefix: Prefix, origin: Asn, up: bool) {
-        if count(self.routes.entry(prefix).or_default(), origin, up) {
-            self.routes.remove(&prefix);
-        }
-    }
-
-    /// Count one ROA in or out.
-    fn count_roa(&mut self, roa: &Roa, up: bool) {
-        let key = (roa.origin, roa.max_length, roa.expired);
-        if count(self.roas.entry(roa.prefix).or_default(), key, up) {
-            self.roas.remove(&roa.prefix);
-        }
-    }
-
     /// Score every link against the fold, handing each verdict to
     /// `each` in `(ixp, a, b)` order.
     fn score(
@@ -883,55 +920,17 @@ impl CorpusFold {
         announcements: &BTreeSet<Announcement>,
         mut each: impl FnMut(LinkVerdict),
     ) -> ValidationReport {
-        // ---- Origin coverage per (IXP, member), one announcement scan.
-        // Announcements and ROA prefixes are both ordered by (address,
-        // length), where a prefix precedes everything it covers, so one
-        // merged sweep keeps the chain of ROA prefixes covering the
-        // current announcement on a stack, and each prefix's evidence
-        // is gathered once. ----
+        // ---- Origin coverage per (IXP, member), one announcement scan. ----
         let mut coverage: FxHashMap<(IxpId, Asn), Coverage> = FxHashMap::default();
-        let mut roa_prefixes = self.roas.iter().peekable();
-        let mut chain: Vec<(Prefix, &PrefixRoas)> = Vec::new();
-        let mut current = None;
-        // The unexpired ROAs covering the current prefix, as `(origin,
-        // max_length)`.
-        let mut covering: Vec<(Asn, u8)> = Vec::new();
-        let mut origins = None;
         for &(prefix, ixp, member) in announcements {
-            if current != Some(prefix) {
-                current = Some(prefix);
-                while let Some((&p, roas)) = roa_prefixes.next_if(|(&p, _)| p <= prefix) {
-                    while chain.last().is_some_and(|(q, _)| !q.covers(&p)) {
-                        chain.pop();
-                    }
-                    chain.push((p, roas));
-                }
-                while chain.last().is_some_and(|(q, _)| !q.covers(&prefix)) {
-                    chain.pop();
-                }
-                covering.clear();
-                for (_, roas) in &chain {
-                    covering.extend(
-                        roas.keys()
-                            .filter(|&&(_, _, expired)| !expired)
-                            .map(|&(origin, max_length, _)| (origin, max_length)),
-                    );
-                }
-                origins = self.routes.get(&prefix);
-            }
             let cov = coverage.entry((ixp, member)).or_default();
-            // RFC 6811: Valid when a covering ROA authorizes the
-            // announcement, Invalid when ROAs cover it but none does.
-            if covering
-                .iter()
-                .any(|&(origin, max_length)| origin == member && prefix.len() <= max_length)
-            {
-                cov.roa_valid += 1;
-            } else if !covering.is_empty() {
-                cov.roa_invalid += 1;
+            match self.roas.validate(prefix, member) {
+                RoaOutcome::Valid => cov.roa_valid += 1,
+                RoaOutcome::Invalid => cov.roa_invalid += 1,
+                RoaOutcome::NotFound => {}
             }
-            if let Some(origins) = origins {
-                if origins.contains_key(&member) {
+            if let Some(origins) = self.routes.get(&prefix) {
+                if origins.contains(&member) {
                     cov.route_match += 1;
                 } else {
                     cov.route_mismatch += 1;
@@ -1023,40 +1022,6 @@ impl CorpusFold {
     }
 }
 
-/// Count `key` in or out of `keys`, dropping it at zero so equal
-/// contents compare equal; true when `keys` is left empty.
-fn count<K: Ord + Copy>(keys: &mut BTreeMap<K, u32>, key: K, up: bool) -> bool {
-    if step(keys.entry(key).or_default(), up) && !up {
-        keys.remove(&key);
-    }
-    keys.is_empty()
-}
-
-/// Step a reference count up or down; true when it just left zero or
-/// returned to it. A step below zero means the state fell out of step
-/// with the ecosystem, a bug the live loop's supervisor answers by
-/// rebuilding the state, so it panics in every build.
-fn step(n: &mut u32, up: bool) -> bool {
-    if up {
-        *n += 1;
-        *n == 1
-    } else {
-        *n = n
-            .checked_sub(1)
-            .expect("the live validation state removes only what it added");
-        *n == 0
-    }
-}
-
-/// Step a corpus count up or down.
-fn tally(n: &mut u64, up: bool) {
-    if up {
-        *n += 1;
-    } else {
-        *n -= 1;
-    }
-}
-
 /// Score every inferred link against a parsed corpus. Returns the
 /// aggregate report and the per-link verdicts (ordered by `(ixp, a,
 /// b)`, exactly the iteration order of `links.per_ixp`).
@@ -1068,195 +1033,6 @@ pub fn score_links(
     let mut verdicts = Vec::new();
     let report = CorpusFold::of(corpus).score(links, announcements, |v| verdicts.push(v));
     (report, verdicts)
-}
-
-/// The validation state the live loop keeps in step with churn: the
-/// [`CorpusFold`] of the corpus [`derive_corpus`] would render for the
-/// current ecosystem, built without rendering or parsing any text.
-///
-/// Reference counts sit beside the fold, because the corpus merges what
-/// several IXPs contribute: an aut-num holds one line per `(peer,
-/// allow)` however many IXPs register it, and one route object and ROA
-/// stand for an announced `(prefix, origin)` pair however many IXPs it
-/// is announced at. A fold entry appears when its count leaves zero and
-/// goes when it returns there.
-///
-/// Churn keeps it in step one event at a time: for an event about ASN
-/// `A` at IXP `X`, call [`remove`](LiveValidation::remove) before
-/// [`Ecosystem::apply_churn`] and [`add`](LiveValidation::add) after
-/// it. The batch path ([`validate_harvest`]) stays the reference: the
-/// two reports are equal after every event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LiveValidation {
-    cfg: CorpusConfig,
-    fold: CorpusFold,
-    /// `(from, to)` → how many IXPs register each line kind, indexed
-    /// like the fold's bits (export allow, export deny, import allow,
-    /// import deny). The state's largest map, so its counts are 16-bit
-    /// like `IxpId`.
-    line_refs: FxHashMap<(Asn, Asn), [u16; 4]>,
-    /// Announced `(prefix, origin)` pair → (IXP, announcement) count.
-    pair_refs: FxHashMap<(Prefix, Asn), u32>,
-    /// ASN → IXPs it is an RS member at (its aut-num lives while > 0).
-    autnum_refs: FxHashMap<Asn, u32>,
-}
-
-impl LiveValidation {
-    /// Build the state for `eco` under `cfg`'s noise.
-    pub fn new(eco: &Ecosystem, cfg: CorpusConfig) -> LiveValidation {
-        let mut state = LiveValidation {
-            cfg,
-            fold: CorpusFold::default(),
-            line_refs: FxHashMap::default(),
-            pair_refs: FxHashMap::default(),
-            autnum_refs: FxHashMap::default(),
-        };
-        for ixp in &eco.ixps {
-            // The header, and the as-set where one is published.
-            state.fold.stats.objects += 1 + u64::from(ixp.publishes_member_list);
-            state.fold.rosters.insert(
-                ixp.id,
-                Roster {
-                    rs_asn: ixp.route_server.asn,
-                    as_set: BTreeSet::new(),
-                },
-            );
-            for member in ixp.members.values().filter(|m| m.rs_member) {
-                state.member(ixp, member, true);
-            }
-        }
-        state.fold.stats.complete = true;
-        state
-    }
-
-    /// The noise the state was built under.
-    pub fn config(&self) -> &CorpusConfig {
-        &self.cfg
-    }
-
-    /// The fold scoring reads.
-    pub fn fold(&self) -> &CorpusFold {
-        &self.fold
-    }
-
-    /// Take out what `asn` contributes at `ixp`, and every RS member's
-    /// lines toward it there. Call before applying a churn event about
-    /// `asn` at `ixp`.
-    pub fn remove(&mut self, eco: &Ecosystem, ixp: IxpId, asn: Asn) {
-        self.touch(eco, ixp, asn, false);
-    }
-
-    /// Put back what [`remove`](LiveValidation::remove) took out, from
-    /// the ecosystem's new state. Call after applying the event.
-    pub fn add(&mut self, eco: &Ecosystem, ixp: IxpId, asn: Asn) {
-        self.touch(eco, ixp, asn, true);
-    }
-
-    /// Score `links` with the announcement set `observations` support:
-    /// the report [`validate_harvest`] gives over the same ecosystem.
-    pub fn report(&self, links: &MlpLinkSet, observations: &[Observation]) -> ValidationReport {
-        let announcements = crate::index::scan::announcements(links, observations);
-        self.fold.score(links, &announcements, |_| {})
-    }
-
-    fn touch(&mut self, eco: &Ecosystem, ixp: IxpId, asn: Asn, up: bool) {
-        let Some(ixp) = eco.ixps.get(ixp.0 as usize) else {
-            return;
-        };
-        let Some(member) = ixp.member(asn).filter(|m| m.rs_member) else {
-            return;
-        };
-        self.member(ixp, member, up);
-        for peer in ixp.members.values() {
-            if peer.rs_member && peer.asn != asn && self.cfg.filters(ixp.id, peer.asn) {
-                let (export, import) = self.cfg.peer_lines(ixp.id, peer, asn);
-                self.line(peer.asn, export.peer, export_bit(export.allow), up);
-                self.line(peer.asn, import.peer, import_bit(import.allow), up);
-            }
-        }
-    }
-
-    /// What one RS member contributes at one IXP: its aut-num, its
-    /// as-set entry and RS lines unless stale, its filter lines toward
-    /// every other RS member if it filters there, and its announced
-    /// pairs.
-    fn member(&mut self, ixp: &Ixp, member: &IxpMember, up: bool) {
-        let asn = member.asn;
-        if step(self.autnum_refs.entry(asn).or_default(), up) {
-            tally(&mut self.fold.stats.objects, up);
-            if !up {
-                self.autnum_refs.remove(&asn);
-            }
-        }
-        if !self.cfg.stale(ixp.id, asn) {
-            if ixp.publishes_member_list {
-                let roster = self.fold.rosters.get_mut(&ixp.id).expect("roster per IXP");
-                if up {
-                    roster.as_set.insert(asn);
-                } else {
-                    roster.as_set.remove(&asn);
-                }
-            }
-            let rs = ixp.route_server.asn;
-            self.line(asn, rs, IMPORT_ALLOW, up);
-            self.line(asn, rs, EXPORT_ALLOW, up);
-        }
-        if self.cfg.filters(ixp.id, asn) {
-            for peer in ixp.members.values() {
-                if peer.rs_member && peer.asn != asn {
-                    let (export, import) = self.cfg.peer_lines(ixp.id, member, peer.asn);
-                    self.line(asn, peer.asn, export_bit(export.allow), up);
-                    self.line(asn, peer.asn, import_bit(import.allow), up);
-                }
-            }
-        }
-        for ann in &member.announcements {
-            self.pair(ann.prefix, asn, up);
-        }
-    }
-
-    /// Count one registration of a `from → to` line of kind `bit`.
-    fn line(&mut self, from: Asn, to: Asn, bit: u8, up: bool) {
-        let refs = self.line_refs.entry((from, to)).or_default();
-        let slot = &mut refs[bit.trailing_zeros() as usize];
-        let mut n = u32::from(*slot);
-        let crossed = step(&mut n, up);
-        *slot = u16::try_from(n).expect("a line is registered at fewer than 65,536 IXPs");
-        if !crossed {
-            return;
-        }
-        if *refs == [0; 4] {
-            self.line_refs.remove(&(from, to));
-        }
-        let bits = self.fold.lines.entry((from, to)).or_default();
-        if up {
-            *bits |= bit;
-        } else {
-            *bits &= !bit;
-        }
-        if *bits == 0 {
-            self.fold.lines.remove(&(from, to));
-        }
-    }
-
-    /// Count one announcement of `(prefix, origin)`; its route object
-    /// and ROA enter the fold with the first and leave with the last.
-    fn pair(&mut self, prefix: Prefix, origin: Asn, up: bool) {
-        if !step(self.pair_refs.entry((prefix, origin)).or_default(), up) {
-            return;
-        }
-        if !up {
-            self.pair_refs.remove(&(prefix, origin));
-        }
-        if let Some(registered) = self.cfg.route_origin(prefix, origin) {
-            self.fold.count_route(prefix, registered, up);
-            tally(&mut self.fold.stats.objects, up);
-        }
-        if let Some(roa) = self.cfg.roa(prefix, origin) {
-            self.fold.count_roa(&roa, up);
-            tally(&mut self.fold.stats.roas, up);
-        }
-    }
 }
 
 /// The whole stage in one call: derive the corpus from `eco`, parse it

@@ -1,17 +1,16 @@
-//! The live validation state against the batch reference, over random
-//! churn: after every checked tick, the report [`LiveValidation`] gives
-//! equals [`validate_harvest`] over the churned ecosystem, the
-//! inferencer's links and its observations, and the state's fold equals
-//! the fold of `parse_corpus(derive_corpus(..))`.
+//! The live loop's validation against the batch reference, over random
+//! churn: after every checked tick, the fold [`CorpusFold::derive`]
+//! builds from the churned ecosystem equals the fold of
+//! `parse_corpus(derive_corpus(..))`, and its report equals
+//! [`validate_harvest`] over the ecosystem, the inferencer's links and
+//! its observations.
 //!
-//! The loop is the live tick's: each event is drawn, the state's view
-//! of its member is removed, the event is applied, the view is added
-//! back, and the event's BGP messages are decoded into the
-//! [`LiveInferencer`].
+//! The loop is the live tick's: each event is drawn and applied, and
+//! its BGP messages are decoded into the [`LiveInferencer`].
 
 use mlpeer::live::{decode_message, LiveInferencer};
 use mlpeer::validate::cross::{
-    derive_corpus, parse_corpus, validate_harvest, CorpusConfig, CorpusFold, LiveValidation,
+    derive_corpus, parse_corpus, validate_harvest, CorpusConfig, CorpusFold,
 };
 use mlpeer_data::churn::{event_messages, ChurnConfig, ChurnGen};
 use mlpeer_ixp::{Ecosystem, EcosystemConfig};
@@ -27,17 +26,14 @@ fn run(eco_cfg: EcosystemConfig, churn: ChurnConfig, ticks: usize, check_every: 
     let mut eco = Ecosystem::generate(eco_cfg);
     let mut gen = ChurnGen::new(&eco, churn);
     let mut li = LiveInferencer::from_ecosystem(&eco);
-    let mut state = LiveValidation::new(&eco, cfg.clone());
-    check(&eco, &li, &state, &cfg, "bootstrap");
+    check(&eco, &li, &cfg, "bootstrap");
 
     let mut clock = 0u64;
     for tick in 1..=ticks {
         for _ in 0..EVENTS {
             let event = gen.next_event(&eco);
-            let (ixp, asn) = (event.ixp(), event.asn());
-            state.remove(&eco, ixp, asn);
             assert!(eco.apply_churn(&event), "tick {tick}: invalid {event:?}");
-            state.add(&eco, ixp, asn);
+            let ixp = event.ixp();
             let scheme = &eco.ixp(ixp).scheme;
             for msg in event_messages(&eco, &event, clock) {
                 for live_event in decode_message(ixp, scheme, &msg) {
@@ -47,18 +43,17 @@ fn run(eco_cfg: EcosystemConfig, churn: ChurnConfig, ticks: usize, check_every: 
             clock += 1;
         }
         if tick % check_every == 0 || tick == ticks {
-            check(&eco, &li, &state, &cfg, &format!("tick {tick}"));
+            check(&eco, &li, &cfg, &format!("tick {tick}"));
         }
     }
 }
 
-fn check(
-    eco: &Ecosystem,
-    li: &LiveInferencer,
-    state: &LiveValidation,
-    cfg: &CorpusConfig,
-    when: &str,
-) {
+fn check(eco: &Ecosystem, li: &LiveInferencer, cfg: &CorpusConfig, when: &str) {
+    let fold = CorpusFold::derive(eco, cfg);
+    assert!(
+        fold == CorpusFold::of(&parse_corpus(&derive_corpus(eco, cfg))),
+        "{when}: the derived fold diverged from the parsed corpus's fold"
+    );
     let observations = li.observations();
     let expected = validate_harvest(eco, li.current(), &observations, cfg);
     assert!(
@@ -66,13 +61,9 @@ fn check(
         "{when}: the derived corpus parses clean"
     );
     assert_eq!(
-        state.report(li.current(), &observations),
+        fold.report(li.current(), &observations),
         expected,
         "{when}: the live report diverged from validate_harvest"
-    );
-    assert!(
-        *state.fold() == CorpusFold::of(&parse_corpus(&derive_corpus(eco, cfg))),
-        "{when}: the live fold diverged from the parsed corpus's fold"
     );
 }
 
@@ -97,7 +88,7 @@ fn small_matches_the_batch_path_every_fifth_tick() {
 
 #[test]
 fn membership_heavy_churn_matches_the_batch_path() {
-    // Joins and leaves move the most state per event: rosters,
+    // Joins and leaves move the most registry state per event: rosters,
     // aut-nums, and every filtering member's lines toward the mover.
     run(
         EcosystemConfig::tiny(99),

@@ -119,7 +119,7 @@ pub enum RoaOutcome {
 }
 
 /// An indexed batch of ROAs answering origin validation queries.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoaTable {
     roas: Vec<Roa>,
     /// Exact ROA prefixes → indices into `roas`. Lookups walk the query

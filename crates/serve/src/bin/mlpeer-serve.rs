@@ -72,8 +72,8 @@ use mlpeer::pipeline::Scale;
 use mlpeer_data::churn::ChurnConfig;
 use mlpeer_ixp::Ecosystem;
 use mlpeer_serve::{
-    bootstrap, spawn_live_refresher, spawn_reactor, LiveConfig, LiveLoop, LiveStats, ReactorConfig,
-    Snapshot, SnapshotStore,
+    bootstrap, spawn_live_refresher, spawn_reactor, LiveConfig, LiveStats, ReactorConfig, Snapshot,
+    SnapshotStore,
 };
 
 fn main() {
@@ -236,7 +236,7 @@ fn main() {
     let store = if live {
         let eco = generate();
         eprintln!("# live mode: harvesting route-server state…");
-        let (inferencer, validation, snapshot) = bootstrap(&eco, &scale_word, seed);
+        let (inferencer, snapshot) = bootstrap(&eco, &scale_word, seed);
         eprintln!(
             "# snapshot ready: {} IXPs, {} unique links, etag {}",
             snapshot.names.len(),
@@ -257,7 +257,9 @@ fn main() {
         };
         refresher = Some(spawn_live_refresher(
             Arc::clone(&store),
-            LiveLoop::new(eco, inferencer, validation, live_cfg),
+            eco,
+            inferencer,
+            live_cfg,
             stats,
             Arc::clone(&shutdown),
         ));

@@ -5,11 +5,11 @@
 //! it could only republish the same links. Live mode changes the
 //! ecosystem instead, with a churn-driven delta loop ([`LiveLoop`]):
 //! each tick draws the next batch of seeded churn events, mutates the
-//! ecosystem while keeping the [`LiveValidation`] state in step with
-//! it, renders the events as BGP session traffic
+//! ecosystem, renders the events as BGP session traffic
 //! ([`mlpeer_data::churn::event_messages`]), decodes and folds them
 //! into the [`LiveInferencer`], and then publishes **only if the link
-//! set actually moved** — via
+//! set actually moved** — scored against the registry fold derived
+//! straight from the churned ecosystem ([`CorpusFold::derive`]), via
 //! [`SnapshotStore::publish_with_delta`], so `/v1/changes` can answer
 //! the diff. A tick whose net delta is empty publishes nothing: the
 //! epoch *and* the content ETag stay stable, and conditional GETs keep
@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use mlpeer::live::{decode_message, LinkDelta, LiveInferencer};
 use mlpeer::passive::PassiveStats;
-use mlpeer::validate::cross::{CorpusConfig, LiveValidation};
+use mlpeer::validate::cross::{CorpusConfig, CorpusFold};
 use mlpeer_data::churn::{event_messages, ChurnConfig, ChurnGen};
 use mlpeer_ixp::{Ecosystem, IxpId};
 
@@ -110,19 +110,14 @@ impl Supervisor {
 }
 
 /// Bootstrap the live state from an ecosystem: the inferencer over the
-/// current route-server state, the validation state over its registry
-/// view, and the initial snapshot to open the store on — built from the
-/// *same* live harvest, so the first `/v1/changes` delta composes
-/// against exactly what `/v1/*` serves.
-pub fn bootstrap(
-    eco: &Ecosystem,
-    scale: &str,
-    seed: u64,
-) -> (LiveInferencer, LiveValidation, Snapshot) {
+/// current route-server state, and the initial snapshot to open the
+/// store on — built from the *same* live harvest, so the first
+/// `/v1/changes` delta composes against exactly what `/v1/*` serves.
+pub fn bootstrap(eco: &Ecosystem, scale: &str, seed: u64) -> (LiveInferencer, Snapshot) {
     let li = LiveInferencer::from_ecosystem(eco);
-    let state = LiveValidation::new(eco, CorpusConfig::seeded(seed));
     let observations = li.observations();
-    let validation = state.report(li.current(), &observations);
+    let validation =
+        CorpusFold::derive(eco, &CorpusConfig::seeded(seed)).report(li.current(), &observations);
     let snapshot = Snapshot::build_validated(
         scale,
         seed,
@@ -132,16 +127,15 @@ pub fn bootstrap(
         PassiveStats::default(),
         validation,
     );
-    (li, state, snapshot)
+    (li, snapshot)
 }
 
 /// What the live loop carries from tick to tick: the churned ecosystem,
-/// the two views kept in step with it (the link inferencer and the
-/// validation state), and the churn schedule.
+/// the link inferencer kept in step with it, and the churn schedule.
 pub struct LiveLoop {
     eco: Ecosystem,
     inferencer: LiveInferencer,
-    validation: LiveValidation,
+    corpus: CorpusConfig,
     churn: ChurnGen,
     clock: u64,
     names: BTreeMap<IxpId, String>,
@@ -149,56 +143,32 @@ pub struct LiveLoop {
 }
 
 impl LiveLoop {
-    /// A loop over `eco`; `inferencer` and `validation` must agree with
-    /// it (use [`bootstrap`]).
-    pub fn new(
-        eco: Ecosystem,
-        inferencer: LiveInferencer,
-        validation: LiveValidation,
-        cfg: LiveConfig,
-    ) -> LiveLoop {
+    /// A loop over `eco`; `inferencer` must agree with it (use
+    /// [`bootstrap`]).
+    pub fn new(eco: Ecosystem, inferencer: LiveInferencer, cfg: LiveConfig) -> LiveLoop {
         LiveLoop {
             churn: ChurnGen::new(&eco, cfg.churn.clone()),
             names: Snapshot::names_of(&eco),
+            corpus: CorpusConfig::seeded(cfg.seed),
             eco,
             inferencer,
-            validation,
             clock: 0,
             cfg,
         }
     }
 
-    /// The churned ecosystem.
-    pub fn ecosystem(&self) -> &Ecosystem {
-        &self.eco
-    }
-
-    /// The link inferencer.
-    pub fn inferencer(&self) -> &LiveInferencer {
-        &self.inferencer
-    }
-
-    /// The validation state.
-    pub fn validation(&self) -> &LiveValidation {
-        &self.validation
-    }
-
-    /// One tick: draw each event; take its member's view out of the
-    /// validation state, apply the event, put the view back; render the
-    /// event as BGP messages and decode them into the inferencer. Then
-    /// publish, but only if anything moved. Returns the published
-    /// epoch.
+    /// One tick: draw each event, apply it, render it as BGP messages
+    /// and decode them into the inferencer. Then, only if anything
+    /// moved, score the links against the registry fold of the churned
+    /// ecosystem and publish. Returns the published epoch.
     pub fn tick(&mut self, store: &SnapshotStore, stats: &LiveStats) -> Option<u64> {
         failpoints::failpoint!("serve::live_tick");
         let version_before = self.inferencer.state_version();
         let mut delta = LinkDelta::default();
         for _ in 0..self.cfg.events_per_tick {
             let event = self.churn.next_event(&self.eco);
-            let (ixp, asn) = (event.ixp(), event.asn());
-            self.validation.remove(&self.eco, ixp, asn);
             self.eco.apply_churn(&event);
-            failpoints::failpoint!("serve::live_apply");
-            self.validation.add(&self.eco, ixp, asn);
+            let ixp = event.ixp();
             let scheme = &self.eco.ixp(ixp).scheme;
             for msg in event_messages(&self.eco, &event, self.clock) {
                 for live_event in decode_message(ixp, scheme, &msg) {
@@ -223,8 +193,7 @@ impl LiveLoop {
         // pay an O(announcement-corpus) body pre-render — live-mode
         // GETs render on demand, batch publishes keep the cache.
         let observations = self.inferencer.observations();
-        let validation = self
-            .validation
+        let validation = CorpusFold::derive(&self.eco, &self.corpus)
             .report(self.inferencer.current(), &observations);
         let snapshot = Snapshot::build_uncached_validated(
             &self.cfg.scale,
@@ -239,33 +208,20 @@ impl LiveLoop {
         stats.published.fetch_add(1, Ordering::Relaxed);
         Some(epoch)
     }
-
-    /// One [`tick`](LiveLoop::tick) under the supervisor's catch. A
-    /// panic can leave the ecosystem ahead of the validation state (an
-    /// event applied whose view was not put back), so after one the
-    /// state is rebuilt from the ecosystem.
-    pub fn supervised_tick(
-        &mut self,
-        store: &SnapshotStore,
-        stats: &LiveStats,
-    ) -> std::thread::Result<Option<u64>> {
-        let tick =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.tick(store, stats)));
-        if tick.is_err() {
-            self.validation = LiveValidation::new(&self.eco, self.validation.config().clone());
-        }
-        tick
-    }
 }
 
-/// Spawn the live loop, which owns `live` from here on. Returns the
-/// thread handle; `shutdown` stops it promptly even mid-interval.
+/// Spawn the live loop. `eco` and `inferencer` must agree (use
+/// [`bootstrap`]); the loop owns both from here on. Returns the thread
+/// handle; `shutdown` stops it promptly even mid-interval.
 pub fn spawn_live_refresher(
     store: Arc<SnapshotStore>,
-    mut live: LiveLoop,
+    eco: Ecosystem,
+    inferencer: LiveInferencer,
+    cfg: LiveConfig,
     stats: Arc<LiveStats>,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
+    let mut live = LiveLoop::new(eco, inferencer, cfg);
     store.set_live_stats(Arc::clone(&stats));
     std::thread::Builder::new()
         .name("mlpeer-serve-live".into())
@@ -288,7 +244,10 @@ pub fn spawn_live_refresher(
                 }
                 // A panic anywhere in the tick is caught and the loop
                 // restarted after backoff.
-                match live.supervised_tick(&store, &stats) {
+                let tick = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    live.tick(&store, &stats)
+                }));
+                match tick {
                     Ok(published) => {
                         supervisor.tick_ok(store.health());
                         if let Some(epoch) = published {
@@ -325,18 +284,15 @@ mod tests {
         }
     }
 
-    fn boot(events_per_tick: usize) -> (LiveLoop, Snapshot) {
+    fn boot() -> (Ecosystem, LiveInferencer, Snapshot) {
         let eco = Ecosystem::generate(EcosystemConfig::tiny(11));
-        let (li, state, snap) = bootstrap(&eco, "tiny", 11);
-        (
-            LiveLoop::new(eco, li, state, live_cfg(events_per_tick)),
-            snap,
-        )
+        let (li, snap) = bootstrap(&eco, "tiny", 11);
+        (eco, li, snap)
     }
 
     #[test]
     fn live_loop_publishes_deltas_that_compose() {
-        let (live, snap) = boot(20);
+        let (eco, li, snap) = boot();
         let initial_links: std::collections::BTreeSet<(mlpeer_ixp::IxpId, _, _)> = snap
             .links
             .per_ixp
@@ -348,7 +304,9 @@ mod tests {
         let stats = Arc::new(LiveStats::default());
         let handle = spawn_live_refresher(
             Arc::clone(&store),
-            live,
+            eco,
+            li,
+            live_cfg(20),
             Arc::clone(&stats),
             Arc::clone(&shutdown),
         );
@@ -411,7 +369,7 @@ mod tests {
 
     #[test]
     fn noop_ticks_keep_epoch_and_etag_stable() {
-        let (live, snap) = boot(0);
+        let (eco, li, snap) = boot();
         let etag0 = snap.etag.clone();
         let store = SnapshotStore::new(snap);
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -419,7 +377,9 @@ mod tests {
         // events_per_tick = 0: every tick is a no-op delta.
         let handle = spawn_live_refresher(
             Arc::clone(&store),
-            live,
+            eco,
+            li,
+            live_cfg(0),
             Arc::clone(&stats),
             Arc::clone(&shutdown),
         );
@@ -439,8 +399,7 @@ mod tests {
 
     #[test]
     fn bootstrap_snapshot_serves_live_state() {
-        let (live, snap) = boot(0);
-        let li = live.inferencer();
+        let (_, li, snap) = boot();
         assert_eq!(snap.epoch, 0);
         assert_eq!(snap.unique_link_count, li.current().unique_links().len());
         assert!(snap.observation_count > 0);

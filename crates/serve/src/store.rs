@@ -371,9 +371,10 @@ impl SnapshotStore {
     }
 
     /// The one publish body: stamp, record (or reset) the change ring,
-    /// swap, append, all under the publish lock; `current` is held only
-    /// for the pointer replace. The replaced snapshot is freed and the
-    /// observers run after both locks are released.
+    /// swap, append, render the subscribers' frame, all under the
+    /// publish lock; `current` is held only for the pointer replace.
+    /// The replaced snapshot is freed and the observers run after both
+    /// locks are released.
     fn publish_epoch(&self, mut snapshot: Snapshot, delta: Option<LinkDelta>) -> u64 {
         failpoints::failpoint!("serve::publish");
         let publishing = self.publishing.lock().expect("publish lock never poisoned");
@@ -381,27 +382,26 @@ impl SnapshotStore {
         let epoch = self.load().epoch + 1;
         snapshot.epoch = epoch;
         let snapshot = Arc::new(snapshot);
-        let frame = match &delta {
-            Some(delta) => {
-                self.changes.record(epoch, delta.clone());
-                // The ring holds `epoch` now, so it answers the span
-                // from the epoch before without the durable log.
-                match crate::reactor::changes_frame(&snapshot, &self.changes, None, epoch - 1) {
-                    (200, frame) => Some((epoch, Arc::new(frame))),
-                    _ => None,
-                }
-            }
-            None => {
-                self.changes.reset();
-                None
-            }
-        };
-        *self.newest_frame.lock().expect("frame lock never poisoned") = frame;
+        match &delta {
+            Some(delta) => self.changes.record(epoch, delta.clone()),
+            None => self.changes.reset(),
+        }
         let replaced = std::mem::replace(
             &mut *self.current.lock().expect("store lock never poisoned"),
             Arc::clone(&snapshot),
         );
         self.persist_published(&snapshot, delta.as_ref());
+        // Readers see the epoch already; subscribers are told below,
+        // after the frame they are pushed exists. The ring holds
+        // `epoch`, so it answers the span from the epoch before without
+        // the durable log.
+        let frame = delta.and_then(|_| {
+            match crate::reactor::changes_frame(&snapshot, &self.changes, None, epoch - 1) {
+                (200, frame) => Some((epoch, Arc::new(frame))),
+                _ => None,
+            }
+        });
+        *self.newest_frame.lock().expect("frame lock never poisoned") = frame;
         drop(publishing);
         drop(replaced);
         self.swaps.fetch_add(1, Ordering::Relaxed);

@@ -154,12 +154,11 @@ fn live_lines() -> Vec<String> {
     const TICKS: usize = 5;
     const EVENTS: usize = 20;
     let eco = Ecosystem::generate(Scale::Tiny.config(SEED));
-    let (inferencer, validation, initial) = bootstrap(&eco, "tiny", SEED);
+    let (inferencer, initial) = bootstrap(&eco, "tiny", SEED);
     let store = SnapshotStore::new(initial);
     let mut live = LiveLoop::new(
         eco,
         inferencer,
-        validation,
         LiveConfig {
             interval: Duration::ZERO,
             events_per_tick: EVENTS,

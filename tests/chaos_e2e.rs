@@ -15,15 +15,14 @@ use std::time::{Duration, Instant};
 use mlpeer::infer::MlpLinkSet;
 use mlpeer::live::LinkDelta;
 use mlpeer::passive::PassiveStats;
-use mlpeer::validate::cross::{validate_harvest, CorpusConfig, LiveValidation, ValidationReport};
+use mlpeer::validate::cross::ValidationReport;
 use mlpeer_bench::Scale;
 use mlpeer_bgp::Asn;
 use mlpeer_data::churn::ChurnConfig;
 use mlpeer_dist::{default_worker_cmd, DistConfig, DistStats};
 use mlpeer_ixp::{Ecosystem, EcosystemConfig, IxpId};
 use mlpeer_serve::{
-    bootstrap, spawn_live_refresher, DurableStore, LiveConfig, LiveLoop, LiveStats, Snapshot,
-    SnapshotStore,
+    bootstrap, spawn_live_refresher, DurableStore, LiveConfig, LiveStats, Snapshot, SnapshotStore,
 };
 
 /// One registry, one test at a time. A poisoned guard (a failed test)
@@ -406,7 +405,7 @@ fn read_failpoint_hides_the_log_but_not_the_live_epoch() {
 fn refresher_panic_restarts_with_backoff_and_recovers() {
     let _guard = chaos_guard();
     let eco = Ecosystem::generate(EcosystemConfig::tiny(77));
-    let (inferencer, validation, snapshot) = bootstrap(&eco, "tiny", 77);
+    let (inferencer, snapshot) = bootstrap(&eco, "tiny", 77);
     let store = SnapshotStore::new(snapshot);
     let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(LiveStats::default());
@@ -414,21 +413,18 @@ fn refresher_panic_restarts_with_backoff_and_recovers() {
     failpoints::cfg("serve::live_tick", "panic(chaos tick)").unwrap();
     let refresher = spawn_live_refresher(
         Arc::clone(&store),
-        LiveLoop::new(
-            eco,
-            inferencer,
-            validation,
-            LiveConfig {
-                interval: Duration::from_millis(10),
-                events_per_tick: 25,
-                churn: ChurnConfig {
-                    seed: 3,
-                    ..ChurnConfig::default()
-                },
-                scale: "tiny".into(),
-                seed: 77,
+        eco,
+        inferencer,
+        LiveConfig {
+            interval: Duration::from_millis(10),
+            events_per_tick: 25,
+            churn: ChurnConfig {
+                seed: 3,
+                ..ChurnConfig::default()
             },
-        ),
+            scale: "tiny".into(),
+            seed: 77,
+        },
         Arc::clone(&stats),
         Arc::clone(&shutdown),
     );
@@ -448,59 +444,6 @@ fn refresher_panic_restarts_with_backoff_and_recovers() {
     });
     shutdown.store(true, Ordering::Relaxed);
     refresher.join().unwrap();
-}
-
-/// A tick that panics after an event reached the ecosystem, before its
-/// member's view went back into the validation state, leaves the state
-/// behind; the supervised tick rebuilds it from the ecosystem, so later
-/// publishes report what the batch path does.
-#[test]
-fn tick_panicking_mid_event_rebuilds_the_validation_state() {
-    let _guard = chaos_guard();
-    let eco = Ecosystem::generate(EcosystemConfig::tiny(77));
-    let (inferencer, validation, snapshot) = bootstrap(&eco, "tiny", 77);
-    let store = SnapshotStore::new(snapshot);
-    let stats = LiveStats::default();
-    let mut live = LiveLoop::new(
-        eco,
-        inferencer,
-        validation,
-        LiveConfig {
-            interval: Duration::from_millis(10),
-            events_per_tick: 25,
-            churn: ChurnConfig {
-                seed: 3,
-                ..ChurnConfig::default()
-            },
-            scale: "tiny".into(),
-            seed: 77,
-        },
-    );
-
-    // Each panicking tick applies its first event and stops there.
-    failpoints::cfg("serve::live_apply", "panic(chaos apply)").unwrap();
-    for _ in 0..5 {
-        assert!(live.supervised_tick(&store, &stats).is_err());
-    }
-    failpoints::remove("serve::live_apply");
-    let cfg = CorpusConfig::seeded(77);
-    assert!(
-        *live.validation() == LiveValidation::new(live.ecosystem(), cfg.clone()),
-        "the restart must rebuild the state from the churned ecosystem"
-    );
-
-    let published = (0..20).find_map(|_| live.supervised_tick(&store, &stats).unwrap());
-    assert!(published.is_some(), "ticks publish again");
-    let observations = live.inferencer().observations();
-    assert_eq!(
-        store.load().validation,
-        validate_harvest(
-            live.ecosystem(),
-            live.inferencer().current(),
-            &observations,
-            &cfg
-        )
-    );
 }
 
 /// Worker spawn failures degrade the distributed harvest to in-process

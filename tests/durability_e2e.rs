@@ -23,7 +23,7 @@ use mlpeer::pipeline::Scale;
 use mlpeer_data::churn::ChurnConfig;
 use mlpeer_ixp::{Ecosystem, EcosystemConfig};
 use mlpeer_serve::{
-    bootstrap, spawn_live_refresher, spawn_reactor, DurableStore, LiveConfig, LiveLoop, LiveStats,
+    bootstrap, spawn_live_refresher, spawn_reactor, DurableStore, LiveConfig, LiveStats,
     ReactorConfig, Snapshot, SnapshotStore,
 };
 
@@ -59,7 +59,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// store and durable log attached and quiescent).
 fn churn_to_epoch(dir: &PathBuf, min_epoch: u64) -> Arc<SnapshotStore> {
     let eco = Ecosystem::generate(EcosystemConfig::tiny(11));
-    let (inferencer, validation, snapshot) = bootstrap(&eco, "tiny", 11);
+    let (inferencer, snapshot) = bootstrap(&eco, "tiny", 11);
     let store = SnapshotStore::with_change_capacity(snapshot, 64);
     let durable = Arc::new(DurableStore::open(dir).unwrap());
     store.attach_durable(durable).unwrap();
@@ -68,21 +68,18 @@ fn churn_to_epoch(dir: &PathBuf, min_epoch: u64) -> Arc<SnapshotStore> {
     let stats = Arc::new(LiveStats::default());
     let refresher = spawn_live_refresher(
         Arc::clone(&store),
-        LiveLoop::new(
-            eco,
-            inferencer,
-            validation,
-            LiveConfig {
-                interval: Duration::from_millis(20),
-                events_per_tick: 25,
-                churn: ChurnConfig {
-                    seed: 5,
-                    ..ChurnConfig::default()
-                },
-                scale: "tiny".into(),
-                seed: 11,
+        eco,
+        inferencer,
+        LiveConfig {
+            interval: Duration::from_millis(20),
+            events_per_tick: 25,
+            churn: ChurnConfig {
+                seed: 5,
+                ..ChurnConfig::default()
             },
-        ),
+            scale: "tiny".into(),
+            seed: 11,
+        },
         stats,
         Arc::clone(&shutdown),
     );

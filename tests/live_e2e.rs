@@ -17,7 +17,7 @@ use std::time::Duration;
 use mlpeer_data::churn::ChurnConfig;
 use mlpeer_ixp::{Ecosystem, EcosystemConfig};
 use mlpeer_serve::{
-    bootstrap, spawn_live_refresher, spawn_reactor, LiveConfig, LiveLoop, LiveStats, ReactorConfig,
+    bootstrap, spawn_live_refresher, spawn_reactor, LiveConfig, LiveStats, ReactorConfig,
     SnapshotStore,
 };
 
@@ -114,28 +114,25 @@ fn link_pairs(array: &str) -> Vec<(u64, u64)> {
 fn live_stack_serves_composable_deltas_and_resync_signal() {
     let eco = Ecosystem::generate(EcosystemConfig::tiny(77));
     let n_ixps = eco.ixps.len();
-    let (inferencer, validation, snapshot) = bootstrap(&eco, "tiny", 77);
+    let (inferencer, snapshot) = bootstrap(&eco, "tiny", 77);
     // A deliberately shallow ring so the truncation path is reachable.
     let store = SnapshotStore::with_change_capacity(snapshot, 4);
     let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(LiveStats::default());
     let refresher = spawn_live_refresher(
         Arc::clone(&store),
-        LiveLoop::new(
-            eco,
-            inferencer,
-            validation,
-            LiveConfig {
-                interval: Duration::from_millis(10),
-                events_per_tick: 25,
-                churn: ChurnConfig {
-                    seed: 3,
-                    ..ChurnConfig::default()
-                },
-                scale: "tiny".into(),
-                seed: 77,
+        eco,
+        inferencer,
+        LiveConfig {
+            interval: Duration::from_millis(10),
+            events_per_tick: 25,
+            churn: ChurnConfig {
+                seed: 3,
+                ..ChurnConfig::default()
             },
-        ),
+            scale: "tiny".into(),
+            seed: 77,
+        },
         Arc::clone(&stats),
         Arc::clone(&shutdown),
     );
