@@ -51,7 +51,7 @@ use crate::infer::{MlpLinkSet, Observation};
 
 /// Noise knobs for corpus derivation. All decisions are hash-seeded —
 /// the same config always yields the same corpus text.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CorpusConfig {
     /// Seed folded into every noise decision.
     pub seed: u64,
