@@ -11,7 +11,8 @@
 //!    score), the exact pass `Snapshot::of_pipeline` pays per publish.
 //! 4. **live ticks** — 12 ticks of 100 churn events, as `mlpeer-serve
 //!    --live` runs them: per tick, [`CorpusFold::derive`] over the
-//!    churned ecosystem plus its report, against [`validate_harvest`]
+//!    churned ecosystem plus its report over the inferencer's
+//!    announcement set, against [`validate_harvest`]
 //!    over the same ecosystem. The two reports must be equal after
 //!    every tick. Ticks mutate the ecosystem, so each is timed once with
 //!    a wall clock, and the medians are recorded.
@@ -108,8 +109,9 @@ fn bench_ticks(scale: Scale, seed: u64) -> (f64, f64) {
             clock += 1;
         }
         let observations = li.observations();
+        let announcements = li.announcements();
         let t = Instant::now();
-        let report = CorpusFold::derive(&eco, &cfg).report(li.current(), &observations);
+        let report = CorpusFold::derive(&eco, &cfg).report(li.current(), &announcements);
         live.push(t.elapsed());
         let t = Instant::now();
         let expected = validate_harvest(&eco, li.current(), &observations, &cfg);

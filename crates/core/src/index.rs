@@ -6,9 +6,17 @@
 //! does AS X reach over the DE-CIX route server?"), by *IXP*, and by
 //! *prefix* ("which IXPs carry prefix P multilaterally?"). A linear
 //! scan answers each of those in O(total links) or O(total
-//! observations); [`LinkIndex`] answers them in O(result) via an
-//! inverted member index and a binary [`PrefixTrie`] (longest-prefix
-//! walks built on [`Prefix::covers`] / [`Prefix::parent`] semantics).
+//! observations); [`LinkIndex`] answers them in O(result) plus binary
+//! searches, from two flat arrays built in linear passes:
+//!
+//! * **by member** — one offset per member into one shared array of
+//!   `(IxpId, Asn)` entries (CSR layout), each member's slice in
+//!   `(ixp, peer)` order;
+//! * **by prefix** — the announcement set as one sorted, deduplicated
+//!   `Vec<Announcement>`. Exact matches are one run of it, covering
+//!   matches one run per [`Prefix::parent`] hop, and covered matches
+//!   the contiguous `(addr, len)` range between the queried prefix and
+//!   its last address.
 //!
 //! Every indexed query has a linear-scan reference implementation in
 //! [`scan`]; the unit tests (and the serve crate's benchmarks) assert
@@ -16,6 +24,7 @@
 //! silently drift from the ground truth it accelerates.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use mlpeer_bgp::{Asn, Prefix};
 use mlpeer_ixp::ixp::IxpId;
@@ -45,151 +54,58 @@ impl PrefixMatches {
     }
 }
 
-/// A binary trie over [`Prefix`]es, one level per address bit, with the
-/// announcements of a prefix stored at its terminal node.
-///
-/// Exact lookups walk `len` bits; covering lookups walk the
-/// [`Prefix::parent`] chain (each hop is one exact lookup); covered
-/// lookups enumerate the subtree below the queried prefix — all
-/// O(result), never O(index).
+/// [`PrefixMatches`] borrowed from the index: runs of its sorted
+/// announcement array, so a renderer walks them in order without
+/// collecting anything.
 #[derive(Debug, Clone, Default)]
-pub struct PrefixTrie {
-    root: TrieNode,
-    prefixes: usize,
-    announcements: usize,
+pub struct PrefixRuns<'a> {
+    /// Announcements of exactly the queried prefix.
+    pub exact: &'a [Announcement],
+    /// One run per covering prefix with announcements, shortest prefix
+    /// first (so the runs concatenate in sorted order).
+    pub covering: Vec<&'a [Announcement]>,
+    /// Announcements of strictly more-specific prefixes.
+    pub covered: &'a [Announcement],
 }
 
-#[derive(Debug, Clone, Default)]
-struct TrieNode {
-    children: [Option<Box<TrieNode>>; 2],
-    /// The prefix terminating here, once anything was inserted for it.
-    prefix: Option<Prefix>,
-    /// Announcements of that prefix (insertion order; [`LinkIndex`]
-    /// inserts from a sorted, deduplicated set).
-    entries: Vec<(IxpId, Asn)>,
-}
-
-/// Bit `i` (0 = most significant) of a network address.
-#[inline]
-fn addr_bit(addr: u32, i: u8) -> usize {
-    ((addr >> (31 - i)) & 1) as usize
-}
-
-impl PrefixTrie {
-    /// Insert one announcement. Duplicate `(prefix, ixp, member)`
-    /// triples are the caller's to avoid (build from a set).
-    pub fn insert(&mut self, prefix: Prefix, ixp: IxpId, member: Asn) {
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let b = addr_bit(prefix.network_u32(), i);
-            node = node.children[b].get_or_insert_with(Box::default);
-        }
-        if node.prefix.is_none() {
-            node.prefix = Some(prefix);
-            self.prefixes += 1;
-        }
-        node.entries.push((ixp, member));
-        self.announcements += 1;
+impl PrefixRuns<'_> {
+    /// Total announcements across all three specificity classes.
+    pub fn total(&self) -> usize {
+        self.exact.len() + self.covering.iter().map(|r| r.len()).sum::<usize>() + self.covered.len()
     }
 
-    /// Distinct prefixes with at least one announcement.
-    pub fn prefix_count(&self) -> usize {
-        self.prefixes
-    }
-
-    /// Total announcements stored.
-    pub fn announcement_count(&self) -> usize {
-        self.announcements
-    }
-
-    /// The node terminating `prefix`, if present.
-    fn node_at(&self, prefix: &Prefix) -> Option<&TrieNode> {
-        let mut node = &self.root;
-        for i in 0..prefix.len() {
-            node = node.children[addr_bit(prefix.network_u32(), i)].as_deref()?;
+    /// The owned, set-shaped form.
+    pub fn to_matches(&self) -> PrefixMatches {
+        PrefixMatches {
+            exact: self.exact.iter().copied().collect(),
+            covering: self.covering.iter().copied().flatten().copied().collect(),
+            covered: self.covered.iter().copied().collect(),
         }
-        Some(node)
-    }
-
-    /// Announcements of exactly `prefix`.
-    pub fn exact(&self, prefix: &Prefix) -> &[(IxpId, Asn)] {
-        match self.node_at(prefix) {
-            Some(n) if n.prefix.is_some() => &n.entries,
-            _ => &[],
-        }
-    }
-
-    /// Announcements of prefixes strictly covering `prefix`: one exact
-    /// probe per [`Prefix::parent`] hop up to `/0`.
-    pub fn covering(&self, prefix: &Prefix) -> BTreeSet<Announcement> {
-        let mut out = BTreeSet::new();
-        let mut q = prefix.parent();
-        while let Some(p) = q {
-            for &(ixp, member) in self.exact(&p) {
-                out.insert((p, ixp, member));
-            }
-            q = p.parent();
-        }
-        out
-    }
-
-    /// Announcements of prefixes strictly covered by `prefix`: the
-    /// subtree below its node, excluding the node itself.
-    pub fn covered_by(&self, prefix: &Prefix) -> BTreeSet<Announcement> {
-        let mut out = BTreeSet::new();
-        if let Some(node) = self.node_at(prefix) {
-            for child in node.children.iter().flatten() {
-                collect_subtree(child, &mut out);
-            }
-        }
-        out
-    }
-
-    /// Every distinct prefix with at least one announcement, in trie
-    /// (depth-first address) order — the corpus the serving layer's
-    /// publish-time body cache pre-renders.
-    pub fn prefixes(&self) -> Vec<Prefix> {
-        let mut out = Vec::with_capacity(self.prefixes);
-        fn walk(node: &TrieNode, out: &mut Vec<Prefix>) {
-            if let Some(p) = node.prefix {
-                out.push(p);
-            }
-            for child in node.children.iter().flatten() {
-                walk(child, out);
-            }
-        }
-        walk(&self.root, &mut out);
-        out
     }
 }
 
-fn collect_subtree(node: &TrieNode, out: &mut BTreeSet<Announcement>) {
-    if let Some(p) = node.prefix {
-        for &(ixp, member) in &node.entries {
-            out.insert((p, ixp, member));
-        }
-    }
-    for child in node.children.iter().flatten() {
-        collect_subtree(child, out);
-    }
-}
-
-/// Inverted indexes over an [`MlpLinkSet`] and its observation stream.
+/// Inverted indexes over an [`MlpLinkSet`] and its announcement set.
 ///
 /// * **by member** — every IXP the member peers multilaterally at, with
-///   the peer set per IXP;
+///   its peers there, as one slice of a shared entry array;
 /// * **by IXP** — delegated to the link set's own sorted per-IXP maps;
-/// * **by prefix** — a [`PrefixTrie`] over the announcements of covered
-///   members.
+/// * **by prefix** — binary searches over the sorted announcements of
+///   covered members.
 #[derive(Debug, Clone, Default)]
 pub struct LinkIndex {
-    /// ASN → dense [`crate::intern::AsnId`] over the linked members.
+    /// ASN → dense [`crate::intern::AsnId`] over the linked members,
+    /// in first-seen order.
     members: AsnTable,
-    /// Indexed by the interned id: the member's peer set per IXP. The
-    /// lookup path is one u32-keyed hash probe plus a `Vec` index —
-    /// never a wide-key hash.
-    by_member: Vec<BTreeMap<IxpId, BTreeSet<Asn>>>,
-    trie: PrefixTrie,
+    /// Member `i`'s entries are `entries[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    /// Every member's `(ixp, peer)` entries; each member's slice is in
+    /// `(ixp, peer)` order.
+    entries: Vec<(IxpId, Asn)>,
+    /// The announcement set, sorted by `(prefix, ixp, member)` and
+    /// deduplicated.
+    announcements: Vec<Announcement>,
+    /// Distinct prefixes in `announcements`.
+    prefixes: usize,
     links_total: usize,
 }
 
@@ -201,80 +117,137 @@ impl LinkIndex {
         Self::build_from_announcements(links, scan::announcements(links, observations))
     }
 
-    /// Build the index from an already-filtered announcement corpus —
-    /// the durable-store recovery path, where the corpus was persisted
-    /// (it is exactly [`LinkIndex::announcements`] of the original
-    /// index) and the raw observation stream no longer exists. Feeding
+    /// Build the index from an already-filtered announcement set — the
+    /// live tick, which takes it straight from its inferencer, and the
+    /// durable-store recovery path, where the set was persisted (it is
+    /// exactly [`LinkIndex::announcements`] of the original index) and
+    /// the raw observation stream no longer exists. Feeding
     /// [`scan::announcements`] back through this constructor is
-    /// identical to [`LinkIndex::build`].
+    /// identical to [`LinkIndex::build`]. A set that arrives sorted and
+    /// deduplicated (every caller's) is kept as it is; any other is
+    /// sorted first.
     pub fn build_from_announcements(
         links: &MlpLinkSet,
         announcements: impl IntoIterator<Item = Announcement>,
     ) -> LinkIndex {
+        // Pass 1: intern both ends of every link in first-seen order,
+        // count each member's entries, and keep the ids for pass 2.
+        let links_total = links.per_ixp_total();
         let mut members = AsnTable::default();
-        let mut by_member: Vec<BTreeMap<IxpId, BTreeSet<Asn>>> = Vec::new();
-        let mut links_total = 0;
-        fn slot<'m>(
-            members: &mut AsnTable,
-            by_member: &'m mut Vec<BTreeMap<IxpId, BTreeSet<Asn>>>,
-            asn: Asn,
-        ) -> &'m mut BTreeMap<IxpId, BTreeSet<Asn>> {
-            let id = members.intern(asn);
-            if id.index() == by_member.len() {
-                by_member.push(BTreeMap::new());
-            }
-            &mut by_member[id.index()]
-        }
-        for (ixp, pairs) in &links.per_ixp {
-            links_total += pairs.len();
+        let mut degree: Vec<usize> = Vec::new();
+        let mut ids: Vec<[usize; 2]> = Vec::with_capacity(links_total);
+        for pairs in links.per_ixp.values() {
             for &(a, b) in pairs {
-                slot(&mut members, &mut by_member, a)
-                    .entry(*ixp)
-                    .or_default()
-                    .insert(b);
-                slot(&mut members, &mut by_member, b)
-                    .entry(*ixp)
-                    .or_default()
-                    .insert(a);
+                let ends = [a, b].map(|asn| {
+                    let id = members.intern(asn).index();
+                    if id == degree.len() {
+                        degree.push(0);
+                    }
+                    degree[id] += 1;
+                    id
+                });
+                ids.push(ends);
             }
         }
-        let mut trie = PrefixTrie::default();
-        for (prefix, ixp, member) in announcements {
-            trie.insert(prefix, ixp, member);
+        let mut offsets = Vec::with_capacity(degree.len() + 1);
+        offsets.push(0);
+        for d in &degree {
+            offsets.push(offsets[offsets.len() - 1] + d);
         }
+        // Pass 2: scatter. `(ixp, a < b)` order already gives each
+        // member its peers below it, then its peers above it, per IXP
+        // in IXP order — so every slice lands sorted.
+        let mut cursor = degree;
+        cursor.copy_from_slice(&offsets[..offsets.len() - 1]);
+        let mut entries = vec![(IxpId(0), Asn(0)); 2 * links_total];
+        let mut ids = ids.into_iter();
+        for (&ixp, pairs) in &links.per_ixp {
+            for (&(a, b), [ia, ib]) in pairs.iter().zip(ids.by_ref()) {
+                entries[cursor[ia]] = (ixp, b);
+                cursor[ia] += 1;
+                entries[cursor[ib]] = (ixp, a);
+                cursor[ib] += 1;
+            }
+        }
+
+        let mut announcements: Vec<Announcement> = announcements.into_iter().collect();
+        if !announcements.is_sorted_by(|x, y| x < y) {
+            announcements.sort_unstable();
+            announcements.dedup();
+        }
+        let prefixes = announcements.chunk_by(|x, y| x.0 == y.0).count();
         LinkIndex {
             members,
-            by_member,
-            trie,
+            offsets,
+            entries,
+            announcements,
+            prefixes,
             links_total,
         }
     }
 
-    /// The member's peers per IXP, or `None` if the member has no
-    /// inferred multilateral link anywhere.
-    pub fn member_links(&self, asn: Asn) -> Option<&BTreeMap<IxpId, BTreeSet<Asn>>> {
-        self.members.get(asn).map(|id| &self.by_member[id.index()])
+    /// The member's `(ixp, peer)` entries in `(ixp, peer)` order, or
+    /// `None` if the member has no inferred multilateral link anywhere.
+    pub fn member_links(&self, asn: Asn) -> Option<&[(IxpId, Asn)]> {
+        let i = self.members.get(asn)?.index();
+        Some(&self.entries[self.offsets[i]..self.offsets[i + 1]])
     }
 
-    /// Owned form of [`member_links`](LinkIndex::member_links) (empty
+    /// [`member_links`](LinkIndex::member_links) grouped per IXP (empty
     /// map when absent), shaped exactly like [`scan::member_links`].
     pub fn member_links_owned(&self, asn: Asn) -> BTreeMap<IxpId, BTreeSet<Asn>> {
-        self.member_links(asn).cloned().unwrap_or_default()
+        let mut out: BTreeMap<IxpId, BTreeSet<Asn>> = BTreeMap::new();
+        for &(ixp, peer) in self.member_links(asn).unwrap_or_default() {
+            out.entry(ixp).or_default().insert(peer);
+        }
+        out
+    }
+
+    /// The run of announcements of exactly `prefix` within `anns`.
+    fn run(anns: &[Announcement], prefix: &Prefix) -> Range<usize> {
+        let lo = anns.partition_point(|a| a.0 < *prefix);
+        lo..lo + anns[lo..].partition_point(|a| a.0 == *prefix)
+    }
+
+    /// All specificity classes of announcements matching `prefix`, as
+    /// runs of the sorted announcements.
+    pub fn prefix_runs(&self, prefix: &Prefix) -> PrefixRuns<'_> {
+        let anns = &self.announcements[..];
+        let exact = Self::run(anns, prefix);
+        // Every covering prefix sorts before `prefix`, and each one
+        // before the last: search a shrinking head.
+        let mut covering = Vec::new();
+        let mut head = exact.start;
+        let mut q = prefix.parent();
+        while let Some(p) = q {
+            if head == 0 {
+                break;
+            }
+            let r = Self::run(&anns[..head], &p);
+            if !r.is_empty() {
+                covering.push(&anns[r.clone()]);
+            }
+            head = r.start;
+            q = p.parent();
+        }
+        covering.reverse();
+        // Past `(addr, len)` of `prefix` up to its last address: only
+        // longer prefixes inside it sort there. Shorter or equal ones
+        // at the same address sort before it, so they stay out.
+        let host_bits = u32::MAX.checked_shr(u32::from(prefix.len())).unwrap_or(0);
+        let last = prefix.network_u32() | host_bits;
+        let tail = &anns[exact.end..];
+        let covered = &tail[..tail.partition_point(|a| a.0.network_u32() <= last)];
+        PrefixRuns {
+            exact: &anns[exact],
+            covering,
+            covered,
+        }
     }
 
     /// All specificity classes of announcements matching `prefix`.
     pub fn prefix_matches(&self, prefix: &Prefix) -> PrefixMatches {
-        let exact: BTreeSet<Announcement> = self
-            .trie
-            .exact(prefix)
-            .iter()
-            .map(|&(ixp, member)| (*prefix, ixp, member))
-            .collect();
-        PrefixMatches {
-            exact,
-            covering: self.trie.covering(prefix),
-            covered: self.trie.covered_by(prefix),
-        }
+        self.prefix_runs(prefix).to_matches()
     }
 
     /// Members with at least one link.
@@ -287,31 +260,54 @@ impl LinkIndex {
         self.members.asns()
     }
 
-    /// Every distinct announced prefix in the trie.
-    pub fn announced_prefixes(&self) -> Vec<Prefix> {
-        self.trie.prefixes()
+    /// Unique links across IXPs (equals
+    /// `MlpLinkSet::unique_links().len()`): each member's distinct
+    /// peers above it, summed.
+    pub fn unique_link_count(&self) -> usize {
+        let mut peers = Vec::new();
+        let mut count = 0;
+        for (i, &asn) in self.members().iter().enumerate() {
+            let slice = &self.entries[self.offsets[i]..self.offsets[i + 1]];
+            if slice.first().map(|e| e.0) == slice.last().map(|e| e.0) {
+                // One IXP: the peers are distinct and ascending.
+                count += slice.len() - slice.partition_point(|e| e.1 < asn);
+            } else {
+                peers.clear();
+                peers.extend(slice.iter().map(|e| e.1).filter(|&p| p > asn));
+                peers.sort_unstable();
+                peers.dedup();
+                count += peers.len();
+            }
+        }
+        count
     }
 
-    /// The full announcement corpus the trie holds, reconstructed as
-    /// the sorted set it was built from. This is what the durable
-    /// store persists per epoch: round-tripping it through
-    /// [`LinkIndex::build_from_announcements`] reproduces the trie
+    /// Every distinct announced prefix, in `(addr, len)` order — the
+    /// set the serving layer's publish-time body cache pre-renders.
+    pub fn announced_prefixes(&self) -> Vec<Prefix> {
+        self.announcements
+            .chunk_by(|x, y| x.0 == y.0)
+            .map(|run| run[0].0)
+            .collect()
+    }
+
+    /// The announcement set, sorted and deduplicated. This is what the
+    /// durable store persists per epoch: round-tripping it through
+    /// [`LinkIndex::build_from_announcements`] reproduces the index
     /// exactly, so recovered snapshots answer prefix queries (and hash
     /// to content ETags) byte-identically.
-    pub fn announcements(&self) -> BTreeSet<Announcement> {
-        let mut out = BTreeSet::new();
-        collect_subtree(&self.trie.root, &mut out);
-        out
+    pub fn announcements(&self) -> &[Announcement] {
+        &self.announcements
     }
 
-    /// Distinct announced prefixes in the trie.
+    /// Distinct announced prefixes.
     pub fn prefix_count(&self) -> usize {
-        self.trie.prefix_count()
+        self.prefixes
     }
 
-    /// Announcements in the trie.
+    /// Announcements in the index.
     pub fn announcement_count(&self) -> usize {
-        self.trie.announcement_count()
+        self.announcements.len()
     }
 
     /// Per-IXP link total (equals `MlpLinkSet::per_ixp_total`).
@@ -341,13 +337,10 @@ pub mod scan {
         out
     }
 
-    /// O(total observations): the deduplicated announcement set of
-    /// covered members — the corpus the trie is built from.
-    pub fn announcements(
-        links: &MlpLinkSet,
-        observations: &[Observation],
-    ) -> BTreeSet<Announcement> {
-        observations
+    /// O(total observations): the announcement set of covered members,
+    /// sorted and deduplicated — the set the index is built from.
+    pub fn announcements(links: &MlpLinkSet, observations: &[Observation]) -> Vec<Announcement> {
+        let mut out: Vec<Announcement> = observations
             .iter()
             .filter(|o| {
                 links
@@ -356,7 +349,10 @@ pub mod scan {
                     .is_some_and(|c| c.contains(&o.member))
             })
             .map(|o| (o.prefix, o.ixp, o.member))
-            .collect()
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// O(total observations): prefix matches by full scan with
@@ -399,7 +395,7 @@ mod tests {
     }
 
     /// Two IXPs, four members, one EXCLUDE, plus an observation for a
-    /// member connectivity cannot place (must not enter the trie).
+    /// member connectivity cannot place (must not enter the index).
     fn fixture() -> (MlpLinkSet, Vec<Observation>) {
         let mut conn = ConnectivityData::default();
         for m in [1u32, 2, 3, 4] {
@@ -438,7 +434,9 @@ mod tests {
             assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "AS{asn} bytes");
         }
         // The fixture actually links members at both IXPs.
-        assert!(index.member_links(Asn(1)).is_some_and(|m| m.len() == 2));
+        assert!(index
+            .member_links(Asn(1))
+            .is_some_and(|m| m.chunk_by(|x, y| x.0 == y.0).count() == 2));
     }
 
     #[test]
@@ -513,27 +511,103 @@ mod tests {
     }
 
     #[test]
-    fn slash32_and_default_round_trip_through_the_trie() {
-        let mut trie = PrefixTrie::default();
+    fn slash32_and_default_round_trip_through_the_index() {
         let host: Prefix = "203.0.113.37/32".parse().unwrap();
         let all: Prefix = "0.0.0.0/0".parse().unwrap();
-        trie.insert(host, IxpId(0), Asn(7));
-        trie.insert(all, IxpId(1), Asn(8));
-        assert_eq!(trie.exact(&host), &[(IxpId(0), Asn(7))]);
-        assert_eq!(trie.exact(&all), &[(IxpId(1), Asn(8))]);
+        // Handed over unsorted: the constructor sorts.
+        let index = LinkIndex::build_from_announcements(
+            &MlpLinkSet::default(),
+            [(host, IxpId(0), Asn(7)), (all, IxpId(1), Asn(8))],
+        );
+        assert_eq!(
+            index.announcements(),
+            [(all, IxpId(1), Asn(8)), (host, IxpId(0), Asn(7))]
+        );
+        let at_host = index.prefix_matches(&host);
+        assert_eq!(at_host.exact, [(host, IxpId(0), Asn(7))].into());
         // /32 has 32 covering hops ending at /0.
-        assert_eq!(
-            trie.covering(&host),
-            [(all, IxpId(1), Asn(8))].into_iter().collect()
-        );
+        assert_eq!(at_host.covering, [(all, IxpId(1), Asn(8))].into());
+        assert!(at_host.covered.is_empty());
         // /0 covers the /32 and nothing covers /0.
+        let at_all = index.prefix_matches(&all);
+        assert_eq!(at_all.exact, [(all, IxpId(1), Asn(8))].into());
+        assert_eq!(at_all.covered, [(host, IxpId(0), Asn(7))].into());
+        assert!(at_all.covering.is_empty());
+        assert_eq!(index.prefix_count(), 2);
+        assert_eq!(index.announcement_count(), 2);
+        assert_eq!(index.announced_prefixes(), [all, host]);
+    }
+
+    /// The range scan behind covered lookups must keep a shorter (or
+    /// equal) prefix at the queried address out: `10.0.0.0/8` answers
+    /// a `10.0.0.0/16` query as covering, never as covered. Checked
+    /// against the scan at every length of each address, with the /0
+    /// and /32 extremes at both ends of the address space.
+    #[test]
+    fn same_address_and_extreme_prefixes_match_scan_at_every_length() {
+        let mut conn = ConnectivityData::default();
+        for m in 1u32..=4 {
+            conn.record(IxpId(0), Asn(m), ConnSource::LookingGlass);
+        }
+        let all = || vec![RsAction::All];
+        let observations = vec![
+            obs(0, 1, "10.0.0.0/8", all()),
+            obs(0, 2, "10.0.0.0/16", all()),
+            obs(0, 3, "10.0.0.0/24", all()),
+            obs(0, 4, "10.0.0.0/24", all()),
+            obs(0, 4, "10.0.0.0/32", all()),
+            obs(0, 1, "10.0.0.1/32", all()),
+            obs(0, 2, "10.255.255.255/32", all()),
+            obs(0, 1, "0.0.0.0/0", all()),
+            obs(0, 3, "0.0.0.0/32", all()),
+            obs(0, 2, "203.0.113.37/32", all()),
+            obs(0, 3, "255.255.255.255/32", all()),
+            obs(0, 4, "255.0.0.0/8", all()),
+        ];
+        let links = infer_links(&conn, &observations);
+        let index = LinkIndex::build(&links, &observations);
+        for addr in [
+            "10.0.0.0",
+            "10.0.0.1",
+            "10.255.255.255",
+            "0.0.0.0",
+            "203.0.113.37",
+            "255.255.255.255",
+        ] {
+            for len in 0..=32 {
+                let p = Prefix::new(addr.parse().unwrap(), len).unwrap();
+                let fast = index.prefix_matches(&p);
+                let slow = scan::prefix_matches(&links, &observations, &p);
+                assert_eq!(fast, slow, "{p}");
+                assert_eq!(index.prefix_runs(&p).total(), slow.total(), "{p}");
+            }
+        }
+        let p = |s: &str| -> Prefix { s.parse().unwrap() };
+        let m = index.prefix_matches(&p("10.0.0.0/16"));
+        assert_eq!(m.exact, [(p("10.0.0.0/16"), IxpId(0), Asn(2))].into());
         assert_eq!(
-            trie.covered_by(&all),
-            [(host, IxpId(0), Asn(7))].into_iter().collect()
+            m.covering,
+            [
+                (p("0.0.0.0/0"), IxpId(0), Asn(1)),
+                (p("10.0.0.0/8"), IxpId(0), Asn(1)),
+            ]
+            .into()
         );
-        assert!(trie.covering(&all).is_empty());
-        assert_eq!(trie.prefix_count(), 2);
-        assert_eq!(trie.announcement_count(), 2);
+        assert_eq!(
+            m.covered,
+            [
+                (p("10.0.0.0/24"), IxpId(0), Asn(3)),
+                (p("10.0.0.0/24"), IxpId(0), Asn(4)),
+                (p("10.0.0.0/32"), IxpId(0), Asn(4)),
+                (p("10.0.0.1/32"), IxpId(0), Asn(1)),
+            ]
+            .into()
+        );
+        // A /32 at the top of the space: nothing past its last address.
+        let top = index.prefix_matches(&p("255.255.255.255/32"));
+        assert_eq!(top.exact.len(), 1);
+        assert!(top.covered.is_empty());
+        assert_eq!(top.covering.len(), 2, "255/8 and the default route");
     }
 
     #[test]
@@ -561,6 +635,18 @@ mod tests {
                 index.member_links_owned(Asn(asn))
             );
         }
+    }
+
+    /// The unique-link count dedups a link inferred at two IXPs (AS1–
+    /// AS2 is at both in the fixture) and counts each link once.
+    #[test]
+    fn unique_link_count_matches_the_link_set() {
+        let (links, observations) = fixture();
+        let index = LinkIndex::build(&links, &observations);
+        assert!(links.per_ixp_total() > links.unique_links().len());
+        assert_eq!(index.unique_link_count(), links.unique_links().len());
+        let empty = LinkIndex::build(&MlpLinkSet::default(), &[]);
+        assert_eq!(empty.unique_link_count(), 0);
     }
 
     #[test]

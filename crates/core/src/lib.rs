@@ -64,7 +64,7 @@ pub mod validate;
 
 pub use connectivity::{ConnSource, ConnectivityData};
 pub use dict::CommunityDictionary;
-pub use index::{LinkIndex, PrefixMatches, PrefixTrie};
+pub use index::{LinkIndex, PrefixMatches, PrefixRuns};
 pub use infer::{infer_links, LinkInferencer, MlpLinkSet, Observation, ObservationSource};
 pub use intern::{AsnId, AsnTable, MemberId, MemberTable, PrefixId, PrefixTable};
 pub use live::{decode_message, full_harvest, LinkDelta, LiveEvent, LiveInferencer};

@@ -40,6 +40,7 @@ use mlpeer_ixp::Ecosystem;
 
 use crate::connectivity::{ConnSource, ConnectivityData};
 use crate::hash::FxHashMap;
+use crate::index::Announcement;
 use crate::infer::{MlpLinkSet, Observation, ObservationSource};
 use crate::sink::ObservationSink;
 
@@ -331,6 +332,28 @@ impl LiveInferencer {
             }
         }
         out
+    }
+
+    /// The announcement set of the current state, sorted and
+    /// deduplicated: exactly [`crate::index::scan::announcements`] over
+    /// [`current`](LiveInferencer::current) and
+    /// [`observations`](LiveInferencer::observations), without
+    /// materializing either. Every `(ixp, member)` with reach data is
+    /// covered (an announce covers its member, and losing the last
+    /// prefix uncovers it), so no filter is needed.
+    pub fn announcements(&self) -> Vec<Announcement> {
+        let mut out: Vec<Announcement> = Vec::with_capacity(self.observation_count());
+        for (&(ixp, member), prefixes) in &self.reach {
+            out.extend(prefixes.keys().map(|&prefix| (prefix, ixp, member)));
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// How many observations [`observations`](LiveInferencer::observations)
+    /// would materialize: one per `(ixp, member, prefix)`.
+    pub fn observation_count(&self) -> usize {
+        self.reach.values().map(BTreeMap::len).sum()
     }
 
     /// Apply one event; returns the links that appeared/disappeared.

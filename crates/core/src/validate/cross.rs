@@ -892,11 +892,11 @@ impl CorpusFold {
         fold
     }
 
-    /// Score `links` with the announcement set `observations` support:
-    /// for the fold of `validate_harvest`'s corpus, its report.
-    pub fn report(&self, links: &MlpLinkSet, observations: &[Observation]) -> ValidationReport {
-        let announcements = crate::index::scan::announcements(links, observations);
-        self.score(links, &announcements, |_| {})
+    /// Score `links` with their announcement set (sorted and
+    /// deduplicated, as [`crate::index::scan::announcements`] gives
+    /// it): for the fold of `validate_harvest`'s corpus, its report.
+    pub fn report(&self, links: &MlpLinkSet, announcements: &[Announcement]) -> ValidationReport {
+        self.score(links, announcements, |_| {})
     }
 
     /// The line bits `from`'s aut-num holds toward `to`.
@@ -917,7 +917,7 @@ impl CorpusFold {
     fn score(
         &self,
         links: &MlpLinkSet,
-        announcements: &BTreeSet<Announcement>,
+        announcements: &[Announcement],
         mut each: impl FnMut(LinkVerdict),
     ) -> ValidationReport {
         // ---- Origin coverage per (IXP, member), one announcement scan. ----
@@ -1028,7 +1028,7 @@ impl CorpusFold {
 pub fn score_links(
     corpus: &ParsedCorpus,
     links: &MlpLinkSet,
-    announcements: &BTreeSet<Announcement>,
+    announcements: &[Announcement],
 ) -> (ValidationReport, Vec<LinkVerdict>) {
     let mut verdicts = Vec::new();
     let report = CorpusFold::of(corpus).score(links, announcements, |v| verdicts.push(v));

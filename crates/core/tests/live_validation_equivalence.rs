@@ -3,11 +3,14 @@
 //! builds from the churned ecosystem equals the fold of
 //! `parse_corpus(derive_corpus(..))`, and its report equals
 //! [`validate_harvest`] over the ecosystem, the inferencer's links and
-//! its observations.
+//! its observations. The report reads the inferencer's own
+//! announcement set, so each check also asserts that set equals the
+//! scan of its observations, and that its observation count is theirs.
 //!
 //! The loop is the live tick's: each event is drawn and applied, and
 //! its BGP messages are decoded into the [`LiveInferencer`].
 
+use mlpeer::index::scan;
 use mlpeer::live::{decode_message, LiveInferencer};
 use mlpeer::validate::cross::{
     derive_corpus, parse_corpus, validate_harvest, CorpusConfig, CorpusFold,
@@ -55,13 +58,24 @@ fn check(eco: &Ecosystem, li: &LiveInferencer, cfg: &CorpusConfig, when: &str) {
         "{when}: the derived fold diverged from the parsed corpus's fold"
     );
     let observations = li.observations();
+    let announcements = li.announcements();
+    assert_eq!(
+        announcements,
+        scan::announcements(li.current(), &observations),
+        "{when}: the inferencer's announcement set diverged from the scan"
+    );
+    assert_eq!(
+        li.observation_count(),
+        observations.len(),
+        "{when}: the observation count diverged from the observations"
+    );
     let expected = validate_harvest(eco, li.current(), &observations, cfg);
     assert!(
         !expected.corpus.degraded(),
         "{when}: the derived corpus parses clean"
     );
     assert_eq!(
-        fold.report(li.current(), &observations),
+        fold.report(li.current(), &announcements),
         expected,
         "{when}: the live report diverged from validate_harvest"
     );

@@ -150,16 +150,22 @@ fn bench_at(c: &mut Criterion, scale: Scale, seed: u64) -> serde_json::Value {
         .step_by(7.max(members.len() / 64))
         .copied()
         .collect();
+    // Both sides count the member's `(ixp, peer)` entries.
     let member_fast = || {
         sample_members
             .iter()
-            .map(|&m| index.member_links(m).map(|x| x.len()).unwrap_or(0))
+            .map(|&m| index.member_links(m).map_or(0, <[_]>::len))
             .sum::<usize>()
     };
     let member_slow = || {
         sample_members
             .iter()
-            .map(|&m| scan::member_links(&links, m).len())
+            .map(|&m| {
+                scan::member_links(&links, m)
+                    .values()
+                    .map(BTreeSet::len)
+                    .sum::<usize>()
+            })
             .sum::<usize>()
     };
     let (member_fast_ns, member_slow_ns) =

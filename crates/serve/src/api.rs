@@ -483,19 +483,18 @@ pub(crate) fn render_ixp_links(snap: &Snapshot, ixp: IxpId) -> Vec<u8> {
 /// Render one `/v1/member/{asn}` body; `None` when the member has no
 /// inferred link anywhere (the 404 case).
 pub(crate) fn render_member(snap: &Snapshot, asn: Asn) -> Option<Vec<u8>> {
-    let per_ixp = snap.index.member_links(asn)?;
-    let mut unique = BTreeSet::new();
+    let entries = snap.index.member_links(asn)?;
     let mut w = JsonWriter::with_capacity(1024);
     w.begin_object();
     w.key("asn").u64(asn.value().into());
     w.key("ixps").begin_array();
-    for (&ixp, peers) in per_ixp {
-        unique.extend(peers.iter().copied());
+    for group in entries.chunk_by(|x, y| x.0 == y.0) {
+        let ixp = group[0].0;
         w.begin_object();
         w.key("ixp").u64(ixp.0.into());
         w.key("name").str(snap.name(ixp));
         w.key("peers").begin_array();
-        for peer in peers {
+        for &(_, peer) in group {
             w.u64(peer.value().into());
         }
         w.end_array();
@@ -504,6 +503,9 @@ pub(crate) fn render_member(snap: &Snapshot, asn: Asn) -> Option<Vec<u8>> {
         w.end_object();
     }
     w.end_array();
+    let mut unique: Vec<Asn> = entries.iter().map(|&(_, peer)| peer).collect();
+    unique.sort_unstable();
+    unique.dedup();
     w.key("unique_peers").u64(unique.len() as u64);
     w.end_object();
     Some(w.finish())
@@ -511,29 +513,30 @@ pub(crate) fn render_member(snap: &Snapshot, asn: Asn) -> Option<Vec<u8>> {
 
 /// Render one `/v1/prefix/{p}` body.
 pub(crate) fn render_prefix(snap: &Snapshot, p: &Prefix) -> Vec<u8> {
-    let m = snap.index.prefix_matches(p);
-    let announcements = |w: &mut JsonWriter, set: &BTreeSet<Announcement>| {
+    let m = snap.index.prefix_runs(p);
+    let announcements = |w: &mut JsonWriter, runs: &[&[Announcement]]| {
         w.begin_array();
-        for &(pfx, ixp, member) in set {
+        for &(pfx, ixp, member) in runs.iter().copied().flatten() {
             w.begin_object();
             w.key("ixp").u64(ixp.0.into());
             w.key("member").u64(member.value().into());
             w.key("name").str(snap.name(ixp));
-            w.key("prefix").display(pfx);
+            w.key("prefix").cidr(pfx);
             w.end_object();
         }
         w.end_array();
     };
-    let mut w = JsonWriter::with_capacity(128 * m.total() + 128);
+    let total = m.total();
+    let mut w = JsonWriter::with_capacity(128 * total + 128);
     w.begin_object();
     w.key("covered");
-    announcements(&mut w, &m.covered);
+    announcements(&mut w, &[m.covered]);
     w.key("covering");
     announcements(&mut w, &m.covering);
     w.key("exact");
-    announcements(&mut w, &m.exact);
-    w.key("prefix").display(p);
-    w.key("total").u64(m.total() as u64);
+    announcements(&mut w, &[m.exact]);
+    w.key("prefix").cidr(*p);
+    w.key("total").u64(total as u64);
     w.end_object();
     w.finish()
 }

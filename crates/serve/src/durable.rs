@@ -7,10 +7,10 @@
 //!
 //! * **persist** — a serving [`Snapshot`] down to the deterministic
 //!   [`PersistedSnapshot`] parts the log appends. The announcement
-//!   corpus comes straight out of the snapshot's own `LinkIndex`
-//!   (`announcements()` reconstructs exactly the set the trie was
-//!   built from), so persistence needs no access to the raw
-//!   observation stream and adds no fields to `Snapshot`.
+//!   set comes straight out of the snapshot's own `LinkIndex`
+//!   (`announcements()` is the sorted set the index was built from), so
+//!   persistence needs no access to the raw observation stream and adds
+//!   no fields to `Snapshot`.
 //! * **revive** — a decoded record back up to a full `Snapshot` via
 //!   [`Snapshot::from_parts`] (index, body cache, and content ETag all
 //!   rebuilt). The stored ETag is re-verified against the rebuilt one;
@@ -133,7 +133,7 @@ fn persist(snap: &Snapshot) -> PersistedSnapshot {
         etag: snap.etag.clone(),
         names: snap.names.clone(),
         links: snap.links.clone(),
-        announcements: snap.index.announcements().into_iter().collect(),
+        announcements: snap.index.announcements().to_vec(),
         observation_count: snap.observation_count as u64,
         passive_stats: snap.passive_stats.clone(),
         validation: snap.validation.clone(),
@@ -152,7 +152,7 @@ fn revive(epoch: u64, persisted: PersistedSnapshot) -> Option<Snapshot> {
         seed: persisted.seed,
         names: persisted.names,
         links: persisted.links,
-        announcements: persisted.announcements.into_iter().collect(),
+        announcements: persisted.announcements,
         observation_count: persisted.observation_count as usize,
         passive_stats: persisted.passive_stats,
         validation: persisted.validation,

@@ -11,9 +11,16 @@
 //! set actually moved** — scored against the registry fold derived
 //! straight from the churned ecosystem ([`CorpusFold::derive`]), via
 //! [`SnapshotStore::publish_with_delta`], so `/v1/changes` can answer
-//! the diff. A tick whose net delta is empty publishes nothing: the
-//! epoch *and* the content ETag stay stable, and conditional GETs keep
-//! revalidating for free.
+//! the diff. The validation report, the index and the ETag all read
+//! one announcement set, taken straight from the inferencer. A tick
+//! whose net delta is empty publishes nothing: the epoch *and* the
+//! content ETag stay stable, and conditional GETs keep revalidating
+//! for free.
+//!
+//! A tick that panics part-way leaves the ecosystem ahead of the
+//! inferencer and loses its delta; the next tick rebuilds the
+//! inferencer from the ecosystem first and publishes the difference
+//! from what is served, so `/v1/*` and `/v1/changes` stay exact.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,7 +34,7 @@ use mlpeer::validate::cross::{CorpusConfig, CorpusFold};
 use mlpeer_data::churn::{event_messages, ChurnConfig, ChurnGen};
 use mlpeer_ixp::{Ecosystem, IxpId};
 
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, SnapshotParts};
 use crate::store::SnapshotStore;
 
 /// Knobs of the live loop.
@@ -115,19 +122,41 @@ impl Supervisor {
 /// `/v1/changes` delta composes against exactly what `/v1/*` serves.
 pub fn bootstrap(eco: &Ecosystem, scale: &str, seed: u64) -> (LiveInferencer, Snapshot) {
     let li = LiveInferencer::from_ecosystem(eco);
-    let observations = li.observations();
-    let validation =
-        CorpusFold::derive(eco, &CorpusConfig::seeded(seed)).report(li.current(), &observations);
-    let snapshot = Snapshot::build_validated(
-        scale,
+    let parts = live_parts(
+        eco,
+        &li,
+        &CorpusConfig::seeded(seed),
+        scale.to_string(),
         seed,
         Snapshot::names_of(eco),
-        li.current().clone(),
-        &observations,
-        PassiveStats::default(),
-        validation,
     );
-    (li, snapshot)
+    (li, Snapshot::from_parts(parts))
+}
+
+/// The snapshot parts of `li`'s current state, scored against the
+/// registry fold of `eco`: one announcement set feeds the report, the
+/// index and the ETag.
+fn live_parts(
+    eco: &Ecosystem,
+    li: &LiveInferencer,
+    corpus: &CorpusConfig,
+    scale: String,
+    seed: u64,
+    names: BTreeMap<IxpId, String>,
+) -> SnapshotParts {
+    let announcements = li.announcements();
+    let validation = CorpusFold::derive(eco, corpus).report(li.current(), &announcements);
+    SnapshotParts {
+        epoch: 0,
+        scale,
+        seed,
+        names,
+        links: li.current().clone(),
+        announcements,
+        observation_count: li.observation_count(),
+        passive_stats: PassiveStats::default(),
+        validation,
+    }
 }
 
 /// What the live loop carries from tick to tick: the churned ecosystem,
@@ -140,6 +169,10 @@ pub struct LiveLoop {
     clock: u64,
     names: BTreeMap<IxpId, String>,
     cfg: LiveConfig,
+    /// Set while a tick runs. Still set when the next tick starts, it
+    /// means that tick panicked part-way: the ecosystem may be ahead of
+    /// the inferencer, and the tick's delta never reached the store.
+    in_tick: bool,
 }
 
 impl LiveLoop {
@@ -154,20 +187,70 @@ impl LiveLoop {
             inferencer,
             clock: 0,
             cfg,
+            in_tick: false,
         }
+    }
+
+    /// The churned ecosystem the loop keeps the inferencer in step with.
+    pub fn ecosystem(&self) -> &Ecosystem {
+        &self.eco
     }
 
     /// One tick: draw each event, apply it, render it as BGP messages
     /// and decode them into the inferencer. Then, only if anything
     /// moved, score the links against the registry fold of the churned
-    /// ecosystem and publish. Returns the published epoch.
+    /// ecosystem and publish. Returns the published epoch. After a tick
+    /// that panicked, the inferencer is first rebuilt from the
+    /// ecosystem (see [`resync`](LiveLoop::resync)).
     pub fn tick(&mut self, store: &SnapshotStore, stats: &LiveStats) -> Option<u64> {
         failpoints::failpoint!("serve::live_tick");
+        if std::mem::replace(&mut self.in_tick, true) {
+            self.resync(store, stats);
+        }
+        let published = self.churn_and_publish(store, stats);
+        self.in_tick = false;
+        published
+    }
+
+    /// Rebuild the inferencer from the ecosystem, and publish the link
+    /// delta from the served snapshot to the rebuilt state if its links
+    /// or announcements differ — the repair after a tick that panicked
+    /// between applying churn and decoding it (or before its publish).
+    fn resync(&mut self, store: &SnapshotStore, stats: &LiveStats) {
+        self.inferencer = LiveInferencer::from_ecosystem(&self.eco);
+        let served = store.load();
+        if served.links == *self.inferencer.current()
+            && served.index.announcements() == self.inferencer.announcements()
+        {
+            return;
+        }
+        let delta = LinkDelta::between(&served.links, self.inferencer.current());
+        drop(served);
+        let snapshot = Snapshot::assemble(self.parts());
+        store.publish_with_delta(snapshot, delta);
+        stats.published.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The parts of the current live state, ready to assemble.
+    fn parts(&self) -> SnapshotParts {
+        live_parts(
+            &self.eco,
+            &self.inferencer,
+            &self.corpus,
+            self.cfg.scale.clone(),
+            self.cfg.seed,
+            self.names.clone(),
+        )
+    }
+
+    /// The tick proper: churn, decode, and publish if anything moved.
+    fn churn_and_publish(&mut self, store: &SnapshotStore, stats: &LiveStats) -> Option<u64> {
         let version_before = self.inferencer.state_version();
         let mut delta = LinkDelta::default();
         for _ in 0..self.cfg.events_per_tick {
             let event = self.churn.next_event(&self.eco);
             self.eco.apply_churn(&event);
+            failpoints::failpoint!("serve::live_decode");
             let ixp = event.ixp();
             let scheme = &self.eco.ixp(ixp).scheme;
             for msg in event_messages(&self.eco, &event, self.clock) {
@@ -192,18 +275,7 @@ impl LiveLoop {
         // Uncached build: a tick that moved a handful of links must not
         // pay an O(announcement-corpus) body pre-render — live-mode
         // GETs render on demand, batch publishes keep the cache.
-        let observations = self.inferencer.observations();
-        let validation = CorpusFold::derive(&self.eco, &self.corpus)
-            .report(self.inferencer.current(), &observations);
-        let snapshot = Snapshot::build_uncached_validated(
-            &self.cfg.scale,
-            self.cfg.seed,
-            self.names.clone(),
-            self.inferencer.current().clone(),
-            &observations,
-            PassiveStats::default(),
-            validation,
-        );
+        let snapshot = Snapshot::assemble(self.parts());
         let epoch = store.publish_with_delta(snapshot, delta);
         stats.published.fetch_add(1, Ordering::Relaxed);
         Some(epoch)

@@ -14,7 +14,7 @@
 //! process restarts, so HTTP caches and `If-None-Match` revalidation
 //! survive refreshes that change nothing.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::Hasher;
 
 use mlpeer::hash::FxHasher;
@@ -23,7 +23,6 @@ use mlpeer::infer::{MlpLinkSet, Observation};
 use mlpeer::passive::PassiveStats;
 use mlpeer::pipeline::{self, PipelineRun, Scale};
 use mlpeer::validate::cross::{validate_harvest, CorpusConfig, ValidationReport};
-use mlpeer_bgp::Asn;
 use mlpeer_ixp::ixp::IxpId;
 use mlpeer_ixp::Ecosystem;
 
@@ -50,11 +49,11 @@ pub struct Snapshot {
     pub index: LinkIndex,
     /// Observations the run folded (passive + active).
     pub observation_count: usize,
-    /// Unique links across IXPs, precomputed once (the full
-    /// `unique_links()` collect is O(total links) — too hot to redo
-    /// per request).
+    /// Unique links across IXPs, counted once from the index (the
+    /// full `unique_links()` collect is O(total links) — too hot to
+    /// redo per request).
     pub unique_link_count: usize,
-    /// Distinct ASNs involved in any link, precomputed likewise.
+    /// Distinct ASNs involved in any link: the index's member count.
     pub distinct_asn_count: usize,
     /// Passive-pipeline statistics of the producing harvest.
     pub passive_stats: PassiveStats,
@@ -145,10 +144,11 @@ impl Snapshot {
         snapshot
     }
 
-    /// The one assembly behind every constructor: the ETag and the
-    /// index from one announcement corpus, the link counts, and an
-    /// empty body cache.
-    fn assemble(parts: SnapshotParts) -> Snapshot {
+    /// The one assembly behind every constructor: the index and the
+    /// ETag from one announcement set, the link counts, and an empty
+    /// body cache. The live tick calls it directly with the set its
+    /// inferencer holds, so no observation list is built or scanned.
+    pub(crate) fn assemble(parts: SnapshotParts) -> Snapshot {
         let SnapshotParts {
             epoch,
             scale,
@@ -160,14 +160,8 @@ impl Snapshot {
             passive_stats,
             validation,
         } = parts;
-        let etag = etag_of(&links, &announcements);
         let index = LinkIndex::build_from_announcements(&links, announcements);
-        let unique = links.unique_links();
-        let distinct_asn_count = unique
-            .iter()
-            .flat_map(|&(a, b)| [a, b])
-            .collect::<BTreeSet<Asn>>()
-            .len();
+        let etag = etag_of(&links, index.announcements());
         Snapshot {
             epoch,
             etag,
@@ -175,10 +169,10 @@ impl Snapshot {
             seed,
             names,
             links,
+            unique_link_count: index.unique_link_count(),
+            distinct_asn_count: index.member_count(),
             index,
             observation_count,
-            unique_link_count: unique.len(),
-            distinct_asn_count,
             passive_stats,
             validation,
             cache: crate::cache::BodyCache::default(),
@@ -265,9 +259,10 @@ pub struct SnapshotParts {
     pub names: BTreeMap<IxpId, String>,
     /// The inferred link set.
     pub links: MlpLinkSet,
-    /// The deduplicated covered-member announcement corpus — exactly
-    /// [`LinkIndex::announcements`] of the original snapshot's index.
-    pub announcements: BTreeSet<Announcement>,
+    /// The covered-member announcement set — exactly
+    /// [`LinkIndex::announcements`] of the original snapshot's index
+    /// (sorted and deduplicated; any other order is sorted on build).
+    pub announcements: Vec<Announcement>,
     /// Observations the producing run folded.
     pub observation_count: usize,
     /// Passive-pipeline statistics of the producing harvest.
@@ -290,7 +285,7 @@ pub struct SnapshotParts {
 /// writer hands its whole 8-byte words to the hasher, which gives the
 /// hash of the document in one piece because `FxHasher::write` pads
 /// only the last partial word of each call.
-fn etag_of(links: &MlpLinkSet, announcements: &BTreeSet<Announcement>) -> String {
+fn etag_of(links: &MlpLinkSet, announcements: &[Announcement]) -> String {
     let mut h = FxHasher::default();
     let mut w = JsonWriter::with_capacity(ETAG_FLUSH + 1024);
     let mut flush = |w: &mut JsonWriter| {
@@ -336,7 +331,7 @@ fn etag_of(links: &MlpLinkSet, announcements: &BTreeSet<Announcement>) -> String
     w.begin_array();
     for &(prefix, ixp, asn) in announcements {
         w.begin_array();
-        w.display(prefix).u64(ixp.0.into()).u64(asn.value().into());
+        w.cidr(prefix).u64(ixp.0.into()).u64(asn.value().into());
         w.end_array();
         flush(&mut w);
     }
@@ -416,7 +411,7 @@ mod tests {
             seed: original.seed,
             names: original.names.clone(),
             links: original.links.clone(),
-            announcements: original.index.announcements(),
+            announcements: original.index.announcements().to_vec(),
             observation_count: original.observation_count,
             passive_stats: original.passive_stats.clone(),
             validation: original.validation.clone(),

@@ -12,9 +12,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use mlpeer::infer::MlpLinkSet;
-use mlpeer::live::LinkDelta;
+use mlpeer::index::scan;
+use mlpeer::infer::{infer_links, MlpLinkSet};
+use mlpeer::live::{full_harvest, LinkDelta};
 use mlpeer::passive::PassiveStats;
+use mlpeer::report::to_json;
 use mlpeer::validate::cross::ValidationReport;
 use mlpeer_bench::Scale;
 use mlpeer_bgp::Asn;
@@ -22,7 +24,8 @@ use mlpeer_data::churn::ChurnConfig;
 use mlpeer_dist::{default_worker_cmd, DistConfig, DistStats};
 use mlpeer_ixp::{Ecosystem, EcosystemConfig, IxpId};
 use mlpeer_serve::{
-    bootstrap, spawn_live_refresher, DurableStore, LiveConfig, LiveStats, Snapshot, SnapshotStore,
+    bootstrap, spawn_live_refresher, DurableStore, LiveConfig, LiveLoop, LiveStats, SinceAnswer,
+    Snapshot, SnapshotStore,
 };
 
 /// One registry, one test at a time. A poisoned guard (a failed test)
@@ -444,6 +447,87 @@ fn refresher_panic_restarts_with_backoff_and_recovers() {
     });
     shutdown.store(true, Ordering::Relaxed);
     refresher.join().unwrap();
+}
+
+/// A tick that panics between applying a churn event and decoding it
+/// leaves the ecosystem ahead of the inferencer. The next tick rebuilds
+/// the inferencer from the ecosystem and publishes the difference, so
+/// the served links and announcements equal a from-scratch inference
+/// over the loop's ecosystem, and the change chain from epoch 0 still
+/// composes to the served links.
+#[test]
+fn panicking_decode_resyncs_the_inferencer_and_the_change_chain() {
+    let _guard = chaos_guard();
+    let eco = Ecosystem::generate(EcosystemConfig::tiny(77));
+    let (inferencer, snapshot) = bootstrap(&eco, "tiny", 77);
+    let triples = |links: &MlpLinkSet| -> std::collections::BTreeSet<(IxpId, Asn, Asn)> {
+        links
+            .per_ixp
+            .iter()
+            .flat_map(|(ixp, s)| s.iter().map(move |&(a, b)| (*ixp, a, b)))
+            .collect()
+    };
+    let initial = triples(&snapshot.links);
+    let store = SnapshotStore::new(snapshot);
+    let stats = LiveStats::default();
+    let mut live = LiveLoop::new(
+        eco,
+        inferencer,
+        LiveConfig {
+            interval: Duration::from_millis(10),
+            events_per_tick: 25,
+            churn: ChurnConfig {
+                seed: 3,
+                ..ChurnConfig::default()
+            },
+            scale: "tiny".into(),
+            seed: 77,
+        },
+    );
+    live.tick(&store, &stats);
+
+    failpoints::cfg("serve::live_decode", "panic(chaos decode)").unwrap();
+    for _ in 0..5 {
+        let tick =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| live.tick(&store, &stats)));
+        assert!(tick.is_err(), "the decode failpoint panics the tick");
+    }
+    assert_eq!(failpoints::hits("serve::live_decode"), 5);
+    failpoints::remove("serve::live_decode");
+    for _ in 0..3 {
+        live.tick(&store, &stats);
+    }
+
+    let served = store.load();
+    let (conn, observations) = full_harvest(live.ecosystem());
+    let scratch = infer_links(&conn, &observations);
+    assert_eq!(
+        to_json(&served.links),
+        to_json(&scratch),
+        "served links must equal a from-scratch inference over the churned ecosystem"
+    );
+    assert_eq!(
+        served.index.announcements(),
+        scan::announcements(&scratch, &observations),
+        "served announcements must equal the from-scratch harvest's"
+    );
+    match store.changes().since(0, served.epoch) {
+        SinceAnswer::Delta { added, removed } => {
+            let mut composed = initial;
+            for l in &removed {
+                assert!(composed.remove(l), "removed link {l:?} was never present");
+            }
+            for l in &added {
+                assert!(composed.insert(*l), "added link {l:?} already present");
+            }
+            assert_eq!(
+                composed,
+                triples(&served.links),
+                "the change chain must compose to the served links"
+            );
+        }
+        SinceAnswer::Truncated { .. } => panic!("the ring covers every epoch of a short run"),
+    }
 }
 
 /// Worker spawn failures degrade the distributed harvest to in-process
