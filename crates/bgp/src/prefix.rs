@@ -239,11 +239,11 @@ mod tests {
         assert_eq!(p("0.0.0.0/0").size(), 1 << 32);
     }
 
-    // ---- edge cases feeding the serving layer's prefix trie ----
+    // ---- edge cases feeding the serving layer's prefix lookups ----
 
     /// `from_str` → `Display` → `from_str` is the identity on canonical
-    /// text at every length, including the /0 and /32 extremes the trie
-    /// stores at its root and leaves.
+    /// text at every length, including the /0 and /32 extremes at both
+    /// ends of the serving index's sorted announcements.
     #[test]
     fn from_str_roundtrips_at_every_length() {
         for len in 0..=32u8 {
@@ -258,7 +258,7 @@ mod tests {
     /// `covers` and `parent` must agree: a parent covers its child, a
     /// child never covers its parent, and walking the parent chain from
     /// any prefix enumerates exactly its covering prefixes — the
-    /// invariant the trie's `covering` lookup is built on.
+    /// invariant the serving index's `covering` lookup is built on.
     #[test]
     fn covers_and_parent_agree() {
         let start = p("198.51.100.192/28");

@@ -104,6 +104,10 @@ pub struct LinkIndex {
     /// The announcement set, sorted by `(prefix, ixp, member)` and
     /// deduplicated.
     announcements: Vec<Announcement>,
+    /// `reach[i]` is the highest last address among
+    /// `announcements[..=i]`: a covering walk stops as soon as nothing
+    /// before its position reaches the queried address.
+    reach: Vec<u32>,
     /// Distinct prefixes in `announcements`.
     prefixes: usize,
     links_total: usize,
@@ -176,11 +180,20 @@ impl LinkIndex {
             announcements.dedup();
         }
         let prefixes = announcements.chunk_by(|x, y| x.0 == y.0).count();
+        let mut top = 0;
+        let reach = announcements
+            .iter()
+            .map(|a| {
+                top = top.max(last_addr(&a.0));
+                top
+            })
+            .collect();
         LinkIndex {
             members,
             offsets,
             entries,
             announcements,
+            reach,
             prefixes,
             links_total,
         }
@@ -203,10 +216,12 @@ impl LinkIndex {
         out
     }
 
-    /// The run of announcements of exactly `prefix` within `anns`.
+    /// The run of announcements of exactly `prefix` within `anns`: one
+    /// binary search, then a walk over the run (a few entries: one per
+    /// IXP and member announcing it).
     fn run(anns: &[Announcement], prefix: &Prefix) -> Range<usize> {
         let lo = anns.partition_point(|a| a.0 < *prefix);
-        lo..lo + anns[lo..].partition_point(|a| a.0 == *prefix)
+        lo..lo + anns[lo..].iter().take_while(|a| a.0 == *prefix).count()
     }
 
     /// All specificity classes of announcements matching `prefix`, as
@@ -215,12 +230,13 @@ impl LinkIndex {
         let anns = &self.announcements[..];
         let exact = Self::run(anns, prefix);
         // Every covering prefix sorts before `prefix`, and each one
-        // before the last: search a shrinking head.
+        // before the last: search a shrinking head, until nothing in it
+        // reaches `prefix`'s address.
         let mut covering = Vec::new();
         let mut head = exact.start;
         let mut q = prefix.parent();
         while let Some(p) = q {
-            if head == 0 {
+            if head == 0 || self.reach[head - 1] < prefix.network_u32() {
                 break;
             }
             let r = Self::run(&anns[..head], &p);
@@ -234,8 +250,7 @@ impl LinkIndex {
         // Past `(addr, len)` of `prefix` up to its last address: only
         // longer prefixes inside it sort there. Shorter or equal ones
         // at the same address sort before it, so they stay out.
-        let host_bits = u32::MAX.checked_shr(u32::from(prefix.len())).unwrap_or(0);
-        let last = prefix.network_u32() | host_bits;
+        let last = last_addr(prefix);
         let tail = &anns[exact.end..];
         let covered = &tail[..tail.partition_point(|a| a.0.network_u32() <= last)];
         PrefixRuns {
@@ -314,6 +329,11 @@ impl LinkIndex {
     pub fn links_total(&self) -> usize {
         self.links_total
     }
+}
+
+/// The last address `prefix` covers.
+fn last_addr(prefix: &Prefix) -> u32 {
+    prefix.network_u32() | u32::MAX.checked_shr(u32::from(prefix.len())).unwrap_or(0)
 }
 
 /// Linear-scan reference implementations of every indexed query. The

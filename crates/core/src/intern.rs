@@ -7,7 +7,7 @@
 //!
 //! * dense handles index flat `Vec`s where the old code hashed wide
 //!   keys ([`crate::infer::LinkInferencer`]'s per-member reach table,
-//!   [`crate::index::LinkIndex`]'s inverted member index);
+//!   [`crate::index::LinkIndex`]'s member offsets);
 //! * where a map stays sparse (per-member prefix edges), hashing a
 //!   4-byte handle is cheaper than hashing the wide key;
 //! * first-seen order makes iteration deterministic without a sort —
@@ -19,7 +19,7 @@
 //! used against another. `resolve` is the inverse of `intern` for every
 //! id the table issued — round-tripping is asserted by the tests here,
 //! including the `/0` and `/32` prefix extremes and covers↔parent
-//! chains the serving trie leans on.
+//! chains the serving index's prefix lookups lean on.
 
 use std::hash::Hash;
 
@@ -315,7 +315,8 @@ mod tests {
         assert_eq!(t.len(), 33, "every chain member is distinct");
 
         // Resolve is the exact inverse, and the cover relations the
-        // serving trie depends on survive the round-trip.
+        // serving index's prefix lookups depend on survive the
+        // round-trip.
         for (i, (&p, &id)) in chain.iter().zip(&ids).enumerate() {
             let back = t.resolve(id);
             assert_eq!(back, p, "chain[{i}]");

@@ -27,8 +27,6 @@
 //! bare numbers, and an [`ExportPolicy`] is written by
 //! [`export_policy`].
 
-use std::fmt;
-
 use mlpeer_bgp::Prefix;
 use mlpeer_ixp::policy::ExportPolicy;
 
@@ -56,8 +54,7 @@ struct Frame {
 /// Every value call — [`begin_object`](JsonWriter::begin_object),
 /// [`begin_array`](JsonWriter::begin_array), [`u64`](JsonWriter::u64),
 /// [`i64`](JsonWriter::i64), [`str`](JsonWriter::str),
-/// [`display`](JsonWriter::display), [`cidr`](JsonWriter::cidr),
-/// [`bool`](JsonWriter::bool),
+/// [`cidr`](JsonWriter::cidr), [`bool`](JsonWriter::bool),
 /// [`null`](JsonWriter::null) — places the comma, newline and
 /// indentation its position needs; inside an object each value follows
 /// a [`key`](JsonWriter::key).
@@ -232,20 +229,9 @@ impl JsonWriter {
         self
     }
 
-    /// A value's `Display` form as a string, escaped as it is
-    /// formatted (no intermediate `String`).
-    pub fn display(&mut self, v: impl fmt::Display) -> &mut Self {
-        self.prefix();
-        self.out.push(b'"');
-        fmt::write(&mut Escaper(&mut self.out), format_args!("{v}"))
-            .expect("writing into a Vec cannot fail");
-        self.out.push(b'"');
-        self
-    }
-
-    /// A prefix as its `a.b.c.d/len` string — the bytes
-    /// [`display`](JsonWriter::display) gives it, written digit by
-    /// digit instead of through `fmt` (no escaping needed).
+    /// A prefix as its `a.b.c.d/len` string (its `Display` form),
+    /// written digit by digit instead of through `fmt`; it never needs
+    /// escaping.
     pub fn cidr(&mut self, p: Prefix) -> &mut Self {
         self.prefix();
         self.out.push(b'"');
@@ -335,16 +321,6 @@ fn escape_into(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&bytes[run..]);
 }
 
-/// `fmt::Write` into a byte buffer, escaping each piece.
-struct Escaper<'a>(&'a mut Vec<u8>);
-
-impl fmt::Write for Escaper<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        escape_into(self.0, s);
-        Ok(())
-    }
-}
-
 /// An export policy in its derived shape: `"AllMembers"`, `"Nobody"`,
 /// `{"AllExcept": [[asn, …]]}` or `{"OnlyTo": [[asn, …]]}`; a missing
 /// policy is `null`.
@@ -410,13 +386,10 @@ mod tests {
         let got = text(w);
         assert_eq!(got, "\"q\\\"b\\\\n\\nr\\rt\\tu\\u0001x\\u001fé→€ \u{7f}\"");
         assert_eq!(got, mlpeer::report::to_json(&s));
-        let mut w = JsonWriter::new();
-        w.display(format_args!("{s}"));
-        assert_eq!(text(w), got, "display escapes like str");
     }
 
-    /// `cidr` writes the bytes `display` gives, at every length and
-    /// for octets of one, two and three digits.
+    /// `cidr` writes the prefix's `Display` form as a string, at every
+    /// length and for octets of one, two and three digits.
     #[test]
     fn cidr_matches_display() {
         for addr in ["0.0.0.0", "9.10.99.100", "203.0.113.37", "255.255.255.255"] {
@@ -425,7 +398,7 @@ mod tests {
                 let mut fast = JsonWriter::new();
                 fast.begin_array().cidr(p).end_array();
                 let mut slow = JsonWriter::new();
-                slow.begin_array().display(p).end_array();
+                slow.begin_array().str(&p.to_string()).end_array();
                 assert_eq!(text(fast), text(slow), "{p}");
             }
         }
@@ -486,7 +459,7 @@ mod tests {
             export_policy(&mut w, p.as_ref());
         }
         w.end_array();
-        w.key("prefix").display("10.0.0.0/8");
+        w.key("prefix").cidr("10.0.0.0/8".parse().unwrap());
         w.end_object();
         let want = mlpeer::report::to_json(&json!({
             "prefix": "10.0.0.0/8",

@@ -5,9 +5,10 @@
 //! to *query*. This crate turns the one-shot report into a long-lived
 //! service:
 //!
-//! * **index layer** — [`mlpeer::index::LinkIndex`]: inverted
-//!   indexes per member ASN and per IXP plus a prefix trie, so lookups
-//!   are O(result) instead of linear scans;
+//! * **index layer** — [`mlpeer::index::LinkIndex`]: each member's
+//!   per-IXP peers as a slice of one flat array, and the announcement
+//!   set sorted for binary-searched prefix lookups, so lookups are
+//!   O(result) instead of linear scans;
 //! * **versioned snapshot store** — immutable [`Snapshot`]s behind
 //!   [`SnapshotStore`], swapped atomically so in-flight readers are
 //!   never blocked or torn while a new epoch is published

@@ -9,7 +9,7 @@
 //!   every `/v1/ixp/{id}/links`, every linked `/v1/member/{asn}`, every
 //!   announced `/v1/prefix/{p}` (publish-time cache hits) and each
 //!   distinct /16 of the announced prefixes (a live render through the
-//!   prefix trie);
+//!   link index's prefix lookups);
 //! * a Tiny live run — bootstrap, then five 20-event churn ticks — over
 //!   the uncached tick snapshot the last publish left (every body a
 //!   live render), plus its `/v1/changes?since=0` delta;
