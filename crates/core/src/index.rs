@@ -73,15 +73,6 @@ impl PrefixRuns<'_> {
     pub fn total(&self) -> usize {
         self.exact.len() + self.covering.iter().map(|r| r.len()).sum::<usize>() + self.covered.len()
     }
-
-    /// The owned, set-shaped form.
-    pub fn to_matches(&self) -> PrefixMatches {
-        PrefixMatches {
-            exact: self.exact.iter().copied().collect(),
-            covering: self.covering.iter().copied().flatten().copied().collect(),
-            covered: self.covered.iter().copied().collect(),
-        }
-    }
 }
 
 /// Inverted indexes over an [`MlpLinkSet`] and its announcement set.
@@ -262,7 +253,12 @@ impl LinkIndex {
 
     /// All specificity classes of announcements matching `prefix`.
     pub fn prefix_matches(&self, prefix: &Prefix) -> PrefixMatches {
-        self.prefix_runs(prefix).to_matches()
+        let runs = self.prefix_runs(prefix);
+        PrefixMatches {
+            exact: runs.exact.iter().copied().collect(),
+            covering: runs.covering.concat().into_iter().collect(),
+            covered: runs.covered.iter().copied().collect(),
+        }
     }
 
     /// Members with at least one link.

@@ -225,7 +225,6 @@ impl LiveLoop {
             return;
         }
         let delta = LinkDelta::between(&served.links, self.inferencer.current());
-        drop(served);
         let snapshot = Snapshot::assemble(self.parts());
         store.publish_with_delta(snapshot, delta);
         stats.published.fetch_add(1, Ordering::Relaxed);
