@@ -97,7 +97,7 @@ pub struct LinkIndex {
     announcements: Vec<Announcement>,
     /// `reach[i]` is the highest last address among
     /// `announcements[..=i]`: a covering walk stops as soon as nothing
-    /// before its position reaches the queried address.
+    /// before its position reaches the queried prefix's last address.
     reach: Vec<u32>,
     /// Distinct prefixes in `announcements`.
     prefixes: usize,
@@ -220,14 +220,15 @@ impl LinkIndex {
     pub fn prefix_runs(&self, prefix: &Prefix) -> PrefixRuns<'_> {
         let anns = &self.announcements[..];
         let exact = Self::run(anns, prefix);
+        let last = last_addr(prefix);
         // Every covering prefix sorts before `prefix`, and each one
         // before the last: search a shrinking head, until nothing in it
-        // reaches `prefix`'s address.
+        // reaches `prefix`'s last address.
         let mut covering = Vec::new();
         let mut head = exact.start;
         let mut q = prefix.parent();
         while let Some(p) = q {
-            if head == 0 || self.reach[head - 1] < prefix.network_u32() {
+            if head == 0 || self.reach[head - 1] < last {
                 break;
             }
             let r = Self::run(&anns[..head], &p);
@@ -241,7 +242,6 @@ impl LinkIndex {
         // Past `(addr, len)` of `prefix` up to its last address: only
         // longer prefixes inside it sort there. Shorter or equal ones
         // at the same address sort before it, so they stay out.
-        let last = last_addr(prefix);
         let tail = &anns[exact.end..];
         let covered = &tail[..tail.partition_point(|a| a.0.network_u32() <= last)];
         PrefixRuns {
