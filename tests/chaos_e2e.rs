@@ -452,8 +452,8 @@ fn refresher_panic_restarts_with_backoff_and_recovers() {
 /// A tick that panics between applying a churn event and decoding it
 /// leaves the ecosystem ahead of the inferencer. The next tick rebuilds
 /// the inferencer from the ecosystem and publishes the difference, so
-/// the served links and announcements equal a from-scratch inference
-/// over the loop's ecosystem, and the change chain from epoch 0 still
+/// the served links and announcements equal a fresh harvest and
+/// inference over the loop's ecosystem, and the change chain from epoch 0 still
 /// composes to the served links.
 #[test]
 fn panicking_decode_resyncs_the_inferencer_and_the_change_chain() {
@@ -500,16 +500,16 @@ fn panicking_decode_resyncs_the_inferencer_and_the_change_chain() {
 
     let served = store.load();
     let (conn, observations) = full_harvest(live.ecosystem());
-    let scratch = infer_links(&conn, &observations);
+    let fresh = infer_links(&conn, &observations);
     assert_eq!(
         to_json(&served.links),
-        to_json(&scratch),
-        "served links must equal a from-scratch inference over the churned ecosystem"
+        to_json(&fresh),
+        "served links must equal a fresh inference over the churned ecosystem"
     );
     assert_eq!(
         served.index.announcements(),
-        scan::announcements(&scratch, &observations),
-        "served announcements must equal the from-scratch harvest's"
+        scan::announcements(&fresh, &observations),
+        "served announcements must equal the fresh harvest's"
     );
     match store.changes().since(0, served.epoch) {
         SinceAnswer::Delta { added, removed } => {
