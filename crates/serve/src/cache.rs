@@ -30,8 +30,8 @@
 //! stamped at publish *after* the build renders bodies — which is safe
 //! precisely because ETag-addressed bodies never mention the epoch
 //! (asserted by `cached_bodies_match_fresh_renders`). Live-mode tick
-//! publishes deliberately skip the pre-render
-//! ([`Snapshot::build_uncached_validated`]) — a per-link delta must
+//! publishes deliberately skip the pre-render (the shape of
+//! [`Snapshot::build_uncached_validated`]) — a per-link delta must
 //! not pay an O(corpus) render — and every endpoint falls back to
 //! rendering live on a cache miss, so an uncached snapshot serves
 //! identical bytes at the cost of one render per request.

@@ -101,8 +101,10 @@ impl Snapshot {
     }
 
     /// [`build_validated`](Snapshot::build_validated) without the body
-    /// pre-render: the shape live-mode tick publishes use, where a
-    /// per-link delta must not pay an O(announcement-corpus) render.
+    /// pre-render: the shape live-mode tick publishes have (the tick
+    /// assembles it straight from its inferencer's announcement set),
+    /// where a per-link delta must not pay an O(announcement-corpus)
+    /// render.
     /// Every endpoint falls back to rendering live on a cache miss, so
     /// the served bytes are identical — only the per-request cost
     /// differs.
