@@ -201,7 +201,8 @@ impl LiveLoop {
     /// moved, score the links against the registry fold of the churned
     /// ecosystem and publish. Returns the published epoch. After a tick
     /// that panicked, the inferencer is first rebuilt from the
-    /// ecosystem (see [`resync`](LiveLoop::resync)).
+    /// ecosystem, and the rebuilt state published if it differs from
+    /// the served one.
     pub fn tick(&mut self, store: &SnapshotStore, stats: &LiveStats) -> Option<u64> {
         failpoints::failpoint!("serve::live_tick");
         if std::mem::replace(&mut self.in_tick, true) {
