@@ -31,7 +31,7 @@ pub struct MrtPeer {
 }
 
 /// One RIB entry: a route to `prefix` as learned from peer `peer_index`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MrtRibEntry {
     /// Index into the archive's peer table.
     pub peer_index: u16,
@@ -44,7 +44,7 @@ pub struct MrtRibEntry {
 }
 
 /// One archived update: `peer_index` sent `update` at `timestamp`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MrtUpdate {
     /// Index into the archive's peer table.
     pub peer_index: u16,
@@ -55,7 +55,7 @@ pub struct MrtUpdate {
 }
 
 /// An MRT-style archive: peers, a RIB snapshot, and an update stream.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MrtArchive {
     /// Vantage points feeding this collector.
     pub peers: Vec<MrtPeer>,

@@ -15,7 +15,7 @@ use crate::prefix::Prefix;
 use crate::route::{Announcement, RouteAttrs};
 
 /// An UPDATE: withdrawals plus announcements sharing one attribute set.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct UpdateMessage {
     /// Prefixes withdrawn from service.
     pub withdrawn: Vec<Prefix>,

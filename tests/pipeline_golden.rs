@@ -4,9 +4,10 @@
 //! per `(scale, seed)`, what the serving boot computes on its way to
 //! the published snapshot:
 //!
-//! * the collector RIB entry count and the FxHash of the wire-encoded
-//!   MRT arenas (`MrtArchive::encode`), so a propagation change
-//!   that moves a single path or community shows up here;
+//! * the collector RIB entry count and the FxHash of the MRT arenas
+//!   (each collector's name and its `MrtArchive` through the derived
+//!   `Hash`), so a propagation change that moves a single path,
+//!   community, peer or timestamp shows up here;
 //! * the folded observation count, the unique link count and the
 //!   snapshot ETag;
 //! * integer ground-truth counts from the simulator: links inferred
@@ -22,7 +23,7 @@
 //! the ETag were regenerated. Deliberate changes regenerate the fixture
 //! with `MLPEER_REGEN_GOLDEN=1 cargo test --test pipeline_golden`.
 
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 
 use mlpeer::hash::FxHasher;
 use mlpeer::pipeline::{harvest_sharded, run, Scale};
@@ -49,7 +50,7 @@ fn record_line(scale: Scale, seed: u64) -> String {
     let mut h = FxHasher::default();
     for (name, archive) in &passive.collectors {
         h.write(name.as_bytes());
-        h.write(&archive.encode());
+        archive.hash(&mut h);
     }
     let (rib_entries, arena_hash) = (passive.rib_len(), h.finish());
     let validation = validate_harvest(
