@@ -1,6 +1,6 @@
-//! Criterion benchmarks: the wire codec, the route-server engine, route
-//! propagation, the community dictionary, the §4.3 query planner, and
-//! the end-to-end pipeline at two scales.
+//! Criterion benchmarks: the route-server engine, route propagation,
+//! the community dictionary, the §4.3 query planner, and the end-to-end
+//! pipeline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -8,36 +8,13 @@ use mlpeer::active::{query_rs_lg, ActiveConfig};
 use mlpeer::connectivity::gather_connectivity;
 use mlpeer::dict::dictionary_from_connectivity;
 use mlpeer_bench::run_pipeline;
-use mlpeer_bgp::update::{BgpMessage, UpdateMessage};
-use mlpeer_bgp::{wire, AsPath, Asn};
+use mlpeer_bgp::Asn;
 use mlpeer_data::irr::{build_irr, IrrConfig};
 use mlpeer_data::lg::{build_lg_roster, LgTarget};
 use mlpeer_data::Sim;
 use mlpeer_ixp::{Ecosystem, EcosystemConfig};
 use mlpeer_topo::gen::{Internet, InternetConfig};
 use mlpeer_topo::propagate::Propagator;
-
-fn bench_wire(c: &mut Criterion) {
-    let attrs = mlpeer_bgp::route::RouteAttrs::new(
-        "3356 1299 6695 8359 3216".parse::<AsPath>().unwrap(),
-        "80.81.192.33".parse().unwrap(),
-    )
-    .with_communities("0:6695 6695:8359 6695:8447 3356:2001".parse().unwrap());
-    let msg = BgpMessage::Update(UpdateMessage::announce(
-        attrs,
-        vec![
-            "193.34.0.0/22".parse().unwrap(),
-            "193.34.4.0/24".parse().unwrap(),
-        ],
-    ));
-    let encoded = wire::encode_to_bytes(&msg);
-    c.bench_function("wire/encode_update", |b| {
-        b.iter(|| wire::encode_to_bytes(std::hint::black_box(&msg)))
-    });
-    c.bench_function("wire/decode_update", |b| {
-        b.iter(|| wire::decode_frame(std::hint::black_box(encoded.clone())).unwrap())
-    });
-}
 
 fn bench_route_server(c: &mut Criterion) {
     let eco = Ecosystem::generate(EcosystemConfig::tiny(1));
@@ -128,7 +105,6 @@ fn bench_pipeline(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_wire,
     bench_route_server,
     bench_propagation,
     bench_dictionary,

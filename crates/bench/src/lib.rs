@@ -5,7 +5,7 @@
 //! passive and active inference stages (§4.1–§4.3), and hand the
 //! results to the per-figure analyses (§5). The `experiments` binary
 //! renders every table and figure of the paper; the Criterion benches
-//! are `benches/benches.rs` (codecs, RS engine, planner, pipeline),
+//! are `benches/benches.rs` (RS engine, planner, pipeline),
 //! `benches/harvest_hot.rs` (interned fold and serial vs sharded
 //! harvest → `BENCH_hot.json`), `benches/live_churn.rs` (live-mode
 //! delta apply vs full re-harvest → `BENCH_live.json`),

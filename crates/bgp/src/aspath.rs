@@ -73,8 +73,7 @@ impl AsPath {
 
     /// Build from explicit segments, canonicalizing: empty segments are
     /// dropped and adjacent sequences merged, so structurally different
-    /// but semantically identical inputs compare equal (and survive a
-    /// wire round-trip, where sequences are chunked at 255 ASNs).
+    /// but semantically identical inputs compare equal.
     pub fn from_segments(segments: Vec<Segment>) -> Self {
         let mut out: Vec<Segment> = Vec::with_capacity(segments.len());
         for seg in segments {

@@ -16,31 +16,6 @@ pub enum BgpError {
     PrefixLenOutOfRange(u8),
     /// A textual community could not be parsed.
     InvalidCommunity(String),
-    /// A wire-format message was truncated.
-    Truncated {
-        /// What was being decoded when the input ran out.
-        context: &'static str,
-        /// Bytes needed beyond what was available.
-        needed: usize,
-    },
-    /// A wire-format message carried an unknown type code.
-    UnknownMessageType(u8),
-    /// A wire-format path attribute was malformed.
-    MalformedAttribute(&'static str),
-    /// An MRT record carried an unknown type code.
-    UnknownMrtType(u16),
-    /// An MRT record referenced a peer index not present in the
-    /// peer-index table.
-    UnknownPeerIndex(u16),
-    /// The marker field of a BGP message header was not all-ones.
-    BadMarker,
-    /// A length field was inconsistent with the data that followed.
-    LengthMismatch {
-        /// Declared length.
-        declared: usize,
-        /// Actual length.
-        actual: usize,
-    },
 }
 
 impl fmt::Display for BgpError {
@@ -52,20 +27,6 @@ impl fmt::Display for BgpError {
                 write!(f, "prefix length {l} out of range (0..=32)")
             }
             BgpError::InvalidCommunity(s) => write!(f, "invalid community: {s:?}"),
-            BgpError::Truncated { context, needed } => {
-                write!(
-                    f,
-                    "truncated input decoding {context}: {needed} more bytes needed"
-                )
-            }
-            BgpError::UnknownMessageType(t) => write!(f, "unknown BGP message type {t}"),
-            BgpError::MalformedAttribute(what) => write!(f, "malformed path attribute: {what}"),
-            BgpError::UnknownMrtType(t) => write!(f, "unknown MRT record type {t}"),
-            BgpError::UnknownPeerIndex(i) => write!(f, "MRT peer index {i} not in index table"),
-            BgpError::BadMarker => write!(f, "BGP header marker is not all-ones"),
-            BgpError::LengthMismatch { declared, actual } => {
-                write!(f, "length mismatch: declared {declared}, actual {actual}")
-            }
         }
     }
 }
@@ -78,24 +39,18 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = BgpError::Truncated {
-            context: "NLRI",
-            needed: 3,
-        };
-        let s = e.to_string();
-        assert!(s.contains("NLRI") && s.contains('3'), "got: {s}");
         assert!(BgpError::InvalidAsn("x".into()).to_string().contains('x'));
-        assert!(BgpError::LengthMismatch {
-            declared: 10,
-            actual: 7
-        }
-        .to_string()
-        .contains("10"));
+        let s = BgpError::InvalidPrefix("10.0.0.0/33".into()).to_string();
+        assert!(s.contains("10.0.0.0/33"), "got: {s}");
+        assert!(BgpError::PrefixLenOutOfRange(40).to_string().contains("40"));
+        assert!(BgpError::InvalidCommunity("1:x".into())
+            .to_string()
+            .contains("1:x"));
     }
 
     #[test]
     fn error_trait_object_safe() {
-        let e: Box<dyn std::error::Error> = Box::new(BgpError::BadMarker);
-        assert_eq!(e.to_string(), "BGP header marker is not all-ones");
+        let e: Box<dyn std::error::Error> = Box::new(BgpError::PrefixLenOutOfRange(33));
+        assert_eq!(e.to_string(), "prefix length 33 out of range (0..=32)");
     }
 }

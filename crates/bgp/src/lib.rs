@@ -1,8 +1,8 @@
 //! # `mlpeer-bgp` — BGP substrate
 //!
-//! Foundation types and codecs for the `mlpeer` multilateral-peering
-//! inference toolkit (a reproduction of *Inferring Multilateral Peering*,
-//! Giotsas et al., CoNEXT 2013).
+//! Foundation types for the `mlpeer` multilateral-peering inference
+//! toolkit (a reproduction of *Inferring Multilateral Peering*, Giotsas
+//! et al., CoNEXT 2013).
 //!
 //! This crate models the parts of BGP that the paper's data pipeline
 //! touches:
@@ -18,11 +18,9 @@
 //! * [`RouteAttrs`] / [`Announcement`] — a route as carried in an UPDATE.
 //! * [`rib`] — Adj-RIB-In / Loc-RIB with deterministic best-path
 //!   selection, used by the route-server and looking-glass substrates.
-//! * [`wire`] — a compact BGP-4-style binary codec (length-delimited
-//!   framing over [`bytes`]) used wherever the simulation serializes
-//!   routing data.
-//! * [`mrt`] — an MRT-inspired archive format for collector RIB dumps
-//!   and update streams, mirroring what Route Views / RIPE RIS publish.
+//! * [`mrt`] — MRT-style collector archives: a peer table, RIB dump
+//!   entries and an update stream, mirroring what Route Views / RIPE
+//!   RIS publish.
 //! * [`stream`] — time-stepped BGP message streams ([`stream::TimedMessage`],
 //!   [`stream::UpdateStream`]) carrying the OPEN/UPDATE/NOTIFICATION
 //!   traffic live mode folds incrementally (member churn, §5.1).
@@ -44,7 +42,6 @@ pub mod rib;
 pub mod route;
 pub mod stream;
 pub mod update;
-pub mod wire;
 
 pub use asn::Asn;
 pub use aspath::AsPath;

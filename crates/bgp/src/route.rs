@@ -28,22 +28,12 @@ pub enum Origin {
 }
 
 impl Origin {
-    /// Wire code (RFC 4271 §4.3).
+    /// The ORIGIN code (RFC 4271 §4.3).
     pub const fn code(self) -> u8 {
         match self {
             Origin::Igp => 0,
             Origin::Egp => 1,
             Origin::Incomplete => 2,
-        }
-    }
-
-    /// Decode from the wire code.
-    pub const fn from_code(c: u8) -> Option<Self> {
-        match c {
-            0 => Some(Origin::Igp),
-            1 => Some(Origin::Egp),
-            2 => Some(Origin::Incomplete),
-            _ => None,
         }
     }
 
@@ -159,12 +149,10 @@ mod tests {
     use crate::asn::Asn;
 
     #[test]
-    fn origin_codes_roundtrip() {
-        for o in [Origin::Igp, Origin::Egp, Origin::Incomplete] {
-            assert_eq!(Origin::from_code(o.code()), Some(o));
-        }
-        assert_eq!(Origin::from_code(3), None);
-        assert_eq!(Origin::Igp.letter(), 'i');
+    fn origin_codes_and_letters() {
+        let origins = [Origin::Igp, Origin::Egp, Origin::Incomplete];
+        assert_eq!(origins.map(Origin::code), [0, 1, 2]);
+        assert_eq!(origins.map(Origin::letter), ['i', 'e', '?']);
         assert_eq!(Origin::Incomplete.to_string(), "?");
     }
 

@@ -3,8 +3,7 @@
 //! A pragmatic subset of RFC 4271's session messages: the simulation
 //! only needs OPEN (session identity), UPDATE (the data), KEEPALIVE and
 //! NOTIFICATION (session health / teardown, used by the churn model in
-//! the validation experiments). All messages serialize through
-//! [`crate::wire`].
+//! the validation experiments).
 
 use std::net::Ipv4Addr;
 
@@ -79,37 +78,11 @@ pub enum NotificationCode {
     Cease,
 }
 
-impl NotificationCode {
-    /// Wire code.
-    pub const fn code(self) -> u8 {
-        match self {
-            NotificationCode::MessageHeader => 1,
-            NotificationCode::OpenMessage => 2,
-            NotificationCode::UpdateMessage => 3,
-            NotificationCode::HoldTimerExpired => 4,
-            NotificationCode::Cease => 6,
-        }
-    }
-
-    /// Decode from wire code.
-    pub const fn from_code(c: u8) -> Option<Self> {
-        match c {
-            1 => Some(NotificationCode::MessageHeader),
-            2 => Some(NotificationCode::OpenMessage),
-            3 => Some(NotificationCode::UpdateMessage),
-            4 => Some(NotificationCode::HoldTimerExpired),
-            6 => Some(NotificationCode::Cease),
-            _ => None,
-        }
-    }
-}
-
 /// A BGP session message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BgpMessage {
-    /// OPEN: who is speaking. `asn` uses AS_TRANS on the wire when the
-    /// real ASN needs 32 bits and the 4-octet capability is absent; the
-    /// model always negotiates 4-octet ASNs, matching modern IXPs.
+    /// OPEN: who is speaking. The model always negotiates 4-octet
+    /// ASNs, matching modern IXPs.
     Open {
         /// Speaker ASN.
         asn: Asn,
@@ -129,18 +102,6 @@ pub enum BgpMessage {
     },
     /// KEEPALIVE.
     Keepalive,
-}
-
-impl BgpMessage {
-    /// RFC 4271 message type code.
-    pub const fn type_code(&self) -> u8 {
-        match self {
-            BgpMessage::Open { .. } => 1,
-            BgpMessage::Update(_) => 2,
-            BgpMessage::Notification { .. } => 3,
-            BgpMessage::Keepalive => 4,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -174,42 +135,5 @@ mod tests {
         assert!(upd.announcements().is_empty());
         assert!(!upd.is_empty());
         assert!(UpdateMessage::default().is_empty());
-    }
-
-    #[test]
-    fn type_codes_match_rfc() {
-        assert_eq!(
-            BgpMessage::Open {
-                asn: Asn(6695),
-                hold_time: 90,
-                router_id: "10.0.0.1".parse().unwrap()
-            }
-            .type_code(),
-            1
-        );
-        assert_eq!(BgpMessage::Update(UpdateMessage::default()).type_code(), 2);
-        assert_eq!(
-            BgpMessage::Notification {
-                code: NotificationCode::Cease,
-                subcode: 0
-            }
-            .type_code(),
-            3
-        );
-        assert_eq!(BgpMessage::Keepalive.type_code(), 4);
-    }
-
-    #[test]
-    fn notification_codes_roundtrip() {
-        for c in [
-            NotificationCode::MessageHeader,
-            NotificationCode::OpenMessage,
-            NotificationCode::UpdateMessage,
-            NotificationCode::HoldTimerExpired,
-            NotificationCode::Cease,
-        ] {
-            assert_eq!(NotificationCode::from_code(c.code()), Some(c));
-        }
-        assert_eq!(NotificationCode::from_code(5), None);
     }
 }

@@ -1,12 +1,11 @@
-//! Property-based tests for the BGP substrate: codec round-trips and
-//! RIB invariants.
+//! Property-based tests for the BGP substrate: text round-trips and
+//! prefix, AS-path and RIB invariants.
 //!
 //! Originally written with `proptest`; the offline build has no
 //! registry, so the same properties run as seeded randomized-input
 //! loops over the vendored `rand` — every case is deterministic and a
 //! failure prints the iteration seed for replay.
 
-use bytes::BytesMut;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -15,8 +14,6 @@ use mlpeer_bgp::community::{Community, CommunitySet};
 use mlpeer_bgp::prefix::Prefix;
 use mlpeer_bgp::rib::{Rib, RibEntry};
 use mlpeer_bgp::route::{Origin, RouteAttrs};
-use mlpeer_bgp::update::{BgpMessage, UpdateMessage};
-use mlpeer_bgp::wire;
 use mlpeer_bgp::Asn;
 
 const CASES: u64 = 256;
@@ -84,29 +81,6 @@ fn arb_attrs(rng: &mut StdRng) -> RouteAttrs {
             1 => Origin::Egp,
             _ => Origin::Incomplete,
         },
-    }
-}
-
-fn arb_update(rng: &mut StdRng) -> UpdateMessage {
-    let withdrawn: Vec<Prefix> = (0..rng.gen_range(0..5usize))
-        .map(|_| arb_prefix(rng))
-        .collect();
-    let attrs = if rng.gen_bool(0.8) {
-        Some(arb_attrs(rng))
-    } else {
-        None
-    };
-    let mut nlri: Vec<Prefix> = (0..rng.gen_range(0..5usize))
-        .map(|_| arb_prefix(rng))
-        .collect();
-    // NLRI without attributes is not encodable; normalize.
-    if attrs.is_none() {
-        nlri.clear();
-    }
-    UpdateMessage {
-        withdrawn,
-        attrs,
-        nlri,
     }
 }
 
@@ -202,41 +176,6 @@ fn aspath_prepend_increases_hop_len() {
 }
 
 #[test]
-fn wire_update_roundtrip() {
-    for_cases(0x09, |rng| {
-        let msg = BgpMessage::Update(arb_update(rng));
-        let bytes = wire::encode_to_bytes(&msg);
-        let decoded = wire::decode_frame(bytes).unwrap();
-        assert_eq!(decoded, msg);
-    });
-}
-
-#[test]
-fn wire_stream_roundtrip() {
-    for_cases(0x0A, |rng| {
-        // Many messages on one stream, fed to the incremental decoder in
-        // arbitrary chunk sizes.
-        let msgs: Vec<BgpMessage> = (0..rng.gen_range(1..5usize))
-            .map(|_| BgpMessage::Update(arb_update(rng)))
-            .collect();
-        let mut wire_bytes = BytesMut::new();
-        for m in &msgs {
-            wire::encode_message(m, &mut wire_bytes);
-        }
-        let mut dec = wire::FrameDecoder::new();
-        let mut got = Vec::new();
-        for chunk in wire_bytes.freeze().chunks(7) {
-            dec.extend(chunk);
-            while let Some(m) = dec.next_message().unwrap() {
-                got.push(m);
-            }
-        }
-        assert_eq!(got, msgs);
-        assert_eq!(dec.pending(), 0);
-    });
-}
-
-#[test]
 fn rib_best_is_among_paths() {
     for_cases(0x0B, |rng| {
         let entries: Vec<(Asn, RouteAttrs)> = (0..rng.gen_range(1..8usize))
@@ -264,56 +203,5 @@ fn rib_best_is_among_paths() {
         }
         // Ranked order starts with best.
         assert_eq!(rib.paths_ranked(&p)[0], best);
-    });
-}
-
-// ---- MRT archives: encode / decode round-trip ----
-
-use mlpeer_bgp::mrt::{MrtArchive, MrtRibEntry, MrtUpdate};
-
-/// A random archive with a peer table, RIB entries and an update
-/// stream. RIB attrs always carry ≥ 1 NLRI by construction.
-fn arb_archive(rng: &mut StdRng) -> MrtArchive {
-    let mut a = MrtArchive::new();
-    let npeers = rng.gen_range(1..5usize);
-    for i in 0..npeers {
-        a.add_peer(arb_asn(rng), std::net::Ipv4Addr::from(rng.gen::<u32>()));
-        let _ = i;
-    }
-    for _ in 0..rng.gen_range(0..12usize) {
-        a.rib.push(MrtRibEntry {
-            peer_index: rng.gen_range(0..npeers) as u16,
-            originated: rng.gen::<u32>(),
-            prefix: arb_prefix(rng),
-            attrs: arb_attrs(rng),
-        });
-    }
-    for _ in 0..rng.gen_range(0..8usize) {
-        let mut update = arb_update(rng);
-        // An empty UPDATE decodes to attrs=None with no routes, which
-        // encodes identically; keep it, the decoder must cope.
-        if update.withdrawn.is_empty() && update.nlri.is_empty() {
-            update.attrs = None;
-        }
-        a.updates.push(MrtUpdate {
-            peer_index: rng.gen_range(0..npeers) as u16,
-            timestamp: rng.gen::<u32>(),
-            update,
-        });
-    }
-    a
-}
-
-/// For any archive, decoding its wire encoding succeeds, yields the
-/// same archive, and re-encodes to byte-identical wire bytes — the
-/// form the collector arena hash in the pipeline golden fixture pins.
-#[test]
-fn archive_decode_reencodes_identically() {
-    for_cases(0x0C, |rng| {
-        let archive = arb_archive(rng);
-        let encoded = archive.encode();
-        let decoded = MrtArchive::decode(encoded.clone()).expect("struct decode");
-        assert_eq!(decoded, archive);
-        assert_eq!(decoded.encode(), encoded);
     });
 }

@@ -396,17 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn archives_roundtrip_through_mrt() {
-        let (eco, cfg) = dataset();
-        let sim = Sim::new(&eco);
-        let ds = build_passive(&sim, &cfg);
-        for (name, archive) in &ds.collectors {
-            let decoded = MrtArchive::decode(archive.encode()).expect(name);
-            assert_eq!(&decoded, archive, "{name} mrt roundtrip");
-        }
-    }
-
-    #[test]
     fn feeder_plan_creates_full_feeds() {
         let (eco, cfg) = dataset();
         let sim = Sim::new(&eco);
