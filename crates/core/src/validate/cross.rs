@@ -26,10 +26,11 @@
 //!    aut-num policy filters and as-set registration, all read from the
 //!    corpus's [`CorpusFold`].
 //!
-//! The live loop skips the text: [`CorpusFold::derive`] builds the fold
-//! of the corpus step 1 would render straight from the ecosystem, and
-//! scores through the same ladder. [`validate_harvest`] stays the batch
-//! path and the reference the derived fold is tested against.
+//! Serving skips the text: [`CorpusFold::derive`] builds the fold of the
+//! corpus step 1 would render straight from the ecosystem, and scores
+//! through the same ladder; the batch boot and every live tick score
+//! that way. [`validate_harvest`] stays the reference the derived fold
+//! is tested against.
 //!
 //! The whole stage is a pure function of `(ecosystem, links,
 //! observations)` — no clocks, no RNG state — so serial, thread-sharded

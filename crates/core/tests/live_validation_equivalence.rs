@@ -101,6 +101,13 @@ fn small_matches_the_batch_path_every_fifth_tick() {
 }
 
 #[test]
+fn medium_bootstrap_matches_the_batch_path() {
+    // The scale the live benchmark serves, and the fold the batch boot
+    // scores with: one check, at bootstrap.
+    run(EcosystemConfig::medium(20130501), churn(20131007), 0, 1);
+}
+
+#[test]
 fn membership_heavy_churn_matches_the_batch_path() {
     // Joins and leaves move the most registry state per event: rosters,
     // aut-nums, and every filtering member's lines toward the mover.

@@ -64,7 +64,8 @@ pub struct BodyCache {
 
 impl BodyCache {
     /// Render every addressable body from a fully-built snapshot.
-    /// Called once by [`Snapshot::build_validated`]; the snapshot's
+    /// Called once per snapshot by [`Snapshot::build_validated`] or
+    /// [`Snapshot::from_parts`]; the snapshot's
     /// `cache` field is still default-empty at that point, which is
     /// fine — the renderers only read the index and link set.
     pub(crate) fn build(snap: &Snapshot) -> BodyCache {

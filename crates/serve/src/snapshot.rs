@@ -22,7 +22,7 @@ use mlpeer::index::{Announcement, LinkIndex};
 use mlpeer::infer::{MlpLinkSet, Observation};
 use mlpeer::passive::PassiveStats;
 use mlpeer::pipeline::{self, PipelineRun, Scale};
-use mlpeer::validate::cross::{validate_harvest, CorpusConfig, ValidationReport};
+use mlpeer::validate::cross::{CorpusConfig, CorpusFold, ValidationReport};
 use mlpeer_ixp::ixp::IxpId;
 use mlpeer_ixp::Ecosystem;
 
@@ -216,9 +216,11 @@ impl Snapshot {
         Snapshot::of_run(eco, scale, seed, run)
     }
 
-    /// Validate one pipeline run and snapshot it. The run's substrates
-    /// are dropped first: the snapshot keeps only the links and what it
-    /// derives from the observations.
+    /// Validate one pipeline run and snapshot it, the way the live
+    /// bootstrap does: one announcement scan feeds the registry fold's
+    /// report, the index and the ETag. The run's substrates are dropped
+    /// first: the snapshot keeps only the links and what it derives
+    /// from the observations.
     fn of_run(eco: &Ecosystem, scale: Scale, seed: u64, run: PipelineRun<'_>) -> Snapshot {
         let PipelineRun {
             prep,
@@ -228,16 +230,20 @@ impl Snapshot {
             ..
         } = run;
         drop(prep);
-        let validation = validate_harvest(eco, &links, &observations, &CorpusConfig::seeded(seed));
-        Snapshot::build_validated(
-            scale.word(),
+        let announcements = mlpeer::index::scan::announcements(&links, &observations);
+        let validation =
+            CorpusFold::derive(eco, &CorpusConfig::seeded(seed)).report(&links, &announcements);
+        Snapshot::from_parts(SnapshotParts {
+            epoch: 0,
+            scale: scale.word().to_string(),
             seed,
-            Snapshot::names_of(eco),
+            names: Snapshot::names_of(eco),
             links,
-            &observations,
+            announcements,
+            observation_count: observations.len(),
             passive_stats,
             validation,
-        )
+        })
     }
 
     /// The IXP's name, or a stable placeholder for unknown ids.

@@ -42,7 +42,9 @@ const GRID: [(Scale, u64); 4] = [
 ];
 
 /// Compute the fixture line for one `(scale, seed)` cell from the
-/// stages `Snapshot::of_pipeline` runs.
+/// stages `Snapshot::of_pipeline` runs, validating through the
+/// reference `validate_harvest` (the fixture pins nothing the report
+/// feeds, and `tests/validate_golden.rs` checks the served report).
 fn record_line(scale: Scale, seed: u64) -> String {
     let eco = Ecosystem::generate(scale.config(seed));
     let run = run(&eco, seed, harvest_sharded);
