@@ -90,11 +90,6 @@ impl LookingGlassHost {
         self.queries.get() * self.secs_per_query as u64
     }
 
-    /// Reset the ledger.
-    pub fn reset_ledger(&self) {
-        self.queries.set(0);
-    }
-
     /// Execute a command, returning rendered text.
     pub fn query(&self, sim: &Sim, cmd: &LgCommand) -> String {
         self.queries.set(self.queries.get() + 1);

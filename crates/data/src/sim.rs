@@ -29,7 +29,7 @@ use mlpeer_ixp::route_server::RouteServer;
 use mlpeer_ixp::Ecosystem;
 use mlpeer_topo::graph::Region;
 use mlpeer_topo::propagate::{BestRoute, EdgeKind, Propagator, RouteState, Sweeper};
-use mlpeer_topo::relationship::{LearnedFrom, Relationship};
+use mlpeer_topo::relationship::Relationship;
 
 /// Local-preference conventions applied by simulated routers: customers
 /// above peers above providers, matching the economics of §2.1 (and the
@@ -374,12 +374,6 @@ impl<'e> Sim<'e> {
     /// Number of directed extra (IXP) peer edges grafted onto the graph.
     pub fn extra_edge_count(&self) -> usize {
         self.prop.extra_edge_count()
-    }
-
-    /// The classification of `observer`'s best route toward `origin`
-    /// (None if unreachable).
-    pub fn route_class(&self, observer: Asn, origin: Asn) -> Option<LearnedFrom> {
-        self.routes_to(origin).class(observer)
     }
 }
 
