@@ -95,8 +95,8 @@ pub struct SnapshotStore {
     /// surface the coordinator's counters; absent in single-process
     /// runs.
     dist_stats: std::sync::OnceLock<Arc<mlpeer_dist::DistStats>>,
-    /// Publish observers (the reactor registers one per shard to wake
-    /// parked push subscribers). Must stay cheap and non-blocking —
+    /// Publish observers (the reactor registers one to wake parked push
+    /// subscribers). Must stay cheap and non-blocking —
     /// they run on the publisher's thread after every swap.
     hooks: Mutex<Vec<PublishHook>>,
     /// The on-disk epoch log, when the process runs with `--data-dir`.
