@@ -65,9 +65,9 @@ pub struct BodyCache {
 impl BodyCache {
     /// Render every addressable body from a fully-built snapshot.
     /// Called once per snapshot by [`Snapshot::build_validated`] or
-    /// [`Snapshot::from_parts`]; the snapshot's
-    /// `cache` field is still default-empty at that point, which is
-    /// fine — the renderers only read the index and link set.
+    /// [`Snapshot::from_parts`]; the snapshot's `cache` field is still
+    /// default-empty at that point, which is fine — the renderers only
+    /// read the index and link set.
     pub(crate) fn build(snap: &Snapshot) -> BodyCache {
         let mut cache = BodyCache {
             ixps: Some(api::render_ixps(snap)),

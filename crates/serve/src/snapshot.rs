@@ -132,9 +132,9 @@ impl Snapshot {
         })
     }
 
-    /// Rebuild a full serving snapshot from its persisted
-    /// deterministic parts — the durable-store recovery and `?at=`
-    /// time-travel path. The index comes back via
+    /// Build a full serving snapshot from its deterministic parts — the
+    /// batch boot and live bootstrap path, and the durable-store
+    /// recovery and `?at=` time-travel path. The index comes back via
     /// [`LinkIndex::build_from_announcements`] and the ETag via the
     /// same hash [`Snapshot::build_validated`] uses, so a recovered snapshot
     /// serves byte-identical bodies and ETags to the one originally
